@@ -1,12 +1,13 @@
-"""Benchmark the compiled kernels against the pure-numpy fallback.
+"""Benchmark the compiled filter kernel against the pure-numpy fallback.
 
 Usage:
     python benchmarks/bench_kernels.py [--steps 10000] [--repeats 5]
 
-Runs the filter loop, the channel loop, and a full closed-loop scenario on
-both execution paths in one process (the interpreted versions are always
-exported as ``*_numpy``) and prints the speedup.  With numba missing or
-``TELEKF_DISABLE_NUMBA=1`` both paths are the same interpreter code.
+Runs the filter loop on both execution paths in one process (the
+interpreted version is always exported as ``kf_loop_numpy``), prints the
+speedup, and times a full closed-loop scenario on the active path.  With
+numba missing or ``TELEKF_DISABLE_NUMBA=1`` both paths are the same
+interpreter code.
 """
 
 import argparse
@@ -50,18 +51,6 @@ def kf_case(steps):
     return args
 
 
-def channel_case(steps):
-    rng = np.random.default_rng(2)
-    return (
-        rng.standard_normal((steps, 3)),
-        2.7,
-        1.3,
-        0.2,
-        rng.standard_normal(steps - 1),
-        rng.random(steps - 1),
-    )
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--steps", type=int, default=10000)
@@ -71,20 +60,14 @@ def main():
     print(f"numba path active: {_kernels.NUMBA_ENABLED}")
 
     kf_args = kf_case(args.steps)
-    ch_args = channel_case(args.steps)
 
-    # warm both (first compiled call includes jit time)
+    # warm up (the first compiled call includes jit time)
     _kernels.kf_loop(*kf_args)
-    _kernels.channel_loop(*ch_args)
 
     rows = []
     t_jit = timeit(lambda: _kernels.kf_loop(*kf_args), args.repeats)
     t_ref = timeit(lambda: _kernels.kf_loop_numpy(*kf_args), args.repeats)
     rows.append(("kf_loop", t_jit, t_ref))
-
-    t_jit = timeit(lambda: _kernels.channel_loop(*ch_args), args.repeats)
-    t_ref = timeit(lambda: _kernels.channel_loop_numpy(*ch_args), args.repeats)
-    rows.append(("channel_loop", t_jit, t_ref))
 
     generator = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=42, pole_radius=0.85)
     data = gen_synthetic(

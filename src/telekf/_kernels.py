@@ -1,12 +1,10 @@
-"""Hot inner loops, compiled with numba when available.
+"""The Kalman filter loop, compiled with numba when available.
 
-The loop bodies are written once, in a numba-compatible numpy subset, and
-exported twice: ``*_numpy`` names always refer to the interpreted versions,
-while the plain names point at ``@njit``-compiled wrappers unless numba is
+The loop body is written once, in a numba-compatible numpy subset, and
+exported twice: ``kf_loop_numpy`` always refers to the interpreted version,
+while ``kf_loop`` points at an ``@njit``-compiled wrapper unless numba is
 missing or the ``TELEKF_DISABLE_NUMBA`` environment variable is set to a
-truthy value ("1", "true", "yes").  Both paths are bit-identical; kernels
-contain no RNG calls — callers pre-draw every random number so results do
-not depend on which path executed.
+truthy value ("1", "true", "yes").  Both paths are bit-identical.
 """
 
 import os
@@ -17,8 +15,6 @@ __all__ = [
     "NUMBA_ENABLED",
     "kf_loop",
     "kf_loop_numpy",
-    "channel_loop",
-    "channel_loop_numpy",
 ]
 
 
@@ -72,47 +68,7 @@ def _kf_loop(a, b, h, q, r_diag, x0, p0, u, z, has_z):
     return x_pri, p_pri, x_post, p_post, -1, -1
 
 
-def _channel_loop(y_true, nd_samples, nj_samples, n_p, normals, uniforms):
-    """Push a sampled stream through the delay/jitter/loss channel.
-
-    ``y_true`` is the full (N, p) ground-truth stream.  Entry 0 passes
-    through untouched (the receiver is seeded with the first sample); for
-    every later step t the delivered sample index is
-    ``clip(t - rint(nd_samples + g * nj_samples), 0, t)`` and the packet is
-    dropped — holding the previously delivered value — when the uniform
-    draw falls below ``n_p``.  ``normals[t - 1]`` and ``uniforms[t - 1]``
-    feed step t, one draw each per step regardless of outcome.
-
-    Returns (delivered, src_idx, lost): the delivered stream, the 0-based
-    index each delivered value originated from (for held packets, the index
-    of the value being held), and the loss mask.
-    """
-    steps = y_true.shape[0]
-    delivered = np.empty_like(y_true)
-    src_idx = np.empty(steps, np.int64)
-    lost = np.zeros(steps, np.bool_)
-
-    delivered[0] = y_true[0]
-    src_idx[0] = 0
-    prev_idx = 0
-    for t in range(1, steps):
-        offset = int(np.rint(nd_samples + normals[t - 1] * nj_samples))
-        j = t - offset
-        if j < 0:
-            j = 0
-        elif j > t:
-            j = t
-        if uniforms[t - 1] >= n_p:
-            prev_idx = j
-        else:
-            lost[t] = True
-        delivered[t] = y_true[prev_idx]
-        src_idx[t] = prev_idx
-    return delivered, src_idx, lost
-
-
 kf_loop_numpy = _kf_loop
-channel_loop_numpy = _channel_loop
 
 if _numba_disabled_by_env():
     NUMBA_ENABLED = False
@@ -126,7 +82,5 @@ else:
 
 if NUMBA_ENABLED:
     kf_loop = numba.njit(cache=True)(_kf_loop)
-    channel_loop = numba.njit(cache=True)(_channel_loop)
 else:
     kf_loop = _kf_loop
-    channel_loop = _channel_loop

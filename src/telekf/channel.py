@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import ContractViolationError
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "delayed_index",
     "observe",
     "apply_channel",
-    "apply_additive_bias",
 ]
 
 #: identifier of the generator behind every stochastic draw, recorded in reports
@@ -54,12 +52,14 @@ class NetworkConfig:
         object.__setattr__(self, "n_j", float(self.n_j))
         object.__setattr__(self, "n_p", float(self.n_p))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.n_d < 0.0:
-            raise ContractViolationError(f"n_d must be >= 0, got {self.n_d}")
-        if self.n_j < 0.0:
-            raise ContractViolationError(f"n_j must be >= 0, got {self.n_j}")
+        if not 0.0 <= self.n_d < np.inf:
+            raise ContractViolationError(f"n_d must be finite and >= 0, got {self.n_d}")
+        if not 0.0 <= self.n_j < np.inf:
+            raise ContractViolationError(f"n_j must be finite and >= 0, got {self.n_j}")
         if not 0.0 <= self.n_p <= 1.0:
             raise ContractViolationError(f"n_p must be in [0, 1], got {self.n_p}")
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
 
     def spawn_streams(self) -> tuple[np.random.Generator, np.random.Generator]:
         """Independent (jitter, loss) generators derived from the seed."""
@@ -83,6 +83,14 @@ class ChannelStats:
         if self.packets_total == 0:
             return 0.0
         return self.packets_lost / self.packets_total
+
+    def add(self, delays, lost: int = 0) -> None:
+        """Count delivered packets by realized delay (in samples), plus ``lost`` dropped ones."""
+        delays = np.asarray(delays, dtype=np.int64)
+        self.packets_total += delays.size + lost
+        self.packets_lost += lost
+        for delay, count in zip(*np.unique(delays, return_counts=True)):
+            self.delay_histogram[int(delay)] = self.delay_histogram.get(int(delay), 0) + int(count)
 
     def mean_delay_samples(self) -> float:
         """Average realized offset (in samples) over delivered packets."""
@@ -118,6 +126,30 @@ class ChannelState:
         return cls(prev_y=prev, jitter_rng=jitter_rng, loss_rng=loss_rng)
 
 
+def _offsets(cfg: NetworkConfig, dt: float, g):
+    """Sample offsets ``rint(n_d/dt + g * n_j/dt)`` for the jitter draws ``g``.
+
+    The delay rule of the channel, with n_d and n_j converted from
+    milliseconds to seconds first; the result is float-valued (exact
+    integers).
+    """
+    return np.rint(cfg.n_d / 1000.0 / dt + g * (cfg.n_j / 1000.0 / dt))
+
+
+def _route(offsets: np.ndarray, uniforms: np.ndarray, n_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Source index and loss mask for a stream of ``offsets.size + 1`` steps.
+
+    Step 0 is delivered untouched.  Step t >= 1 uses ``offsets[t - 1]`` and
+    ``uniforms[t - 1]``: its packet carries sample ``clip(t - offset, 0, t)``
+    and is lost when the uniform falls below ``n_p``, in which case the
+    receiver keeps the source of the last packet that arrived.
+    """
+    t = np.arange(offsets.size + 1)
+    j = np.clip(t - np.concatenate(([0.0], offsets)), 0, t).astype(np.int64)
+    lost = np.concatenate(([False], uniforms < n_p))
+    return j[np.maximum.accumulate(np.where(lost, 0, t))], lost
+
+
 def delayed_index(k: int, cfg: NetworkConfig, dt: float, rng: np.random.Generator) -> int:
     """Source index (1-based) for the packet arriving at step k.
 
@@ -130,9 +162,7 @@ def delayed_index(k: int, cfg: NetworkConfig, dt: float, rng: np.random.Generato
         raise ContractViolationError(f"channel steps start at k=2, got k={k}")
     if not dt > 0.0:
         raise ContractViolationError(f"dt must be positive, got {dt}")
-    g = rng.standard_normal()
-    offset = int(np.rint(cfg.n_d / 1000.0 / dt + g * cfg.n_j / 1000.0 / dt))
-    return max(1, k - offset)
+    return max(1, k - int(_offsets(cfg, dt, rng.standard_normal())))
 
 
 def observe(k: int, truth, cfg: NetworkConfig, state: ChannelState, dt: float) -> np.ndarray:
@@ -152,17 +182,12 @@ def observe(k: int, truth, cfg: NetworkConfig, state: ChannelState, dt: float) -
             f"k must be in [2, {truth.shape[0]}], got {k}"
         )
     idx = min(k, delayed_index(k, cfg, dt, state.jitter_rng))
-    u = state.loss_rng.random()
-    state.stats.packets_total += 1
-    if u >= cfg.n_p:
-        value = truth[idx - 1].copy()
-        offset = k - idx
-        state.stats.delay_histogram[offset] = state.stats.delay_histogram.get(offset, 0) + 1
+    if state.loss_rng.random() < cfg.n_p:
+        state.stats.add([], lost=1)
     else:
-        value = state.prev_y.copy()
-        state.stats.packets_lost += 1
-    state.prev_y = value
-    return value.copy()
+        state.prev_y = truth[idx - 1].copy()
+        state.stats.add([k - idx])
+    return state.prev_y.copy()
 
 
 def apply_channel(
@@ -172,9 +197,11 @@ def apply_channel(
 
     Bit-identical to calling :func:`observe` for k = 2..N with a fresh
     :class:`ChannelState`.  Returns ``(delivered, src_idx, lost, stats)``
-    where row 0 of ``delivered`` is the untouched first sample.
+    where row 0 of ``delivered`` is the untouched first sample, ``src_idx``
+    the 0-based sample each delivered row came from (for held packets, the
+    one being held), and ``lost`` the loss mask.
     """
-    truth = np.ascontiguousarray(np.asarray(truth, dtype=float))
+    truth = np.asarray(truth, dtype=float)
     if truth.ndim == 1:
         truth = truth.reshape(-1, 1)
     if truth.shape[0] == 0:
@@ -183,30 +210,8 @@ def apply_channel(
         raise ContractViolationError(f"dt must be positive, got {dt}")
     steps = truth.shape[0]
     jitter_rng, loss_rng = cfg.spawn_streams()
-    normals = jitter_rng.standard_normal(max(steps - 1, 0))
-    uniforms = loss_rng.random(max(steps - 1, 0))
-    delivered, src_idx, lost = _kernels.channel_loop(
-        truth,
-        cfg.n_d / 1000.0 / dt,
-        cfg.n_j / 1000.0 / dt,
-        cfg.n_p,
-        normals,
-        uniforms,
-    )
-    stats = ChannelStats(packets_total=steps - 1, packets_lost=int(lost.sum()))
-    fresh = ~lost
-    fresh[0] = False
-    offsets = np.arange(steps)[fresh] - src_idx[fresh]
-    for offset, count in zip(*np.unique(offsets, return_counts=True)):
-        stats.delay_histogram[int(offset)] = int(count)
-    return delivered, src_idx, lost, stats
-
-
-def apply_additive_bias(truth, cfg: NetworkConfig) -> np.ndarray:
-    """Literal additive-deviation form: truth + (n_d + n_j + n_p) per entry.
-
-    Exists only so the additive model variant can be unit-tested; the
-    operational channel is index/hold based and does not use this.
-    """
-    truth = np.asarray(truth, dtype=float)
-    return truth + (cfg.n_d + cfg.n_j + cfg.n_p)
+    offsets = _offsets(cfg, dt, jitter_rng.standard_normal(steps - 1))
+    src_idx, lost = _route(offsets, loss_rng.random(steps - 1), cfg.n_p)
+    stats = ChannelStats()
+    stats.add((np.arange(1, steps) - src_idx[1:])[~lost[1:]], int(lost.sum()))
+    return truth[src_idx], src_idx, lost, stats

@@ -21,6 +21,7 @@ usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -44,14 +45,22 @@ SCENARIO_ERROR = 1
 def _parse_int_values(text: str) -> list[int]:
     """Accept "1:4" (inclusive range) or "1,2,3"."""
     text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",") if v]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected LO:HI or a comma list of integers, got {text!r}"
+        ) from None
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _parse_rows(text: str) -> list[tuple[float, float, float]]:
@@ -61,28 +70,22 @@ def _parse_rows(text: str) -> list[tuple[float, float, float]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [float(v) for v in chunk.split(",")]
-        if len(parts) != 3:
-            raise ContractViolationError(
-                f"each row needs three values (jitter_ms,delay_ms,loss_prob), got {chunk!r}"
-            )
-        n_j, n_d, n_p = parts
+        try:
+            n_j, n_d, n_p = (float(v) for v in chunk.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"each row needs three numbers (jitter_ms,delay_ms,loss_prob), got {chunk!r}"
+            ) from None
         rows.append((n_d, n_j, n_p))
     return rows
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset (None) flags from the --config JSON file."""
-    if not getattr(args, "config", None):
-        return args
-    doc = json.loads(Path(args.config).read_text())
+def _read_config(path) -> dict:
+    """The --config JSON object keyed by flag destination; null means unset."""
+    doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
-        raise ContractViolationError(f"config file {args.config} must hold a JSON object")
-    for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    return args
+        raise ContractViolationError(f"config file {path} must hold a JSON object")
+    return {key.replace("-", "_"): value for key, value in doc.items() if value is not None}
 
 
 def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
@@ -95,20 +98,22 @@ def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
     return None
 
 
-def _load_trajectory(args, data_path) -> dataio.TrajectorySet:
+def _load_trajectory(data_path, dt, inputs, outputs, preset, arm) -> dataio.TrajectorySet:
     """Parse a kinematics file and narrow it to the configured channels.
 
-    Channel precedence: explicit --inputs/--outputs, then --preset, then a
-    ``<data>.truth.json`` sidecar written by ``synth``.
+    Channel precedence: explicit inputs/outputs (comma-separated names),
+    then the preset, then a ``<data>.truth.json`` sidecar written by
+    ``synth``.
     """
-    dt = args.dt if args.dt is not None else dataio.DEFAULT_DT
     ts = dataio.parse_kinematics(data_path, dt=dt, trial_id=str(data_path))
-    if getattr(args, "inputs", None) or getattr(args, "outputs", None):
-        if not (args.inputs and args.outputs):
+    if inputs or outputs:
+        if not (inputs and outputs):
             raise ContractViolationError("--inputs and --outputs must be given together")
-        return dataio.select_channels(ts, args.inputs.split(","), args.outputs.split(","))
-    if getattr(args, "preset", None):
-        return dataio.apply_preset(ts, args.preset, arm=args.arm or "right")
+        return dataio.select_channels(ts, inputs.split(","), outputs.split(","))
+    if preset:
+        # reports record the arm as given (null without --arm), so the
+        # preset's default arm is applied here rather than by the parser
+        return dataio.apply_preset(ts, preset, arm=arm or "right")
     names = _sidecar_names(data_path)
     if names is not None:
         return dataio.select_channels(ts, names[0], names[1])
@@ -150,15 +155,12 @@ def cmd_identify(args) -> int:
             "warning: holdout equals the training file; fit figures are in-sample",
             file=sys.stderr,
         )
-    train = _load_trajectory(args, train_path)
-    holdout = _load_trajectory(args, holdout_path)
+    channels = (args.dt, args.inputs, args.outputs, args.preset, args.arm)
+    train = _load_trajectory(train_path, *channels)
+    holdout = _load_trajectory(holdout_path, *channels)
+    records = sysid.order_sweep(train, holdout, args.na, args.nb, args.nk)
 
-    na_values = _parse_int_values(args.na or "1:4")
-    nb_values = _parse_int_values(args.nb or "1:4")
-    nk_values = _parse_int_values(args.nk or "0:2")
-    records = sysid.order_sweep(train, holdout, na_values, nb_values, nk_values)
-
-    out_dir = Path(args.out_dir or ".")
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     print(f"{'na':>3} {'nb':>3} {'nk':>3} {'fit%':>10} {'mse':>12}  note")
@@ -209,20 +211,15 @@ def cmd_identify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    data = _load_trajectory(args, Path(args.data))
+    network = NetworkConfig(n_d=args.nd, n_j=args.nj, n_p=args.np, seed=args.seed)
+    data = _load_trajectory(
+        Path(args.data), args.dt, args.inputs, args.outputs, args.preset, args.arm
+    )
     arx, system, meta = _load_system(args.model)
-    seed = int(args.seed if args.seed is not None else 0)
-    network = dict(
-        n_d=float(args.nd or 0.0), n_j=float(args.nj or 0.0), n_p=float(args.np or 0.0)
-    )
-    scenario = simrunner.Scenario(
-        model=system,
-        network=NetworkConfig(seed=seed, **network),
-        data=data,
-    )
+    scenario = simrunner.Scenario(model=system, network=network, data=data)
     result = simrunner.run_scenario(scenario, return_trace=True)
 
-    out_dir = Path(args.out_dir or ".")
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "run",
@@ -233,10 +230,10 @@ def cmd_run(args) -> int:
         "preset": args.preset,
         "arm": args.arm,
         "dt": data.dt,
-        "n_d": network["n_d"],
-        "n_j": network["n_j"],
-        "n_p": network["n_p"],
-        "seeds": [seed],
+        "n_d": network.n_d,
+        "n_j": network.n_j,
+        "n_p": network.n_p,
+        "seeds": [network.seed],
     }
     trace_path = out_dir / "trace.csv"
     simrunner.write_trace_csv(
@@ -256,31 +253,29 @@ def cmd_run(args) -> int:
 
 
 def _sweep_conditions(args) -> list[tuple[float, float, float]]:
-    if getattr(args, "rows", None):
-        rows = args.rows if isinstance(args.rows, list) else _parse_rows(args.rows)
-        return [tuple(float(v) for v in r) for r in rows]
-    nd = _parse_float_list(args.nd_list) if args.nd_list else []
-    nj = _parse_float_list(args.nj_list) if args.nj_list else []
-    np_ = _parse_float_list(args.np_list) if args.np_list else []
-    if not (nd and nj and np_):
+    if args.rows:
+        rows = args.rows
+    elif args.nd_list and args.nj_list and args.np_list:
+        rows = itertools.product(args.nd_list, args.nj_list, args.np_list)
+    else:
         raise ContractViolationError(
             "sweep needs --rows or non-empty --nd-list, --nj-list, and --np-list"
         )
-    return [(d, j, p) for d in nd for j in nj for p in np_]
+    return [tuple(float(v) for v in row) for row in rows]
 
 
 def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
-    ns = argparse.Namespace(
-        inputs=config.get("inputs"),
-        outputs=config.get("outputs"),
-        preset=config.get("preset"),
-        arm=config.get("arm"),
-        dt=config.get("dt"),
-    )
-    data = _load_trajectory(ns, Path(config["data"]))
-    arx, system, meta = _load_system(config["model"])
     conditions = [tuple(c) for c in config["conditions"]]
     seeds = [int(s) for s in config["seeds"]]
+    # run_sweep records a failing scenario and moves on; a grid entry that no
+    # channel accepts is a usage error, reported before any scenario runs
+    for (n_d, n_j, n_p), seed in itertools.product(conditions, seeds):
+        NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p, seed=seed)
+    data = _load_trajectory(
+        Path(config["data"]), config["dt"], config["inputs"], config["outputs"],
+        config["preset"], config["arm"],
+    )
+    arx, system, meta = _load_system(config["model"])
 
     runs = simrunner.run_sweep(system, data, conditions, seeds)
     aggregates = simrunner.aggregate_sweep(runs)
@@ -310,8 +305,8 @@ def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out_dir = Path(args.out_dir or ".")
-    if getattr(args, "replay", None):
+    out_dir = Path(args.out_dir)
+    if args.replay:
         config = simrunner.read_embedded_config(args.replay)
         if config.get("command") != "sweep":
             raise ContractViolationError(
@@ -322,11 +317,8 @@ def cmd_sweep(args) -> int:
     if not args.model or not args.data:
         raise ContractViolationError("sweep needs --model and --data (or --replay)")
     conditions = _sweep_conditions(args)
-    seed0 = int(args.seed0 if args.seed0 is not None else 0)
-    count = int(args.seeds if args.seeds is not None else 30)
-    if count < 1:
-        raise ContractViolationError(f"--seeds must be >= 1, got {count}")
-    dt = args.dt if args.dt is not None else dataio.DEFAULT_DT
+    if args.seeds < 1:
+        raise ContractViolationError(f"--seeds must be >= 1, got {args.seeds}")
     config = {
         "command": "sweep",
         "model": str(args.model),
@@ -335,9 +327,9 @@ def cmd_sweep(args) -> int:
         "outputs": args.outputs,
         "preset": args.preset,
         "arm": args.arm,
-        "dt": dt,
+        "dt": args.dt,
         "conditions": [list(c) for c in conditions],
-        "seeds": list(range(seed0, seed0 + count)),
+        "seeds": list(range(args.seed0, args.seed0 + args.seeds)),
     }
     return _run_sweep_from_config(config, out_dir)
 
@@ -347,29 +339,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    na = int(args.na if args.na is not None else 2)
-    nb = int(args.nb if args.nb is not None else 2)
-    nk = int(args.nk if args.nk is not None else 1)
-    n_inputs = int(args.n_inputs if args.n_inputs is not None else 2)
-    n_outputs = int(args.n_outputs if args.n_outputs is not None else 3)
-    dt = float(args.dt if args.dt is not None else dataio.DEFAULT_DT)
-    seed = int(args.seed if args.seed is not None else 0)
-    gen_seed = int(args.gen_seed if args.gen_seed is not None else 12345)
-
     generator = dataio.random_stable_arx(
-        na, nb, nk, n_outputs=n_outputs, n_inputs=n_inputs, seed=gen_seed, dt=dt
+        args.na, args.nb, args.nk, n_outputs=args.n_outputs, n_inputs=args.n_inputs,
+        seed=args.gen_seed, dt=args.dt,
     )
     spec = dataio.SyntheticSpec(
         generator=generator,
-        n_samples=int(args.n if args.n is not None else 2000),
-        seed=seed,
-        excitation=args.excitation or "white",
-        input_scale=float(args.input_scale if args.input_scale is not None else 1.0),
-        process_noise=float(args.process_noise if args.process_noise is not None else 0.0),
-        measurement_noise=float(
-            args.measurement_noise if args.measurement_noise is not None else 0.0
-        ),
-        dt=dt,
+        n_samples=args.n,
+        seed=args.seed,
+        excitation=args.excitation,
+        input_scale=args.input_scale,
+        process_noise=args.process_noise,
+        measurement_noise=args.measurement_noise,
+        dt=args.dt,
     )
     ts = dataio.gen_synthetic(spec)
 
@@ -384,18 +366,18 @@ def cmd_synth(args) -> int:
     sidecar = {
         "format": "telekf-synth-truth",
         "version": 1,
-        "input_names": [str(n) for n in names[master[:n_inputs]]],
-        "output_names": [str(n) for n in names[slave[:n_outputs]]],
+        "input_names": [str(n) for n in names[master[: args.n_inputs]]],
+        "output_names": [str(n) for n in names[slave[: args.n_outputs]]],
         "model": sysid.model_to_doc(generator),
         "spec": {
             "n_samples": spec.n_samples,
             "seed": spec.seed,
-            "gen_seed": gen_seed,
+            "gen_seed": args.gen_seed,
             "excitation": spec.excitation,
             "input_scale": spec.input_scale,
             "process_noise": spec.process_noise,
             "measurement_noise": spec.measurement_noise,
-            "dt": dt,
+            "dt": args.dt,
         },
     }
     sidecar_path = Path(str(out_path) + ".truth.json")
@@ -408,7 +390,8 @@ def cmd_synth(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="telekf",
         description="Kalman-filter state estimation under simulated network impairments",
@@ -418,8 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-        p.add_argument("--dt", type=float, help="sample period override in seconds (default 1/30)")
+        p.add_argument("--out-dir", dest="out_dir", default=".", help="output directory (default .)")
+        p.add_argument(
+            "--dt", type=float, default=dataio.DEFAULT_DT,
+            help="sample period override in seconds (default 1/30)",
+        )
 
     def add_channels(p):
         p.add_argument("--preset", choices=["paper"], help="named channel preset")
@@ -432,9 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_channels(p_id)
     p_id.add_argument("--train", required=True, help="training kinematics file")
     p_id.add_argument("--holdout", required=True, help="holdout kinematics file")
-    p_id.add_argument("--na", help="output-lag orders, e.g. 1:4 or 1,2")
-    p_id.add_argument("--nb", help="input-lag orders")
-    p_id.add_argument("--nk", help="dead times")
+    p_id.add_argument(
+        "--na", type=_parse_int_values, default="1:4",
+        help="output-lag orders, e.g. 1:4 or 1,2 (default 1:4)",
+    )
+    p_id.add_argument("--nb", type=_parse_int_values, default="1:4", help="input-lag orders (default 1:4)")
+    p_id.add_argument("--nk", type=_parse_int_values, default="0:2", help="dead times (default 0:2)")
     p_id.add_argument("--out", help="model file path (default OUT_DIR/model.json)")
     p_id.set_defaults(func=cmd_identify)
 
@@ -443,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_channels(p_run)
     p_run.add_argument("--model", required=True, help="model file from identify")
     p_run.add_argument("--data", required=True, help="kinematics file")
-    p_run.add_argument("--nd", type=float, help="network delay in ms (default 0)")
-    p_run.add_argument("--nj", type=float, help="jitter standard deviation in ms (default 0)")
-    p_run.add_argument("--np", type=float, help="packet-loss probability (default 0)")
-    p_run.add_argument("--seed", type=int, help="channel RNG seed (default 0)")
+    p_run.add_argument("--nd", type=float, default=0.0, help="network delay in ms (default 0)")
+    p_run.add_argument("--nj", type=float, default=0.0, help="jitter standard deviation in ms (default 0)")
+    p_run.add_argument("--np", type=float, default=0.0, help="packet-loss probability (default 0)")
+    p_run.add_argument("--seed", type=int, default=0, help="channel RNG seed (default 0)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a condition grid x seeds and write reports")
@@ -454,15 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_channels(p_sweep)
     p_sweep.add_argument("--model", help="model file from identify")
     p_sweep.add_argument("--data", help="kinematics file")
-    p_sweep.add_argument("--nd-list", dest="nd_list", help="comma list of delays (ms) for a cartesian grid")
-    p_sweep.add_argument("--nj-list", dest="nj_list", help="comma list of jitters (ms)")
-    p_sweep.add_argument("--np-list", dest="np_list", help="comma list of loss probabilities")
     p_sweep.add_argument(
-        "--rows",
+        "--nd-list", dest="nd_list", type=_parse_float_list,
+        help="comma list of delays (ms) for a cartesian grid",
+    )
+    p_sweep.add_argument("--nj-list", dest="nj_list", type=_parse_float_list, help="comma list of jitters (ms)")
+    p_sweep.add_argument(
+        "--np-list", dest="np_list", type=_parse_float_list, help="comma list of loss probabilities"
+    )
+    p_sweep.add_argument(
+        "--rows", type=_parse_rows,
         help='explicit conditions "jitter_ms,delay_ms,loss;..." overriding the grid',
     )
-    p_sweep.add_argument("--seeds", type=int, help="number of seeds per condition (default 30)")
-    p_sweep.add_argument("--seed0", type=int, help="first seed (default 0)")
+    p_sweep.add_argument("--seeds", type=int, default=30, help="number of seeds per condition (default 30)")
+    p_sweep.add_argument("--seed0", type=int, default=0, help="first seed (default 0)")
     p_sweep.add_argument(
         "--replay", help="re-run the sweep embedded in an existing report CSV"
     )
@@ -471,29 +465,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset + truth sidecar")
     add_common(p_synth)
     p_synth.add_argument("--out", required=True, help="dataset file to write")
-    p_synth.add_argument("--n", type=int, help="number of samples (default 2000)")
-    p_synth.add_argument("--seed", type=int, help="excitation/noise seed (default 0)")
-    p_synth.add_argument("--gen-seed", dest="gen_seed", type=int, help="generator coefficient seed")
-    p_synth.add_argument("--na", type=int, help="generator output-lag order (default 2)")
-    p_synth.add_argument("--nb", type=int, help="generator input-lag order (default 2)")
-    p_synth.add_argument("--nk", type=int, help="generator dead time (default 1)")
-    p_synth.add_argument("--n-inputs", dest="n_inputs", type=int, help="input channels (default 2)")
-    p_synth.add_argument("--n-outputs", dest="n_outputs", type=int, help="output channels (default 3)")
-    p_synth.add_argument("--excitation", choices=["white", "sines"], help="input excitation")
-    p_synth.add_argument("--input-scale", dest="input_scale", type=float, help="excitation amplitude")
-    p_synth.add_argument("--process-noise", dest="process_noise", type=float, help="equation noise std")
+    p_synth.add_argument("--n", type=int, default=2000, help="number of samples (default 2000)")
+    p_synth.add_argument("--seed", type=int, default=0, help="excitation/noise seed (default 0)")
     p_synth.add_argument(
-        "--measurement-noise", dest="measurement_noise", type=float, help="output noise std"
+        "--gen-seed", dest="gen_seed", type=int, default=12345,
+        help="generator coefficient seed (default 12345)",
+    )
+    p_synth.add_argument("--na", type=int, default=2, help="generator output-lag order (default 2)")
+    p_synth.add_argument("--nb", type=int, default=2, help="generator input-lag order (default 2)")
+    p_synth.add_argument("--nk", type=int, default=1, help="generator dead time (default 1)")
+    p_synth.add_argument("--n-inputs", dest="n_inputs", type=int, default=2, help="input channels (default 2)")
+    p_synth.add_argument("--n-outputs", dest="n_outputs", type=int, default=3, help="output channels (default 3)")
+    p_synth.add_argument(
+        "--excitation", choices=["white", "sines"], default="white", help="input excitation (default white)"
+    )
+    p_synth.add_argument(
+        "--input-scale", dest="input_scale", type=float, default=1.0, help="excitation amplitude (default 1)"
+    )
+    p_synth.add_argument(
+        "--process-noise", dest="process_noise", type=float, default=0.0, help="equation noise std (default 0)"
+    )
+    p_synth.add_argument(
+        "--measurement-noise", dest="measurement_noise", type=float, default=0.0,
+        help="output noise std (default 0)",
     )
     p_synth.set_defaults(func=cmd_synth)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if args.config:
+            # defaults set on the top-level parser do not reach subcommand
+            # arguments, so the config becomes the subcommand's defaults
+            commands[args.command].set_defaults(**_read_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (
         ContractViolationError,

@@ -65,10 +65,6 @@ class ColumnLayout:
             blocks=tuple(c["block"] for c in cols),
         )
 
-    @classmethod
-    def from_json(cls, path) -> "ColumnLayout":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 _DEFAULT_LAYOUT = None
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .errors import ContractViolationError, SingularInnovationError
@@ -194,13 +193,13 @@ def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
     s = h @ est.p @ h.T + model.r
     s = 0.5 * (s + s.T)
     try:
-        factor = scipy.linalg.cho_factor(s, lower=True)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationError(
             f"innovation covariance is not positive definite: {exc}",
             condition=float(np.linalg.cond(s)),
         ) from exc
-    gain = scipy.linalg.cho_solve(factor, h @ est.p).T
+    gain = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ est.p)).T
     x = est.x_hat + gain @ (z - h @ est.x_hat)
     cov = (np.eye(model.n_states) - gain @ h) @ est.p
     return StateEstimate(x, _finalize_cov(cov), est.k_index)

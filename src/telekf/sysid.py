@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ContractViolationError,
@@ -335,23 +334,16 @@ def arx_to_ss(model: ArxModel, q=None, r=None) -> SystemModel:
         )
     nc = model.max_lag
     p, m = model.n_outputs, model.n_inputs
-    blocks_a = []
-    blocks_b = []
-    for c in range(p):
-        alpha = np.zeros(nc)
-        alpha[: model.na] = model.a_coeffs[c]
-        beta = np.zeros((nc, m))
-        beta[model.nk - 1 : model.nk - 1 + model.nb] = model.b_coeffs[c].T
-        a_c = np.zeros((nc, nc))
-        a_c[:, 0] = alpha
-        a_c[np.arange(nc - 1), np.arange(1, nc)] = 1.0
-        blocks_a.append(a_c)
-        blocks_b.append(beta)
-    a = scipy.linalg.block_diag(*blocks_a)
-    b = np.vstack(blocks_b)
-    h = np.zeros((p, p * nc))
-    h[np.arange(p), np.arange(p) * nc] = 1.0
     n = p * nc
+    a = np.zeros((n, n))
+    b = np.zeros((n, m))
+    for c in range(p):
+        first = c * nc
+        a[first : first + model.na, first] = model.a_coeffs[c]
+        a[first + np.arange(nc - 1), first + np.arange(1, nc)] = 1.0
+        b[first + model.nk - 1 : first + model.nk - 1 + model.nb] = model.b_coeffs[c].T
+    h = np.zeros((p, n))
+    h[np.arange(p), np.arange(p) * nc] = 1.0
     q_mat = _noise_matrix(q, n, "q")
     r_mat = _noise_matrix(r, p, "r")
     if q_mat is None:

@@ -5,7 +5,6 @@ from telekf.channel import (
     RNG_ALGORITHM,
     ChannelState,
     NetworkConfig,
-    apply_additive_bias,
     apply_channel,
     delayed_index,
     observe,
@@ -114,6 +113,52 @@ def test_step_api_matches_batch_bit_for_bit():
     assert state.stats.delay_histogram == stats.delay_histogram
 
 
+def scalar_channel(truth, cfg, dt):
+    """Reference channel: one step at a time over the same pre-drawn streams.
+
+    Also returns the unclamped source index ``t - offset`` of every step.
+    """
+    jitter, loss = cfg.spawn_streams()
+    steps = truth.shape[0]
+    normals = jitter.standard_normal(steps - 1)
+    uniforms = loss.random(steps - 1)
+    src, lost, raw = [0], [False], []
+    for t in range(1, steps):
+        offset = int(np.rint(cfg.n_d / 1000.0 / dt + normals[t - 1] * (cfg.n_j / 1000.0 / dt)))
+        raw.append(t - offset)
+        if uniforms[t - 1] < cfg.n_p:
+            src.append(src[-1])
+            lost.append(True)
+        else:
+            src.append(min(max(t - offset, 0), t))
+            lost.append(False)
+    return truth[src], np.array(src), np.array(lost), np.array(raw)
+
+
+@pytest.mark.parametrize(
+    "steps, cfg, clamps",
+    [
+        (400, NetworkConfig(100.0, 40.0, 0.0, seed=1), False),
+        (400, NetworkConfig(100.0, 40.0, 1.0, seed=2), False),
+        # 9-sample mean delay with a 15-sample jitter std clamps at 0 and at t
+        (400, NetworkConfig(300.0, 500.0, 0.3, seed=3), True),
+        (1, NetworkConfig(100.0, 40.0, 0.5, seed=4), False),
+    ],
+)
+def test_batch_channel_matches_scalar_loop(steps, cfg, clamps):
+    truth = np.random.default_rng(steps).standard_normal((steps, 2))
+    delivered, src_idx, lost, stats = apply_channel(truth, cfg, DT)
+    ref_delivered, ref_src, ref_lost, raw = scalar_channel(truth, cfg, DT)
+    assert np.array_equal(delivered, ref_delivered)
+    assert np.array_equal(src_idx, ref_src)
+    assert np.array_equal(lost, ref_lost)
+    delays, counts = np.unique((np.arange(steps) - ref_src)[1:][~ref_lost[1:]], return_counts=True)
+    assert stats.delay_histogram == dict(zip(delays.tolist(), counts.tolist()))
+    assert (stats.packets_total, stats.packets_lost) == (steps - 1, int(ref_lost.sum()))
+    if clamps:
+        assert (raw < 0).any() and (raw > np.arange(1, steps)).any()
+
+
 def test_realized_delay_mean_matches_rounding_oracle():
     # oracle: Monte Carlo of max(0, round(mu + sigma g)) with an independent stream
     cfg = NetworkConfig(100.0, 30.0, 0.0, seed=13)
@@ -148,12 +193,12 @@ def test_network_config_validation():
         NetworkConfig(0, -0.5, 0, seed=1)
     with pytest.raises(ContractViolationError):
         NetworkConfig(0, 0, 1.5, seed=1)
-
-
-def test_additive_bias_mode_is_literal_sum():
-    truth = np.arange(12, dtype=float).reshape(4, 3)
-    cfg = NetworkConfig(3.0, 2.0, 0.5, seed=0)
-    np.testing.assert_array_equal(apply_additive_bias(truth, cfg), truth + 5.5)
+    with pytest.raises(ContractViolationError, match="seed"):
+        NetworkConfig(0, 0, 0, seed=-1)
+    with pytest.raises(ContractViolationError, match="n_d"):
+        NetworkConfig(float("nan"), 0, 0, seed=1)
+    with pytest.raises(ContractViolationError, match="n_j"):
+        NetworkConfig(0, float("inf"), 0, seed=1)
 
 
 def test_stats_flat_record_fields():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import telekf
 from telekf.cli import main
 from telekf.simrunner import read_embedded_config
 
@@ -17,6 +22,14 @@ def synth_args(out, seed=0, n=600, **kw):
     for key, value in kw.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
     return args
+
+
+def exit_code(argv):
+    """The process exit code: main's return value, or argparse's SystemExit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -63,6 +76,13 @@ def test_identify_missing_file_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "nope.txt" in capsys.readouterr().err
+
+    rc = exit_code([
+        "identify", "--train", str(tmp_path / "nope.txt"),
+        "--holdout", str(tmp_path / "nope.txt"), "--na", "1:x",
+    ])
+    assert rc == 2
+    assert "--na" in capsys.readouterr().err
 
 
 def test_identify_same_holdout_warns_but_runs(tmp_path, dataset, capsys):
@@ -166,12 +186,19 @@ def test_sweep_cartesian_grid(tmp_path, dataset, model_file):
 
 def test_sweep_empty_grid_exits_2(tmp_path, dataset, model_file, capsys):
     _, holdout = dataset
-    rc = main([
-        "sweep", "--model", str(model_file), "--data", str(holdout),
-        "--out-dir", str(tmp_path),
-    ])
-    assert rc == 2
-    assert "sweep needs" in capsys.readouterr().err
+    out_dir = tmp_path / "sweep_out"
+    base = ["sweep", "--model", str(model_file), "--data", str(holdout), "--out-dir", str(out_dir)]
+    cases = [
+        ([], "sweep needs"),
+        (["--rows", "a,b,c"], "--rows"),
+        (["--rows", "0,0,1.5"], "n_p must be in [0, 1]"),
+        (["--rows", "0,0,0", "--seed0", "-1"], "seed must be >= 0"),
+        (["--nd-list", "0,x", "--nj-list", "0", "--np-list", "0"], "--nd-list"),
+    ]
+    for extra, message in cases:
+        assert exit_code(base + extra) == 2, extra
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists(), extra
 
 
 def test_config_file_supplies_flags_and_cli_overrides(tmp_path, dataset, model_file):
@@ -194,3 +221,17 @@ def test_config_file_supplies_flags_and_cli_overrides(tmp_path, dataset, model_f
     assert rc == 0
     config = read_embedded_config(tmp_path / "override" / "sweep_aggregated.csv")
     assert config["seeds"] == [0, 1, 2]
+
+
+def test_cli_import_loads_no_scipy():
+    # the numba flag keeps an optional dependency's own imports out of the check
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(telekf.__file__).resolve().parents[1]),
+        TELEKF_DISABLE_NUMBA="1",
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, telekf.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

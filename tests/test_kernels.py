@@ -38,18 +38,6 @@ def test_kf_loop_paths_bit_identical():
         assert jit_out[4:] == ref_out[4:]
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba path not active")
-def test_channel_loop_paths_bit_identical():
-    rng = np.random.default_rng(11)
-    truth = rng.standard_normal((500, 3))
-    normals = rng.standard_normal(499)
-    uniforms = rng.random(499)
-    jit_out = _kernels.channel_loop(truth, 2.7, 1.3, 0.2, normals, uniforms)
-    ref_out = _kernels.channel_loop_numpy(truth, 2.7, 1.3, 0.2, normals, uniforms)
-    for a, b in zip(jit_out, ref_out):
-        assert np.array_equal(a, b)
-
-
 def test_env_flag_disables_numba():
     code = (
         "from telekf import _kernels; "

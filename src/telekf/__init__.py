@@ -6,7 +6,6 @@ the patient-side stream through a delay/jitter/loss channel (`channel`),
 filter it (`filtering`), and score scenario sweeps (`simrunner`, `cli`).
 """
 
-from ._kernels import NUMBA_ENABLED
 from .channel import NetworkConfig, apply_channel, observe
 from .dataio import SyntheticSpec, TrajectorySet, gen_synthetic, parse_kinematics
 from .filtering import (
@@ -24,7 +23,6 @@ from .sysid import ArxModel, arx_fit, arx_to_ss, cross_validate, simulate_arx
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "__version__",
     "ArxModel",
     "NetworkConfig",

@@ -1,42 +1,59 @@
-"""The Kalman filter loop, compiled with numba when available.
+"""The Kalman filter arithmetic, written once.
 
-The loop body is written once, in a numba-compatible numpy subset, and
-exported twice: ``kf_loop_numpy`` always refers to the interpreted version,
-while ``kf_loop`` points at an ``@njit``-compiled wrapper unless numba is
-missing or the ``TELEKF_DISABLE_NUMBA`` environment variable is set to a
-truthy value ("1", "true", "yes").  Both paths are bit-identical.
+``predict_step`` is the time update and ``update_rows`` the sequential
+scalar measurement update; ``kf_loop`` runs both over a batch.  The public
+functions in :mod:`telekf.filtering` validate their arguments and call
+these, so a single-step and a batch run perform the same operations.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "kf_loop",
-    "kf_loop_numpy",
-]
+__all__ = ["kf_loop", "predict_step", "update_rows"]
+
+# there is no compiled path; kept because ``perfbench/run.py`` records it in every result
+NUMBA_ENABLED = False
 
 
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("TELEKF_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
+def predict_step(a, a_t, b, q, x, cov, u):
+    """``x = a x + b u``, ``cov = a cov a' + q`` re-symmetrized; ``a_t`` is ``a.T``."""
+    x = a @ x + b @ u
+    cov = a @ cov @ a_t + q
+    return x, 0.5 * (cov + cov.T)
 
 
-def _kf_loop(a, b, h, q, r_diag, x0, p0, u, z, has_z):
+def update_rows(h, r_diag, x, cov, z):
+    """Fuse ``z`` one scalar row at a time; returns ``(x, cov, bad_row)``.
+
+    Row d's correction starts from the state and covariance left by row d-1,
+    and the covariance is re-symmetrized after every row.  ``bad_row`` is -1
+    on success, else the first row whose innovation variance is not positive
+    and finite; ``x`` and ``cov`` are then the values before that row.
+    """
+    for d in range(h.shape[0]):
+        hd = h[d]
+        ph = cov @ hd
+        s = hd @ ph + r_diag[d]
+        if not 0.0 < s < np.inf:
+            return x, cov, d
+        gain = ph / s
+        x = x + gain * (z[d] - hd @ x)
+        cov = cov - np.outer(gain, ph)
+        cov = 0.5 * (cov + cov.T)
+    return x, cov, -1
+
+
+def kf_loop(a, b, h, q, r_diag, x0, p0, u, z, has_z):
     """Run the predict / sequential-update recursion over a whole batch.
 
     Step t (0-based) predicts with control ``u[t]`` and, when ``has_z[t]``,
-    refines with measurement ``z[t]`` one scalar row at a time; each row's
-    correction starts from the running state and covariance left by the
-    previous row.  Covariances are re-symmetrized after every operation.
+    refines with measurement ``z[t]``.
 
     Returns stacked a-priori and a-posteriori states/covariances plus
     ``(bad_step, bad_row)`` — both -1 on success, else the first location
-    where a scalar innovation variance was not strictly positive.
+    where a scalar innovation variance was not positive and finite.
     """
     steps = u.shape[0]
     n = a.shape[0]
-    p = h.shape[0]
     a_t = np.ascontiguousarray(a.T)
 
     x_pri = np.empty((steps, n))
@@ -44,43 +61,15 @@ def _kf_loop(a, b, h, q, r_diag, x0, p0, u, z, has_z):
     x_post = np.empty((steps, n))
     p_post = np.empty((steps, n, n))
 
-    x = x0.copy()
-    cov = p0.copy()
+    x, cov = x0, p0
     for t in range(steps):
-        x = a @ x + b @ u[t]
-        cov = a @ cov @ a_t + q
-        cov = 0.5 * (cov + cov.T)
+        x, cov = predict_step(a, a_t, b, q, x, cov, u[t])
         x_pri[t] = x
         p_pri[t] = cov
         if has_z[t]:
-            for d in range(p):
-                hd = h[d]
-                ph = cov @ hd
-                s = hd @ ph + r_diag[d]
-                if s <= 0.0:
-                    return x_pri, p_pri, x_post, p_post, t, d
-                gain = ph / s
-                x = x + gain * (z[t, d] - hd @ x)
-                cov = cov - np.outer(gain, ph)
-                cov = 0.5 * (cov + cov.T)
+            x, cov, bad_row = update_rows(h, r_diag, x, cov, z[t])
+            if bad_row >= 0:
+                return x_pri, p_pri, x_post, p_post, t, bad_row
         x_post[t] = x
         p_post[t] = cov
     return x_pri, p_pri, x_post, p_post, -1, -1
-
-
-kf_loop_numpy = _kf_loop
-
-if _numba_disabled_by_env():
-    NUMBA_ENABLED = False
-else:
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    kf_loop = numba.njit(cache=True)(_kf_loop)
-else:
-    kf_loop = _kf_loop

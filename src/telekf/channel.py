@@ -92,22 +92,6 @@ class ChannelStats:
         for delay, count in zip(*np.unique(delays, return_counts=True)):
             self.delay_histogram[int(delay)] = self.delay_histogram.get(int(delay), 0) + int(count)
 
-    def mean_delay_samples(self) -> float:
-        """Average realized offset (in samples) over delivered packets."""
-        total = sum(self.delay_histogram.values())
-        if total == 0:
-            return 0.0
-        return sum(k * v for k, v in self.delay_histogram.items()) / total
-
-    def flat_record(self) -> dict:
-        """Flat fields for one report row."""
-        hist = ";".join(f"{k}:{self.delay_histogram[k]}" for k in sorted(self.delay_histogram))
-        return {
-            "loss_realized": self.loss_realized,
-            "mean_delay_samples": self.mean_delay_samples(),
-            "delay_hist": hist,
-        }
-
 
 @dataclass
 class ChannelState:

@@ -170,18 +170,17 @@ def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
         raise ContractViolationError(
             f"control vector has length {u.shape[0]} but the model expects {model.n_inputs}"
         )
-    x = model.a @ est.x_hat + model.b @ u
-    cov = model.a @ est.p @ model.a.T + model.q
-    return StateEstimate(x, 0.5 * (cov + cov.T), est.k_index + 1)
+    x, cov = _kernels.predict_step(model.a, model.a.T, model.b, model.q, est.x_hat, est.p, u)
+    return StateEstimate(x, cov, est.k_index + 1)
 
 
 def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
     """Fuse a full measurement vector through the joint-gain update.
 
     The gain solve goes through a Cholesky factorization of the innovation
-    covariance s = h p h' + r rather than an explicit inverse; a
-    factorization failure raises :class:`SingularInnovationError` carrying
-    the condition estimate of s.
+    covariance s = h p h' + r rather than an explicit inverse; a non-finite
+    s or a factorization failure raises :class:`SingularInnovationError`
+    carrying the condition estimate of s (``inf`` when s is not finite).
     """
     _check_est(est, model)
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -192,6 +191,8 @@ def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
     h = model.h
     s = h @ est.p @ h.T + model.r
     s = 0.5 * (s + s.T)
+    if not np.isfinite(s).all():
+        raise SingularInnovationError("innovation covariance is not finite", condition=float("inf"))
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
@@ -217,21 +218,12 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
         raise ContractViolationError(
             f"measurement has length {z.shape[0]} but the model expects {model.n_outputs}"
         )
-    r_diag = model.r_diagonal()
-    x = est.x_hat.copy()
-    cov = est.p.copy()
-    for d in range(model.n_outputs):
-        hd = model.h[d]
-        ph = cov @ hd
-        s = float(hd @ ph + r_diag[d])
-        if s <= 0.0:
-            raise SingularInnovationError(
-                f"zero innovation variance on measurement row {d}", condition=float("inf")
-            )
-        gain = ph / s
-        x = x + gain * (z[d] - hd @ x)
-        cov = cov - np.outer(gain, ph)
-        cov = 0.5 * (cov + cov.T)
+    x, cov, bad_row = _kernels.update_rows(model.h, model.r_diagonal(), est.x_hat, est.p, z)
+    if bad_row >= 0:
+        raise SingularInnovationError(
+            f"innovation variance is not positive and finite on measurement row {bad_row}",
+            condition=float("inf"),
+        )
     return StateEstimate(x, _finalize_cov(cov), est.k_index)
 
 
@@ -319,7 +311,8 @@ def run_filter_trace(
     )
     if bad_step >= 0:
         raise SingularInnovationError(
-            f"zero innovation variance at step {bad_step}, measurement row {bad_row}",
+            f"innovation variance is not positive and finite at step {bad_step}, "
+            f"measurement row {bad_row}",
             condition=float("inf"),
         )
     return FilterTrace(x_pri, p_pri, x_post, p_post, mask, k_start=init.k_index + 1)

@@ -201,15 +201,5 @@ def test_network_config_validation():
         NetworkConfig(0, float("inf"), 0, seed=1)
 
 
-def test_stats_flat_record_fields():
-    rng = np.random.default_rng(8)
-    truth = rng.standard_normal((300, 2))
-    _, _, _, stats = apply_channel(truth, NetworkConfig(100.0, 10.0, 0.1, seed=21), DT)
-    record = stats.flat_record()
-    assert set(record) == {"loss_realized", "mean_delay_samples", "delay_hist"}
-    assert 0.0 <= record["loss_realized"] <= 1.0
-    assert all(":" in part for part in record["delay_hist"].split(";"))
-
-
 def test_rng_algorithm_identifier():
     assert RNG_ALGORITHM == "pcg64"

@@ -224,14 +224,9 @@ def test_config_file_supplies_flags_and_cli_overrides(tmp_path, dataset, model_f
 
 
 def test_cli_import_loads_no_scipy():
-    # the numba flag keeps an optional dependency's own imports out of the check
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(telekf.__file__).resolve().parents[1]),
-        TELEKF_DISABLE_NUMBA="1",
-    )
+    env = dict(os.environ, PYTHONPATH=str(Path(telekf.__file__).resolve().parents[1]))
+    code = "import sys, telekf.cli; print('scipy' in sys.modules, 'numba' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, telekf.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

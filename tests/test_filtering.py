@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import exact_lti, hygiene_of_covs, max_rel_diff, random_spd
+from conftest import (
+    exact_lti,
+    hygiene_of_covs,
+    identified_system,
+    max_rel_diff,
+    random_spd,
+    reference_dataset,
+)
 from telekf.errors import ContractViolationError, SingularInnovationError
 from telekf.filtering import (
     StateEstimate,
@@ -95,11 +102,15 @@ def test_update_joint_equal_weight_fusion():
     np.testing.assert_allclose(out.p, [[0.5]], atol=1e-15)
 
 
+#: (prior variance, r) pairs whose innovation variance is zero, NaN or infinite
+SINGULAR_CASES = [(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0)]
+
+
 def test_update_joint_singular_innovation():
-    model = scalar_model(r=0.0)
-    with pytest.raises(SingularInnovationError) as info:
-        update_joint(StateEstimate([0.0], [[0.0]]), model, [1.0])
-    assert info.value.condition == pytest.approx(float("inf"), nan_ok=True) or info.value.condition > 1e12
+    for p0, r in SINGULAR_CASES:
+        with pytest.raises(SingularInnovationError) as info:
+            update_joint(StateEstimate([0.0], [[p0]]), scalar_model(r=r), [1.0])
+        assert info.value.condition == pytest.approx(float("inf"), nan_ok=True) or info.value.condition > 1e12
 
 
 def test_update_joint_measurement_length_error():
@@ -181,9 +192,12 @@ def test_sequential_rejects_nondiagonal_r():
 
 
 def test_sequential_zero_innovation_variance():
-    model = scalar_model(r=0.0)
-    with pytest.raises(SingularInnovationError, match="row 0"):
-        update_sequential(StateEstimate([0.0], [[0.0]]), model, [1.0])
+    for p0, r in SINGULAR_CASES:
+        model = scalar_model(r=r)
+        with pytest.raises(SingularInnovationError, match="row 0"):
+            update_sequential(StateEstimate([0.0], [[p0]]), model, [1.0])
+        with pytest.raises(SingularInnovationError, match="step 0, measurement row 0"):
+            run_filter_trace(model, StateEstimate([0.0], [[p0]]), [[0.0]], [[1.0]])
 
 
 def test_update_never_increases_trace():
@@ -240,6 +254,18 @@ def test_run_filter_tracks_perfect_sensor():
     )
     for t in range(1, 50):
         np.testing.assert_allclose(out[t].x_hat, z[t], atol=1e-6)
+
+
+def test_step_api_matches_batch_trace_bit_for_bit():
+    data = reference_dataset(600)
+    model = identified_system(data)
+    est = initial_estimate(model, first_obs=data.outputs[0])
+    u, z = data.inputs[:-1], data.outputs[1:]
+    trace = run_filter_trace(model, est, u, (z, np.ones(len(z), dtype=bool)))
+    for t in range(len(z)):
+        est = update_sequential(predict(est, model, u[t]), model, z[t])
+        np.testing.assert_array_equal(est.x_hat, trace.x_post[t])
+        np.testing.assert_array_equal(est.p, trace.p_post[t])
 
 
 def test_run_filter_length_mismatch():

@@ -131,6 +131,10 @@ class StateEstimate:
             raise ContractViolationError(
                 f"covariance must be {n}x{n} to match the state, got {cov.shape}"
             )
+        if not np.isfinite(x).all():
+            raise ContractViolationError("state vector must be finite")
+        if not np.isfinite(cov).all():
+            raise ContractViolationError("covariance must be finite")
         object.__setattr__(self, "x_hat", x)
         object.__setattr__(self, "p", cov)
         object.__setattr__(self, "k_index", int(self.k_index))
@@ -158,6 +162,17 @@ def _check_est(est: StateEstimate, model: SystemModel) -> None:
         )
 
 
+def _measurement(z, model: SystemModel) -> np.ndarray:
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.shape[0] != model.n_outputs:
+        raise ContractViolationError(
+            f"measurement has length {z.shape[0]} but the model expects {model.n_outputs}"
+        )
+    if not np.isfinite(z).all():
+        raise ContractViolationError("measurement must be finite")
+    return z
+
+
 def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
     """Propagate one step: x = a x + b u,  p = a p a' + q.
 
@@ -170,8 +185,16 @@ def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
         raise ContractViolationError(
             f"control vector has length {u.shape[0]} but the model expects {model.n_inputs}"
         )
-    x, cov = _kernels.predict_step(model.a, model.a.T, model.b, model.q, est.x_hat, est.p, u)
-    return StateEstimate(x, cov, est.k_index + 1)
+    if not np.isfinite(u).all():
+        raise ContractViolationError("control vector must be finite")
+    has_z = np.zeros(1, dtype=bool)
+    p_pri, _, gains, _, _ = _kernels.covariance_loop(
+        model.a, model.h, model.q, np.diag(model.r), est.p, has_z
+    )
+    x_pri, _ = _kernels.state_loop(
+        model.a, model.b, model.h, gains, est.x_hat, u[None], np.zeros((1, model.n_outputs)), has_z
+    )
+    return StateEstimate(x_pri[0], p_pri[0], est.k_index + 1)
 
 
 def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
@@ -183,11 +206,7 @@ def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
     carrying the condition estimate of s (``inf`` when s is not finite).
     """
     _check_est(est, model)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != model.n_outputs:
-        raise ContractViolationError(
-            f"measurement has length {z.shape[0]} but the model expects {model.n_outputs}"
-        )
+    z = _measurement(z, model)
     h = model.h
     s = h @ est.p @ h.T + model.r
     s = 0.5 * (s + s.T)
@@ -211,20 +230,27 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
 
     Row d's correction starts from the state and covariance produced by row
     d-1, so the final result matches :func:`update_joint` up to rounding.
+    The update runs as one step of the batch kernels with identity dynamics
+    and no noise or input, whose time update leaves a symmetric covariance
+    and the state as they are.
     """
     _check_est(est, model)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != model.n_outputs:
-        raise ContractViolationError(
-            f"measurement has length {z.shape[0]} but the model expects {model.n_outputs}"
-        )
-    x, cov, bad_row = _kernels.update_rows(model.h, model.r_diagonal(), est.x_hat, est.p, z)
+    z = _measurement(z, model)
+    n = model.n_states
+    eye = np.eye(n)
+    has_z = np.ones(1, dtype=bool)
+    _, p_post, gains, _, bad_row = _kernels.covariance_loop(
+        eye, model.h, np.zeros((n, n)), model.r_diagonal(), est.p, has_z
+    )
     if bad_row >= 0:
         raise SingularInnovationError(
             f"innovation variance is not positive and finite on measurement row {bad_row}",
             condition=float("inf"),
         )
-    return StateEstimate(x, _finalize_cov(cov), est.k_index)
+    _, x_post = _kernels.state_loop(
+        eye, np.zeros((n, 1)), model.h, gains, est.x_hat, np.zeros((1, 1)), z[None], has_z
+    )
+    return StateEstimate(x_post[0], _finalize_cov(p_post[0]), est.k_index)
 
 
 @dataclass
@@ -234,6 +260,8 @@ class FilterTrace:
     ``x_prior``/``p_prior`` hold the a-priori estimates, ``x_post``/``p_post``
     the a-posteriori ones (identical to the priors on steps without a
     measurement).  ``has_obs`` marks which steps carried a measurement.
+    The covariance stacks are read-only: runs with the same model, initial
+    covariance and mask share them.
     """
 
     x_prior: np.ndarray
@@ -266,7 +294,9 @@ def run_filter_trace(
 
     ``observations`` may be an (N, p) array with a separate mask given as a
     ``(z, mask)`` tuple, or a sequence with ``None`` entries for missing
-    measurements.
+    measurements.  The covariance pass depends only on the model, ``init.p``
+    and the mask; the last one is kept, so calls that share those (the
+    scenarios of a sweep) compute it once and share its arrays read-only.
     """
     _check_est(init, model)
     u = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)))
@@ -296,18 +326,14 @@ def run_filter_trace(
             f"inputs and observations must have equal length, got {steps} and {z.shape[0]}"
         )
 
+    if not np.isfinite(u).all():
+        raise ContractViolationError("inputs must be finite")
+    if not np.isfinite(z[mask]).all():
+        raise ContractViolationError("observations must be finite on steps with a measurement")
+
     r_diag = model.r_diagonal() if mask.any() else np.diag(model.r).copy()
-    x_pri, p_pri, x_post, p_post, bad_step, bad_row = _kernels.kf_loop(
-        np.ascontiguousarray(model.a),
-        np.ascontiguousarray(model.b),
-        np.ascontiguousarray(model.h),
-        np.ascontiguousarray(model.q),
-        np.ascontiguousarray(r_diag),
-        np.ascontiguousarray(init.x_hat),
-        np.ascontiguousarray(init.p),
-        u,
-        z,
-        mask,
+    p_pri, p_post, gains, bad_step, bad_row = _covariances(
+        model.a, model.h, model.q, r_diag, init.p, mask
     )
     if bad_step >= 0:
         raise SingularInnovationError(
@@ -315,7 +341,31 @@ def run_filter_trace(
             f"measurement row {bad_row}",
             condition=float("inf"),
         )
+    x_pri, x_post = _kernels.state_loop(model.a, model.b, model.h, gains, init.x_hat, u, z, mask)
     return FilterTrace(x_pri, p_pri, x_post, p_post, mask, k_start=init.k_index + 1)
+
+
+#: ``(key, result)`` of the last covariance pass of :func:`run_filter_trace`
+_memo = None
+
+
+def _covariances(a, h, q, r_diag, p0, mask):
+    """:func:`_kernels.covariance_loop`, kept for the last distinct input.
+
+    The covariances and gains depend on nothing else, so the scenarios of a
+    sweep, which share the model, the initial covariance and the full mask,
+    share one pass.  The key is the exact bytes of every input; the cached
+    arrays are made read-only, and a breakdown is cached like a result.
+    """
+    global _memo
+    key = tuple((arr.shape, arr.tobytes()) for arr in (a, h, q, r_diag, p0, mask))
+    memo = _memo
+    if memo is None or memo[0] != key:
+        result = _kernels.covariance_loop(a, h, q, r_diag, p0, mask)
+        for arr in result[:3]:
+            arr.flags.writeable = False
+        memo = _memo = (key, result)
+    return memo[1]
 
 
 def run_filter(

@@ -176,7 +176,6 @@ def run_sweep(
     data: TrajectorySet,
     conditions,
     seeds,
-    return_trace: bool = False,
 ) -> list[dict]:
     """Run every (n_d, n_j, n_p) condition under every seed.
 
@@ -200,7 +199,7 @@ def run_sweep(
                     network=NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p, seed=seed),
                     data=data,
                 )
-                record["result"] = run_scenario(scenario, return_trace=return_trace)
+                record["result"] = run_scenario(scenario)
             except Exception as exc:  # recorded, sweep continues
                 record["error"] = f"{type(exc).__name__}: {exc}"
             runs.append(record)

@@ -9,6 +9,7 @@ from conftest import (
     random_spd,
     reference_dataset,
 )
+from telekf import filtering
 from telekf.errors import ContractViolationError, SingularInnovationError
 from telekf.filtering import (
     StateEstimate,
@@ -102,14 +103,23 @@ def test_update_joint_equal_weight_fusion():
     np.testing.assert_allclose(out.p, [[0.5]], atol=1e-15)
 
 
-#: (prior variance, r) pairs whose innovation variance is zero, NaN or infinite
-SINGULAR_CASES = [(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0)]
+def singular_cases():
+    """(estimate, model) pairs of finite values whose innovation variance is
+    zero, infinite (h p h' overflows) and NaN (an overflow times zero)."""
+    nan_model = SystemModel(
+        a=np.eye(2), b=np.zeros((2, 1)), h=[[1e10, 0.0]], q=np.zeros((2, 2)), r=[[1.0]], dt=DT
+    )
+    return [
+        (StateEstimate([0.0], [[0.0]]), scalar_model(r=0.0)),
+        (StateEstimate([0.0], [[1e300]]), scalar_model(h=1e10)),
+        (StateEstimate([0.0, 0.0], [[1e300, -1e300], [-1e300, 1e300]]), nan_model),
+    ]
 
 
 def test_update_joint_singular_innovation():
-    for p0, r in SINGULAR_CASES:
-        with pytest.raises(SingularInnovationError) as info:
-            update_joint(StateEstimate([0.0], [[p0]]), scalar_model(r=r), [1.0])
+    for est, model in singular_cases():
+        with pytest.raises(SingularInnovationError) as info, np.errstate(over="ignore", invalid="ignore"):
+            update_joint(est, model, [1.0])
         assert info.value.condition == pytest.approx(float("inf"), nan_ok=True) or info.value.condition > 1e12
 
 
@@ -192,12 +202,13 @@ def test_sequential_rejects_nondiagonal_r():
 
 
 def test_sequential_zero_innovation_variance():
-    for p0, r in SINGULAR_CASES:
-        model = scalar_model(r=r)
-        with pytest.raises(SingularInnovationError, match="row 0"):
-            update_sequential(StateEstimate([0.0], [[p0]]), model, [1.0])
-        with pytest.raises(SingularInnovationError, match="step 0, measurement row 0"):
-            run_filter_trace(model, StateEstimate([0.0], [[p0]]), [[0.0]], [[1.0]])
+    for est, model in singular_cases():
+        with pytest.raises(SingularInnovationError, match="row 0"), np.errstate(over="ignore", invalid="ignore"):
+            update_sequential(est, model, [1.0])
+        with pytest.raises(SingularInnovationError, match="step 0, measurement row 0"), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            run_filter_trace(model, est, [[0.0]], [[1.0]])
 
 
 def test_update_never_increases_trace():
@@ -327,6 +338,92 @@ def test_initial_estimate_policies():
     z0 = np.array([0.4, -1.2])
     est2 = initial_estimate(model, first_obs=z0)
     np.testing.assert_allclose(model.h @ est2.x_hat, z0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+
+
+def test_state_estimate_rejects_non_finite_values():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolationError, match="state vector must be finite"):
+            StateEstimate([bad], [[1.0]])
+        with pytest.raises(ContractViolationError, match="covariance must be finite"):
+            StateEstimate([0.0], [[bad]])
+
+
+def test_non_finite_controls_and_measurements_rejected():
+    model = scalar_model(a=0.9, b=0.5, q=0.04)
+    est = StateEstimate([0.0], [[1.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractViolationError, match="control vector must be finite"):
+            predict(est, model, [bad])
+        for update in (update_sequential, update_joint):
+            with pytest.raises(ContractViolationError, match="measurement must be finite"):
+                update(est, model, [bad])
+        with pytest.raises(ContractViolationError, match="inputs must be finite"):
+            run_filter_trace(model, est, [[0.0], [bad]], [[1.0], [1.0]])
+        with pytest.raises(ContractViolationError, match="observations must be finite"):
+            run_filter_trace(model, est, [[0.0], [0.0]], [[1.0], [bad]])
+        with pytest.raises(ContractViolationError, match="observations must be finite"):
+            run_filter_trace(model, est, [[0.0], [0.0]], ([[1.0], [bad]], [True, True]))
+
+
+def test_unobserved_rows_are_never_read():
+    model = exact_lti(seed=41)
+    rng = np.random.default_rng(42)
+    steps = 300
+    u = rng.standard_normal((steps, model.n_inputs))
+    z = rng.standard_normal((steps, model.n_outputs))
+    mask = rng.random(steps) > 0.3
+    junk = z.copy()
+    junk[~mask] = np.nan
+    junk[np.flatnonzero(~mask)[::2]] = np.inf
+    init = initial_estimate(model)
+    clean = run_filter_trace(model, init, u, (z, mask))
+    dirty = run_filter_trace(model, init, u, (junk, mask))
+    np.testing.assert_array_equal(dirty.x_prior, clean.x_prior)
+    np.testing.assert_array_equal(dirty.x_post, clean.x_post)
+
+
+# ---------------------------------------------------------------------------
+# the covariance pass shared by run_filter_trace calls
+
+
+def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
+    monkeypatch.setattr(filtering, "_memo", None)
+    model = exact_lti(seed=51)
+    rng = np.random.default_rng(52)
+    steps = 200
+    u = rng.standard_normal((steps, model.n_inputs))
+    z = rng.standard_normal((steps, model.n_outputs))
+    mask = np.ones(steps, dtype=bool)
+    init = initial_estimate(model)
+
+    first = run_filter_trace(model, init, u, (z, mask))
+    other_data = run_filter_trace(model, init, 2.0 * u, (-z, mask))
+    assert other_data.p_post is first.p_post and other_data.p_prior is first.p_prior
+    with pytest.raises(ValueError, match="read-only"):
+        first.p_post[0, 0, 0] = 1.0
+
+    q_ulp = model.q.copy()
+    q_ulp[0, 0] = np.nextafter(q_ulp[0, 0], np.inf)
+    nudged = SystemModel(a=model.a, b=model.b, h=model.h, q=q_ulp, r=model.r, dt=model.dt)
+    fewer = mask.copy()
+    fewer[5] = False
+    p0_ulp = init.p.copy()
+    p0_ulp[1, 1] = np.nextafter(p0_ulp[1, 1], np.inf)
+    other_init = StateEstimate(init.x_hat, p0_ulp)
+    for changed, start, obs in ((nudged, init, mask), (model, init, fewer), (model, other_init, mask)):
+        base = run_filter_trace(model, init, u, (z, mask))
+        fresh = run_filter_trace(changed, start, u, (z, obs))
+        assert fresh.p_post is not base.p_post
+        assert not np.array_equal(fresh.p_post, base.p_post)
+        monkeypatch.setattr(filtering, "_memo", None)
+        cold = run_filter_trace(changed, start, u, (z, obs))
+        np.testing.assert_array_equal(cold.p_prior, fresh.p_prior)
+        np.testing.assert_array_equal(cold.p_post, fresh.p_post)
+        np.testing.assert_array_equal(cold.x_post, fresh.x_post)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import exact_lti, identified_system, reference_dataset
+from telekf import _kernels, filtering
 from telekf.channel import NetworkConfig
-from telekf.errors import ContractViolationError
+from telekf.errors import ContractViolationError, SingularInnovationError
+from telekf.filtering import SystemModel
 from telekf.simrunner import (
     Scenario,
     aggregate_sweep,
@@ -109,6 +111,60 @@ def test_run_sweep_records_failures_and_continues():
     failed = [r for r in runs if r["error"] is not None]
     assert len(ok) == 2 and len(failed) == 2
     assert all("n_p" in r["error"] for r in failed)
+
+
+PAPER_CONDITIONS = [
+    (0.0, 0.0, 0.0),
+    (5.0, 2.0, 0.1),
+    (7.0, 5.0, 0.2),
+    (3.0, 6.0, 0.18),
+    (8.0, 4.0, 0.13),
+    (5.0, 4.0, 0.2),
+    (5.0, 6.0, 0.15),
+]
+
+
+def test_sweep_runs_the_covariance_pass_once(monkeypatch):
+    calls = []
+    covariance_loop = _kernels.covariance_loop
+
+    def counted(*args):
+        calls.append(args)
+        return covariance_loop(*args)
+
+    monkeypatch.setattr(filtering, "_memo", None)
+    monkeypatch.setattr(_kernels, "covariance_loop", counted)
+    runs = run_sweep(SYSTEM, DATA, PAPER_CONDITIONS, seeds=[0, 1])
+    assert len(runs) == 14 and all(run["error"] is None for run in runs)
+    assert len(calls) == 1
+
+
+def test_scenario_after_a_sweep_matches_a_cold_run(monkeypatch):
+    run_sweep(SYSTEM, DATA, PAPER_CONDITIONS[:3], seeds=[0, 1])
+    warm = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3), return_trace=True)
+    assert warm.trace.p_post is filtering._memo[1][1]
+    monkeypatch.setattr(filtering, "_memo", None)
+    cold = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3), return_trace=True)
+    assert cold.trace.p_post is not warm.trace.p_post
+    np.testing.assert_array_equal(warm.z_est, cold.z_est)
+    for name in ("x_prior", "p_prior", "x_post", "p_post", "has_obs"):
+        np.testing.assert_array_equal(getattr(warm.trace, name), getattr(cold.trace, name))
+
+
+def test_sweep_of_a_breaking_model_records_the_scenario_error(monkeypatch):
+    # a zero output row with zero noise has a zero innovation variance
+    h = SYSTEM.h.copy()
+    h[1] = 0.0
+    r = SYSTEM.r.copy()
+    r[1, 1] = 0.0
+    broken = SystemModel(a=SYSTEM.a, b=SYSTEM.b, h=h, q=SYSTEM.q, r=r, dt=SYSTEM.dt)
+    monkeypatch.setattr(filtering, "_memo", None)
+    runs = run_sweep(broken, DATA, PAPER_CONDITIONS[:2], seeds=[0, 1, 2])
+    with pytest.raises(SingularInnovationError) as info:
+        run_scenario(Scenario(model=broken, network=NetworkConfig(0, 0, 0, 0), data=DATA))
+    expected = f"{type(info.value).__name__}: {info.value}"
+    assert "step 0, measurement row 1" in expected
+    assert [run["error"] for run in runs] == [expected] * 6
 
 
 def test_aggregate_sweep_means_and_std():

@@ -33,6 +33,12 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     step t (zero on steps without a measurement), and ``(bad_step, bad_row)``
     -1 on success, else the first location whose innovation variance was
     not positive and finite; the arrays are then filled only before it.
+
+    A step's results depend only on the covariance entering it and on
+    whether it is observed, so a step whose two match an earlier step's bit
+    for bit copies that step's results instead of recomputing them.  With every step
+    observed the recursion settles into a short cycle after a few dozen
+    steps, and the rest of the pass is copies.
     """
     steps = has_z.shape[0]
     p, n = h.shape
@@ -41,8 +47,16 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     p_post = np.empty((steps, n, n))
     gains = np.zeros((steps, p, n))
 
+    seen = {}  # (bytes of the entering covariance, observed) -> first step
     cov = p0
     for t, observed in enumerate(has_z.tolist()):
+        key = (cov.tobytes(), observed)
+        done = seen.get(key)
+        if done is not None:
+            p_pri[t] = p_pri[done]
+            p_post[t] = cov = p_post[done]
+            gains[t] = gains[done]
+            continue
         cov = a @ cov @ a_t + q
         cov = 0.5 * (cov + cov.T)
         p_pri[t] = cov
@@ -58,6 +72,7 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
                 cov = cov - np.outer(gain, ph)
                 cov = 0.5 * (cov + cov.T)
         p_post[t] = cov
+        seen[key] = t
     return p_pri, p_post, gains, -1, -1
 
 

@@ -234,6 +234,10 @@ def _histories(model: ArxModel, y_init, u_init):
             raise ContractViolationError(
                 f"u_init must provide at least {hu} rows, got {u_init.shape[0]}"
             )
+        if hu and u_init.shape[1] != m:
+            raise ContractViolationError(
+                f"u_init must have {m} channels, got {u_init.shape[1]}"
+            )
         u_hist = u_init[u_init.shape[0] - hu:].reshape(hu, m)
     y_hist = y_init[y_init.shape[0] - na:].reshape(na, p)
     return y_hist, u_hist
@@ -254,24 +258,38 @@ def simulate_arx(model: ArxModel, u, y_init=None, u_init=None, noise=None) -> np
             f"u must have {model.n_inputs} channels, got {u.shape[1]}"
         )
     na, nb = model.na, model.nb
-    p = model.n_outputs
+    p, m = model.n_outputs, model.n_inputs
     y_hist, u_hist = _histories(model, y_init, u_init)
     steps = u.shape[0]
     if noise is not None:
         noise = np.asarray(noise, dtype=float).reshape(steps, p)
-    y_full = np.zeros((na + steps, p))
-    y_full[:na] = y_hist
+    # the input term reads no output, so every step's is one product:
+    # lag l of step t is u_full[t + nb - 1 - l]
     u_full = np.vstack([u_hist, u])
-    a = model.a_coeffs
-    b = model.b_coeffs
-    for t in range(steps):
-        acc = np.einsum("cjl,lj->c", b, u_full[t : t + nb][::-1])
-        if na:
-            acc += np.einsum("ci,ic->c", a, y_full[t : t + na][::-1])
-        if noise is not None:
-            acc = acc + noise[t]
-        y_full[na + t] = acc
-    return y_full[na:]
+    lagged = u_full[np.arange(steps)[:, None] + np.arange(nb - 1, -1, -1)]
+    b_flat = model.b_coeffs.reshape(p, m * nb)
+    forced = lagged.transpose(0, 2, 1).reshape(steps, m * nb) @ b_flat.T
+    if na == 0:
+        return forced if noise is None else forced + noise
+    # the output lags are a recursion; with a few lags per channel, Python
+    # floats cost less than a numpy call per step.  The additions keep the
+    # order (input term + output term) + noise, the output term summed one
+    # lag at a time (not by ``sum()``, which compensates from Python 3.12).
+    y = np.empty((steps, p))
+    for c in range(p):
+        taps = list(enumerate(model.a_coeffs[c].tolist(), 1))  # (i + 1, a[c, i])
+        noise_c = None if noise is None else noise[:, c].tolist()
+        ys = y_hist[:, c].tolist()
+        for t, f in enumerate(forced[:, c].tolist()):
+            acc = 0.0
+            for back, a_i in taps:
+                acc += a_i * ys[-back]
+            y_t = f + acc
+            if noise_c is not None:
+                y_t += noise_c[t]
+            ys.append(y_t)
+        y[:, c] = ys[na:]
+    return y
 
 
 def predict_one_step(model: ArxModel, data) -> tuple[int, np.ndarray]:

@@ -1,7 +1,9 @@
-"""The covariance kernel reports where an innovation variance breaks down."""
+"""The filter kernels against plain references, and their breakdown report."""
 
 import numpy as np
+import pytest
 
+from conftest import exact_lti, identified_system, reference_dataset
 from telekf import _kernels
 
 
@@ -16,6 +18,44 @@ def _cov_inputs(seed, steps=60):
     p0 = np.eye(n)
     mask = rng.random(steps) > 0.2
     return a, h, q, r_diag, p0, mask
+
+
+def _covariance_per_step(a, h, q, r_diag, p0, has_z):
+    """The Riccati recursion computed afresh at every step."""
+    steps = has_z.shape[0]
+    p, n = h.shape
+    p_pri = np.empty((steps, n, n))
+    p_post = np.empty((steps, n, n))
+    gains = np.zeros((steps, p, n))
+    a_t = np.ascontiguousarray(a.T)
+    cov = p0
+    for t in range(steps):
+        cov = a @ cov @ a_t + q
+        cov = 0.5 * (cov + cov.T)
+        p_pri[t] = cov
+        if has_z[t]:
+            for d in range(p):
+                ph = cov @ h[d]
+                s = h[d] @ ph + r_diag[d]
+                gain = ph / s
+                gains[t, d] = gain
+                cov = cov - np.outer(gain, ph)
+                cov = 0.5 * (cov + cov.T)
+        p_post[t] = cov
+    return p_pri, p_post, gains
+
+
+@pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
+def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
+    model = exact_lti(seed=7) if which == "exact_lti" else identified_system(reference_dataset())
+    args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states))
+    steps = 600
+    rng = np.random.default_rng(8)
+    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
+        *got, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
+        assert (bad_step, bad_row) == (-1, -1)
+        for got_arr, want_arr in zip(got, _covariance_per_step(*args, mask)):
+            np.testing.assert_array_equal(got_arr, want_arr)
 
 
 def test_covariance_loop_reports_singular_row():
@@ -33,3 +73,23 @@ def test_covariance_loop_reports_singular_row():
         zero = np.zeros_like(q)
         out = _kernels.covariance_loop(a, h, zero, np.zeros_like(r_diag), zero, mask)
         assert out[3:] == (first_obs, 0)
+
+
+def test_state_loop_does_not_depend_on_chunk_length(monkeypatch):
+    model = exact_lti(seed=9)
+    rng = np.random.default_rng(10)
+    steps = 700
+    u = rng.standard_normal((steps, model.n_inputs))
+    z = rng.standard_normal((steps, model.n_outputs))
+    x0 = rng.standard_normal(model.n_states)
+    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
+        gains = _kernels.covariance_loop(
+            model.a, model.h, model.q, np.diag(model.r).copy(), np.eye(model.n_states), mask
+        )[2]
+        runs = []
+        for chunk in (1, 7, 128, steps + 1):
+            monkeypatch.setattr(_kernels, "CHUNK", chunk)
+            runs.append(_kernels.state_loop(model.a, model.b, model.h, gains, x0, u, z, mask))
+        for x_pri, x_post in runs[1:]:
+            np.testing.assert_array_equal(x_pri, runs[0][0])
+            np.testing.assert_array_equal(x_post, runs[0][1])

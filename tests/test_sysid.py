@@ -183,6 +183,70 @@ def test_simulate_matches_one_step_predictor_when_na_zero():
 def test_simulate_requires_enough_history():
     with pytest.raises(ContractViolationError, match="y_init"):
         simulate_arx(known_221(), np.ones((5, 1)), y_init=np.ones((1, 1)))
+    with pytest.raises(ContractViolationError, match="u_init must have 1 channels"):
+        simulate_arx(known_221(), np.ones((5, 1)), u_init=np.ones((3, 2)))
+
+
+def _simulate_per_step(model, u, y_init, u_init, noise):
+    """The difference equation, one step, one channel and one term at a time."""
+    na, nb, nk = model.na, model.nb, model.nk
+    steps, p = u.shape[0], model.n_outputs
+    hu = nb + nk - 1
+    u_all = np.vstack([u_init[u_init.shape[0] - hu:], u])
+    y_all = np.vstack([y_init[y_init.shape[0] - na:], np.zeros((steps, p))])
+    for t in range(steps):
+        for c in range(p):
+            acc = 0.0
+            for j in range(model.n_inputs):
+                for lag in range(nb):
+                    acc += model.b_coeffs[c, j, lag] * u_all[hu + t - nk - lag, j]
+            for i in range(na):
+                acc += model.a_coeffs[c, i] * y_all[na + t - 1 - i, c]
+            y_all[na + t, c] = acc + noise[t, c]
+    return y_all[na:]
+
+
+def test_simulate_matches_per_step_difference_equation():
+    rng = np.random.default_rng(14)
+    for na in range(5):
+        for nb in range(1, 5):
+            for nk in range(3):
+                p, m = (int(v) for v in rng.integers(1, 4, size=2))
+                model = random_stable_arx(
+                    na, nb, nk, n_outputs=p, n_inputs=m, seed=int(rng.integers(1 << 30)),
+                    pole_radius=0.95,
+                )
+                u = rng.standard_normal((150, m))
+                y_init = rng.standard_normal((na + 2, p))
+                u_init = rng.standard_normal((nb + nk + 2, m))
+                noise = 0.1 * rng.standard_normal((150, p))
+                for eq_noise in (None, noise):
+                    got = simulate_arx(model, u, y_init=y_init, u_init=u_init, noise=eq_noise)
+                    want = _simulate_per_step(
+                        model, u, y_init, u_init, np.zeros((150, p)) if eq_noise is None else noise
+                    )
+                    assert got.shape == (150, p)
+                    peak = np.abs(want).max(axis=0)
+                    assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * peak), model.label
+                assert simulate_arx(model, u[:0], y_init=y_init, u_init=u_init).shape == (0, p)
+
+
+def test_simulate_diverging_model_turns_nonfinite_at_the_reference_step():
+    # roots 3 and 0.5: the output overflows to inf, then inf - inf is NaN
+    model = ArxModel(
+        na=2, nb=1, nk=1, a_coeffs=[[3.5, -1.5]], b_coeffs=[[[1.0]]],
+        n_outputs=1, n_inputs=1, dt=DT,
+    )
+    u = np.ones((800, 1))
+    zeros = np.zeros((800, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _simulate_per_step(model, u, np.zeros((2, 1)), np.zeros((1, 1)), zeros)
+    got = simulate_arx(model, u)
+    first_bad = int(np.argmax(~np.isfinite(want[:, 0])))
+    assert 0 < first_bad
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * np.abs(want[finite]))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _parse_rows(text: str) -> list[tuple[float, float, float]]:
 
 def _read_config(path) -> dict:
     """The --config JSON object keyed by flag destination; null means unset."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ContractViolationError(f"config file {path} must hold a JSON object")
     return {key.replace("-", "_"): value for key, value in doc.items() if value is not None}
@@ -92,7 +92,7 @@ def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
     sidecar = Path(str(data_path) + ".truth.json")
     if not sidecar.exists():
         return None
-    doc = json.loads(sidecar.read_text())
+    doc = json.loads(sidecar.read_text(encoding="utf-8"))
     if "input_names" in doc and "output_names" in doc:
         return list(doc["input_names"]), list(doc["output_names"])
     return None
@@ -179,7 +179,7 @@ def cmd_identify(args) -> int:
         table_lines.append(
             f"{na},{nb},{nk},{agg!r},{mse_mean!r},{rec['filterable']},{note}"
         )
-    (out_dir / "order_fits.csv").write_text("\n".join(table_lines) + "\n")
+    (out_dir / "order_fits.csv").write_text("\n".join(table_lines) + "\n", encoding="utf-8")
 
     best = next(
         (r for r in records if r["filterable"] and r["report"] is not None), None
@@ -381,7 +381,7 @@ def cmd_synth(args) -> int:
         },
     }
     sidecar_path = Path(str(out_path) + ".truth.json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {ts.n_samples} samples -> {out_path} (+ {sidecar_path.name})")
     return 0
 

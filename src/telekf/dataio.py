@@ -9,7 +9,6 @@ unit, and block, and can be swapped without code changes.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, replace
 from importlib import resources as importlib_resources
@@ -76,7 +75,7 @@ def default_layout() -> ColumnLayout:
         text = (
             importlib_resources.files("telekf.resources")
             .joinpath("jigsaws_columns.json")
-            .read_text()
+            .read_text(encoding="utf-8")
         )
         _DEFAULT_LAYOUT = ColumnLayout.from_dict(json.loads(text))
     return _DEFAULT_LAYOUT
@@ -130,41 +129,38 @@ class TrajectorySet:
 
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+    """The source's text; every byte source is decoded as UTF-8."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text()
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+        data = Path(source).read_bytes()
+    elif isinstance(source, bytes):
+        data = source
+    else:
+        data = source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KinematicsFormatError(
+            f"byte offset {exc.start}: cannot decode {data[exc.start:exc.end]!r} as UTF-8"
+        ) from None
 
 
-def parse_kinematics(
-    source,
-    layout: ColumnLayout | None = None,
-    dt: float = DEFAULT_DT,
-    trial_id: str = "",
-) -> TrajectorySet:
-    """Parse a kinematics text file into a TrajectorySet.
+def _parse_tokens(text: str, n_columns: int) -> np.ndarray:
+    """Per-token reader: values, or the error naming the offending row.
 
-    ``source`` may be a path, raw bytes, or a file object.  Every row must
-    carry exactly ``layout.n_columns`` whitespace-separated numeric tokens;
-    violations raise :class:`KinematicsFormatError` naming the row (and
-    column for bad tokens).  Rows containing NaN or infinity are rejected,
-    with their line numbers reported.
+    Reads tokens only Python's ``float`` accepts (``1_0``, non-ASCII digits)
+    and is the only reader that can name the row and column of an error.
     """
-    layout = layout or default_layout()
-    text = _read_text(source)
     rows = []
     line_numbers = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
-        if len(tokens) != layout.n_columns:
+        if len(tokens) != n_columns:
             raise KinematicsFormatError(
-                f"row {lineno}: expected {layout.n_columns} columns, got {len(tokens)}"
+                f"row {lineno}: expected {n_columns} columns, got {len(tokens)}"
             )
         rows.append(tokens)
         line_numbers.append(lineno)
@@ -188,6 +184,41 @@ def parse_kinematics(
         raise KinematicsFormatError(
             f"rows with non-finite values rejected (lines {bad_lines})"
         )
+    return values
+
+
+def parse_kinematics(
+    source,
+    layout: ColumnLayout | None = None,
+    dt: float = DEFAULT_DT,
+    trial_id: str = "",
+) -> TrajectorySet:
+    """Parse a kinematics text file into a TrajectorySet.
+
+    ``source`` may be a path, raw bytes, or a file object; bytes are decoded
+    as UTF-8.  Every row must carry exactly ``layout.n_columns``
+    whitespace-separated numeric tokens; violations raise
+    :class:`KinematicsFormatError` naming the row (and column for bad
+    tokens).  Rows containing NaN or infinity are rejected, with their line
+    numbers reported.
+    """
+    layout = layout or default_layout()
+    text = _read_text(source)
+    if not text or text.isspace():
+        raise ContractViolationError("kinematics source contains no data rows")
+    # numpy's reader splits rows and tokens as str.splitlines/str.split do and
+    # parses a subset of what float() accepts to the same bits; anything it
+    # rejects goes to the per-token reader for its value or its error
+    try:
+        values = np.loadtxt(text.splitlines(), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if (
+        values is None
+        or values.shape[1] != layout.n_columns
+        or not np.isfinite(values).all()
+    ):
+        values = _parse_tokens(text, layout.n_columns)
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     names = np.asarray(layout.names)
@@ -399,7 +430,12 @@ def write_kinematics(ts: TrajectorySet, path, layout: ColumnLayout | None = None
             f"layout holds {master.size} master / {slave.size} slave columns; "
             f"trajectory has {m} / {p}"
         )
-    full = np.zeros((ts.n_samples, layout.n_columns))
-    full[:, master[:m]] = ts.inputs
-    full[:, slave[:p]] = ts.outputs
-    np.savetxt(path, full, fmt="%.17g")
+    used = np.concatenate([master[:m], slave[:p]])
+    order = np.argsort(used)
+    values = np.hstack([ts.inputs, ts.outputs])[:, order].tolist()
+    # "%.17g" prints 0.0 as "0", so the unused columns are literal text
+    fields = ["0"] * layout.n_columns
+    for col in used:
+        fields[col] = "%.17g"
+    row = " ".join(fields) + "\n"
+    Path(path).write_text("".join([row % tuple(v) for v in values]), encoding="utf-8")

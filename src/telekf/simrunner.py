@@ -346,22 +346,19 @@ def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.
     header += [f"delivered_{n}" for n in names]
     header += [f"est_{n}" for n in names]
     lines.append(",".join(header))
-    for t in range(data.n_samples):
-        row = [_fmt(t * data.dt)]
-        row += [_fmt(v) for v in data.outputs[t]]
-        row += [_fmt(v) for v in delivered[t]]
-        row += [_fmt(v) for v in z_est[t]]
-        lines.append(",".join(row))
+    t = np.arange(data.n_samples) * data.dt
+    rows = np.column_stack([t, data.outputs, delivered, z_est]).tolist()
+    lines += [",".join(map(repr, row)) for row in rows]
     _write_lines(path, lines)
 
 
 def _write_lines(path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_embedded_config(path) -> dict:
     """Recover the config mapping embedded in a report's comment lines."""
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("# config="):
             return json.loads(line[len("# config=") :])
         if not line.startswith("#"):

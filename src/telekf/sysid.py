@@ -517,12 +517,12 @@ def save_model(
             "q": float(q_scalar),
             "r_diag": np.asarray(r_diag, dtype=float).reshape(-1).tolist(),
         }
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=True) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> tuple[ArxModel, dict]:
     """Read a model file back; returns (model, metadata)."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != MODEL_FORMAT:
         raise ContractViolationError(
             f"not a {MODEL_FORMAT} file: format={doc.get('format')!r}"

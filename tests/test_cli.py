@@ -149,6 +149,22 @@ def test_run_channel_mismatch_exits_2(tmp_path, dataset, capsys):
     assert "output" in capsys.readouterr().err
 
 
+def test_run_undecodable_data_exits_2(tmp_path, dataset, model_file, capsys):
+    _, holdout = dataset
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1\xff 2\n")
+    (tmp_path / "bad.txt.truth.json").write_bytes(
+        Path(str(holdout) + ".truth.json").read_bytes()
+    )
+    rc = main([
+        "run", "--model", str(model_file), "--data", str(bad),
+        "--out-dir", str(tmp_path / "run_out"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: byte offset 1: cannot decode")
+    assert not (tmp_path / "run_out").exists()
+
+
 def test_sweep_grid_and_replay_byte_identical(tmp_path, dataset, model_file):
     _, holdout = dataset
     out_a = tmp_path / "sweep_a"

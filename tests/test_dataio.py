@@ -1,10 +1,19 @@
 import io
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import telekf
+from telekf import dataio
 from telekf.dataio import (
+    ColumnLayout,
     SyntheticSpec,
+    TrajectorySet,
     apply_preset,
     default_layout,
     gen_synthetic,
@@ -75,6 +84,180 @@ def test_parse_accepts_file_objects_and_skips_blank_lines():
     ts = parse_kinematics(io.BytesIO(f"\n{row}\n\n{row}\n".encode()))
     assert ts.n_samples == 2
     np.testing.assert_array_equal(ts.inputs[0], np.arange(38.0))
+
+
+def reference_parse(text, n_columns):
+    """The per-token reader as it stood before the one-call read: the values
+    of every data row, or the error it raises."""
+    rows = []
+    line_numbers = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != n_columns:
+            raise KinematicsFormatError(
+                f"row {lineno}: expected {n_columns} columns, got {len(tokens)}"
+            )
+        rows.append(tokens)
+        line_numbers.append(lineno)
+    if not rows:
+        raise ContractViolationError("kinematics source contains no data rows")
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        for tokens, lineno in zip(rows, line_numbers):
+            for col, token in enumerate(tokens, start=1):
+                try:
+                    float(token)
+                except ValueError:
+                    raise KinematicsFormatError(
+                        f"row {lineno}, column {col}: cannot parse {token!r} as a number"
+                    ) from None
+        raise
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        bad_lines = [line_numbers[i] for i in np.flatnonzero(bad)]
+        raise KinematicsFormatError(
+            f"rows with non-finite values rejected (lines {bad_lines})"
+        )
+    return values
+
+
+#: two master and two slave columns, so parsed values are hstack(inputs, outputs)
+SMALL = ColumnLayout(
+    names=("m1", "m2", "s1", "s2"),
+    units=("mm",) * 4,
+    blocks=("master", "master", "slave", "slave"),
+)
+
+
+def assert_parses_like_reference(text, layout=SMALL):
+    """Bit-identical values, or the identical exception and message, and no warning."""
+    try:
+        expected = reference_parse(text, layout.n_columns)
+    except (KinematicsFormatError, ContractViolationError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(exc)) as got:
+                parse_kinematics(text.encode(), layout)
+        assert str(got.value) == str(exc)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = parse_kinematics(text.encode(), layout)
+    master = layout.block_indices("master")
+    slave = layout.block_indices("slave")
+    assert ts.inputs.tobytes() == expected[:, master].tobytes()
+    assert ts.outputs.tobytes() == expected[:, slave].tobytes()
+
+
+READ_CASES = {
+    "tabs": "1\t2\t3\t4\n5\t\t6 7\t8\n",
+    "no-break spaces": "1\xa02\u20033\u30004\n-0.0 1e-310 2.5e308 7\n",
+    "crlf": "1 2 3 4\r\n5 6 7 8\r\n",
+    "cr": "1 2 3 4\r5 6 7 8\r",
+    "vertical tab": "1 2 3 4\x0b5 6 7 8",
+    "form feed": "1 2 3 4\x0c5 6 7 8\x0c",
+    "next line": "1 2 3 4\x855 6 7 8\x85",
+    "line separator": "1 2 3 4\u20285 6 7 8\u2029",
+    "blank and whitespace-only lines": "\n  \n1 2 3 4\n\t\xa0\n\n5 6 7 8\n \n",
+    "full precision": "0.1 0.30000000000000004 1.7976931348623157e308 5e-324\n"
+    "-1 +2 .5 3.\n",
+    "underscore digits": "1_0 2 3 4\n5 6 7 8\n",
+    "non-ascii digits": "1 \u0661\u0662 3 4\n5 6 \u0967.5 8\n",
+    "nan row": "1 2 3 4\nnan 2 3 4\n5 6 7 8\n",
+    "infinity rows after a blank line": "1 2 3 4\n\nInfinity 2 3 4\n5 6 -inf 8\n",
+    "overflow to infinity": "1 2 3 4\n1e999 2 3 4\n",
+    "nan and a bad token": "nan 2 3 4\n5 x 7 8\n",
+    "ragged rows": "1 2 3 4\n5 6 7\n",
+    "ragged after a bad token": "1 2 x 4\n5 6 7\n",
+    "bad token": "1 2 3 4\n5 6 0x7 8\n",
+    "comment marker": "1 2 3 4\n# 6 7 8\n",
+    "nul in a token": "1 2 3 4\n5 6\x007 8 9\n",
+    "wrong count on every row": "1 2 3\n4 5 6\n",
+    "too many columns on every row": "1 2 3 4 5\n6 7 8 9 10\n",
+    "empty": "",
+    "only newlines": "\n\n",
+    "only whitespace": " \t\x0c\xa0\u2028\r\n",
+}
+
+
+@pytest.mark.parametrize("name", list(READ_CASES))
+def test_parse_matches_the_per_token_reader(name):
+    assert_parses_like_reference(READ_CASES[name])
+
+
+def test_parse_matches_the_per_token_reader_on_random_text():
+    rng = np.random.default_rng(61)
+    separators = [" ", "  ", "\t", "\xa0", "\u2003", "\x1f"]
+    line_ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
+    specials = ["-0.0", "0", "1e-320", "-1.7e308", "inf", "nan", "1_5", "\u0663", "x", "1e"]
+    for _ in range(300):
+        lines = []
+        for _ in range(rng.integers(0, 6)):
+            if rng.random() < 0.15:
+                lines.append(str(rng.choice(["", " ", "\t"])))
+                continue
+            n_tokens = 4 if rng.random() < 0.9 else int(rng.integers(1, 7))
+            tokens = []
+            for _ in range(n_tokens):
+                if rng.random() < 0.03:
+                    tokens.append(str(rng.choice(specials)))
+                else:
+                    value = rng.standard_normal() * 10.0 ** rng.integers(-8, 9)
+                    tokens.append(str(rng.choice([repr(value), "%.17g" % value, "%.3e" % value])))
+            lines.append(str(rng.choice(separators)).join(tokens))
+        text = "".join(line + str(rng.choice(line_ends)) for line in lines)
+        assert_parses_like_reference(text)
+
+
+def test_plain_input_takes_the_one_call_read(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the per-token reader ran on plain input")
+
+    monkeypatch.setattr(dataio, "_parse_tokens", fail)
+    line_ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\n \t\n"]
+    rows = [f"{k}\t{k + 0.5}\xa0-{k}e-3 {k}" for k in range(len(line_ends))]
+    ts = parse_kinematics("".join(r + e for r, e in zip(rows, line_ends)).encode(), SMALL)
+    k = np.arange(len(line_ends), dtype=float)
+    np.testing.assert_array_equal(ts.inputs, np.column_stack([k, k + 0.5]))
+    np.testing.assert_array_equal(ts.outputs, np.column_stack([-k * 1e-3, k]))
+
+
+def test_parse_undecodable_bytes_name_the_offset(tmp_path):
+    with pytest.raises(KinematicsFormatError, match=r"byte offset 1: cannot decode b'\\xff' as UTF-8"):
+        parse_kinematics(b"1\xff 2 3 4\n", SMALL)
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2 3 4\n5 6 7 \xe9\n")
+    with pytest.raises(KinematicsFormatError, match="byte offset 14"):
+        parse_kinematics(path, SMALL)
+
+
+def test_path_and_bytes_parse_equal_under_the_c_locale(tmp_path):
+    row = "\xa0".join(str(v) for v in range(76))
+    path = tmp_path / "nbsp.txt"
+    path.write_bytes(f"{row}\n{row}\n".encode("utf-8"))
+    code = (
+        "import locale, sys, numpy as np; from telekf.dataio import parse_kinematics; "
+        "p = parse_kinematics(sys.argv[1]); b = parse_kinematics(open(sys.argv[1], 'rb').read()); "
+        "assert p.inputs.tobytes() == b.inputs.tobytes() and p.outputs.tobytes() == b.outputs.tobytes(); "
+        "print(locale.getpreferredencoding(False), p.n_samples)"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(telekf.__file__).resolve().parents[1]),
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    encoding, n_samples = out.stdout.split()
+    assert encoding.lower().replace("_", "-") in ("ansi-x3.4-1968", "ascii", "us-ascii")
+    assert n_samples == "2"
 
 
 def test_select_identity_and_order_preserving():
@@ -170,6 +353,63 @@ def test_write_then_parse_round_trip_exact(tmp_path):
     )
     np.testing.assert_array_equal(sel.inputs, ts.inputs)
     np.testing.assert_array_equal(sel.outputs, ts.outputs)
+
+
+def savetxt_reference(ts, path, layout):
+    """The writer as it stood before the template: zero-filled full width, np.savetxt."""
+    master = layout.block_indices("master")
+    slave = layout.block_indices("slave")
+    full = np.zeros((ts.n_samples, layout.n_columns))
+    full[:, master[: ts.inputs.shape[1]]] = ts.inputs
+    full[:, slave[: ts.outputs.shape[1]]] = ts.outputs
+    np.savetxt(path, full, fmt="%.17g")
+
+
+#: values whose "%.17g" text is easy to get wrong
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308,
+    1.0, -3.0, 123456789.0, 2.0**53, 0.1, 0.30000000000000004, 1.0 / 3.0, 7e22, -0.5,
+]
+
+
+def _edge_trajectory(n_samples, m, p, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([EDGE_VALUES, rng.standard_normal(16) * 10.0 ** rng.integers(-9, 9, 16)])
+    return TrajectorySet(
+        dt=DT,
+        inputs=rng.choice(pool, (n_samples, m)),
+        outputs=rng.choice(pool, (n_samples, p)),
+        input_names=tuple(f"u{j}" for j in range(m)),
+        output_names=tuple(f"y{c}" for c in range(p)),
+    )
+
+
+#: used columns of the two blocks alternate
+INTERLEAVED = ColumnLayout(
+    names=tuple(f"c{i}" for i in range(9)),
+    units=("mm",) * 9,
+    blocks=("slave", "master", "slave", "master", "master", "slave", "slave", "master", "slave"),
+)
+
+
+@pytest.mark.parametrize(
+    "layout, m, p",
+    [(None, 6, 3), (None, 38, 38), (INTERLEAVED, 3, 4), (INTERLEAVED, 4, 5)],
+    ids=["paper-columns", "full-capacity", "interleaved", "interleaved-full"],
+)
+def test_write_kinematics_matches_savetxt(tmp_path, layout, m, p):
+    layout = layout or default_layout()
+    ts = _edge_trajectory(64, m, p, seed=m * 100 + p)
+    write_kinematics(ts, tmp_path / "new.txt", layout)
+    savetxt_reference(ts, tmp_path / "ref.txt", layout)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_write_kinematics_rejects_too_many_channels(tmp_path):
+    ts = _edge_trajectory(4, 39, 1, seed=0)
+    with pytest.raises(ContractViolationError, match="38 master / 38 slave"):
+        write_kinematics(ts, tmp_path / "x.txt")
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_trajectory_validation():

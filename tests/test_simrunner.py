@@ -1,8 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import exact_lti, identified_system, reference_dataset
-from telekf import _kernels, filtering
+from telekf import _kernels, filtering, simrunner
 from telekf.channel import NetworkConfig
 from telekf.errors import ContractViolationError, SingularInnovationError
 from telekf.filtering import SystemModel
@@ -16,6 +19,7 @@ from telekf.simrunner import (
     simulate_truth,
     write_aggregate_csv,
     write_runs_csv,
+    write_trace_csv,
 )
 
 DATA = reference_dataset(n_samples=800, seed=2)
@@ -204,6 +208,45 @@ def test_csv_writers_schema_and_embedded_config(tmp_path):
     assert agg_rows[0].split(",")[3] == "AGG"
     # aggregated rows carry no runtime so the file is reproducible
     assert agg_rows[0].split(",")[-1] == ""
+
+
+def reference_trace_csv(path, data, delivered, z_est, config, version):
+    """The trace writer as it stood before the row join: one repr per value."""
+
+    def _fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    names = data.output_names
+    lines = simrunner._meta_lines(config, version)
+    header = ["t"]
+    header += [f"truth_{n}" for n in names]
+    header += [f"delivered_{n}" for n in names]
+    header += [f"est_{n}" for n in names]
+    lines.append(",".join(header))
+    for t in range(data.n_samples):
+        row = [_fmt(t * data.dt)]
+        row += [_fmt(v) for v in data.outputs[t]]
+        row += [_fmt(v) for v in delivered[t]]
+        row += [_fmt(v) for v in z_est[t]]
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("dt", [0.002, 1.0 / 30.0])
+def test_write_trace_csv_matches_per_value_formatting(tmp_path, dt):
+    data = replace(DATA, dt=dt)
+    result = run_scenario(
+        Scenario(model=SYSTEM, network=NetworkConfig(n_d=0.1, n_j=0.05, n_p=0.2, seed=4), data=data),
+        return_trace=True,
+    )
+    delivered = result.delivered.copy()
+    delivered[:6, 0] = [-0.0, 5e-324, 1.7e308, -1.7e308, 1e22, 0.1]
+    config = {"command": "run", "dt": dt}
+    write_trace_csv(tmp_path / "new.csv", data, delivered, result.z_est, config, "0.1.0")
+    reference_trace_csv(tmp_path / "ref.csv", data, delivered, result.z_est, config, "0.1.0")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_config_hash_is_stable_and_order_free():

@@ -16,8 +16,8 @@ __all__ = ["covariance_loop", "state_loop"]
 # there is no compiled path; kept because ``perfbench/run.py`` records it in every result
 NUMBA_ENABLED = False
 
-#: steps whose input terms and folded measurement updates ``state_loop`` forms together
-CHUNK = 128
+#: steps whose folded measurement updates ``state_loop`` forms together
+CHUNK = 512
 
 
 def covariance_loop(a, h, q, r_diag, p0, has_z):
@@ -35,10 +35,12 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     not positive and finite; the arrays are then filled only before it.
 
     A step's results depend only on the covariance entering it and on
-    whether it is observed, so a step whose two match an earlier step's bit
-    for bit copies that step's results instead of recomputing them.  With every step
+    whether it is observed.  So once step t enters with the covariance and
+    flag of an earlier step s, steps t, t+1, ... repeat steps s, s+1, ...
+    with period t - s for as long as the mask repeats with that period, and
+    that whole run is filled in one periodic copy.  With every step
     observed the recursion settles into a short cycle after a few dozen
-    steps, and the rest of the pass is copies.
+    steps, and the rest of the pass is one copy.
     """
     steps = has_z.shape[0]
     p, n = h.shape
@@ -46,16 +48,26 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     p_pri = np.empty((steps, n, n))
     p_post = np.empty((steps, n, n))
     gains = np.zeros((steps, p, n))
+    mask = has_z.tolist()
 
     seen = {}  # (bytes of the entering covariance, observed) -> first step
     cov = p0
-    for t, observed in enumerate(has_z.tolist()):
+    t = 0
+    while t < steps:
+        observed = mask[t]
         key = (cov.tobytes(), observed)
         done = seen.get(key)
         if done is not None:
-            p_pri[t] = p_pri[done]
-            p_post[t] = cov = p_post[done]
-            gains[t] = gains[done]
+            period = t - done
+            end = _periodic_run_end(has_z, mask, t, period)
+            if end - t <= period:
+                src = slice(done, done + end - t)
+            else:
+                src = done + np.arange(end - t) % period
+            for arr in (p_pri, p_post, gains):
+                arr[t:end] = arr[src]
+            t = end
+            cov = p_post[t - 1]
             continue
         cov = a @ cov @ a_t + q
         cov = 0.5 * (cov + cov.T)
@@ -73,57 +85,99 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
                 cov = 0.5 * (cov + cov.T)
         p_post[t] = cov
         seen[key] = t
+        t += 1
     return p_pri, p_post, gains, -1, -1
 
 
-def _fold_rows(h, gains, z):
+def _periodic_run_end(has_z, flags, start, period):
+    """The first step at or after ``start`` whose flag differs from the one
+    ``period`` steps before it, or ``len(flags)``.
+
+    ``flags`` is ``has_z`` as a list.  Under a random mask most runs end
+    within a few steps, so the first few flags are compared one by one; the
+    rest are compared in windows that double in length, so a long run costs
+    a few comparisons, not one per step.
+    """
+    steps = len(flags)
+    stop = min(start + 8, steps)
+    for t in range(start, stop):
+        if flags[t] != flags[t - period]:
+            return t
+    width = 8
+    while stop < steps:
+        start, stop = stop, min(stop + width, steps)
+        differs = has_z[start:stop] != has_z[start - period : stop - period]
+        if differs.any():
+            return start + int(differs.argmax())
+        width *= 2
+    return steps
+
+
+def _fold_rows(h, gains):
     """Compose the row updates ``x = (I - g_d h_d') x + g_d z_d`` of k steps.
 
-    ``gains`` is (k, p, n) and ``z`` is (k, p); returns ``m`` (k, n, n) and
-    ``kz`` (k, n) with ``x = m[j] @ x + kz[j]`` equal to the p row updates
-    of step j applied in order.
+    ``gains`` is (k, p, n); returns ``mk`` (k, n, n + p), ``[M | K]`` with
+    ``x = mk[j] @ [x; z]`` equal to the p row updates of gain set j applied
+    in order to a measurement z.
     """
     k, p, n = gains.shape
     eye = np.eye(n)
-    m = np.broadcast_to(eye, (k, n, n))
-    kz = np.zeros((k, n, 1))
+    mk = np.zeros((k, n, n + p))
+    mk[:, :, :n] = eye
     for d in range(p):
         g_d = gains[:, d, :, None]
-        row = eye - g_d * h[d]
-        m = row @ m
-        kz = row @ kz + g_d * z[:, d, None, None]
-    return m, kz[:, :, 0]
+        mk = (eye - g_d * h[d]) @ mk
+        mk[:, :, n + d] = g_d[:, :, 0]
+    return mk
+
+
+def _folds(h, gains, observed):
+    """``[M | K]`` for each step of ``gains`` (k, p, n) that is ``observed``,
+    None for the others.
+
+    Each distinct gain set is folded once, and the steps whose gains are
+    equal to it bit for bit share its array.
+    """
+    g = gains[observed]
+    # every step's gains as one bytes object, made in a single call
+    keys = g.reshape(-1, gains[0].size).view(np.dtype((np.void, gains[0].nbytes)))[:, 0].tolist()
+    where = dict(zip(keys, range(len(keys))))  # one step per distinct gain set
+    fold = dict(zip(where, _fold_rows(h, g[list(where.values())])))
+    per_step = map(fold.__getitem__, keys)
+    return [next(per_step) if obs else None for obs in observed.tolist()]
 
 
 def state_loop(a, b, h, gains, x0, u, z, has_z):
     """Run the state recursion with the gains of :func:`covariance_loop`.
 
-    Step t predicts ``x = a x + b u[t]`` and, when ``has_z[t]``, applies
-    the step's row updates folded into ``x = M_t x + K_t z[t]``.  ``b u``,
-    ``M_t`` and ``K_t z[t]`` are formed for ``CHUNK`` steps at a time, with
-    the same per-step operations whatever the batch length; measurements of
-    steps without one are never read.  Returns the a-priori and
-    a-posteriori states.
+    Step t predicts ``x = [a | b] [x; u[t]]`` and, when ``has_z[t]``,
+    applies the step's p row updates folded into ``x = [M_t | K_t] [x; z[t]]``:
+    two matrix-vector products per step, each written straight into the row
+    that the next one reads.  The folds are formed for ``CHUNK`` steps at a
+    time, once per distinct gain set, with the same operations whatever the
+    batch length; measurements of steps without one are never read.
+    Returns the a-priori and a-posteriori states.
     """
-    steps = u.shape[0]
+    steps, m = u.shape
     n = a.shape[0]
-    x_pri = np.empty((steps, n))
-    x_post = np.empty((steps, n))
+    ab = np.hstack([a, b])
+    xu = np.zeros((steps + 1, n + m))  # row t: [x_post[t-1]; u[t]]
+    xu[0, :n] = x0
+    xu[:steps, n:] = u
+    xz = np.zeros((steps, n + z.shape[1]))  # row t: [x_pri[t]; z[t]]
+    xz[has_z, n:] = z[has_z]
+    x_pri = xz[:, :n]
+    x_post = xu[1:, :n]
 
-    x = x0
+    dot, copyto = np.dot, np.copyto
     for start in range(0, steps, CHUNK):
         span = slice(start, start + CHUNK)
-        observed = has_z[span]
-        bu = (b @ u[span, :, None])[:, :, 0]
-        folds = zip(*_fold_rows(h, gains[span][observed], z[span][observed]))
-        pri, post = [], []
-        for bu_t, obs_t in zip(bu, observed.tolist()):
-            x = np.dot(a, x) + bu_t
-            pri.append(x)
-            if obs_t:
-                m_t, kz_t = next(folds)
-                x = np.dot(m_t, x) + kz_t
-            post.append(x)
-        x_pri[span] = pri
-        x_post[span] = post
-    return x_pri, x_post
+        folds = _folds(h, gains[span], has_z[span])
+        rows = zip(list(xu[span]), list(xz[span]), list(x_pri[span]), list(x_post[span]), folds)
+        for xu_t, xz_t, pri_t, post_t, mk_t in rows:
+            dot(ab, xu_t, out=pri_t)
+            if mk_t is None:
+                copyto(post_t, pri_t)
+            else:
+                dot(mk_t, xz_t, out=post_t)
+    return x_pri.copy(), x_post.copy()

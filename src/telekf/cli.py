@@ -21,6 +21,7 @@ usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -80,9 +81,24 @@ def _parse_rows(text: str) -> list[tuple[float, float, float]]:
     return rows
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Turn text in ``path`` that is not UTF-8 or not JSON into an error naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise ContractViolationError(
+            f"{path}: byte offset {exc.start}: cannot decode {bad!r} as UTF-8"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise ContractViolationError(f"{path}: {exc}") from None
+
+
 def _read_config(path) -> dict:
     """The --config JSON object keyed by flag destination; null means unset."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    with _reading(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ContractViolationError(f"config file {path} must hold a JSON object")
     return {key.replace("-", "_"): value for key, value in doc.items() if value is not None}
@@ -92,7 +108,8 @@ def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
     sidecar = Path(str(data_path) + ".truth.json")
     if not sidecar.exists():
         return None
-    doc = json.loads(sidecar.read_text(encoding="utf-8"))
+    with _reading(sidecar):
+        doc = json.loads(sidecar.read_text(encoding="utf-8"))
     if "input_names" in doc and "output_names" in doc:
         return list(doc["input_names"]), list(doc["output_names"])
     return None
@@ -125,7 +142,8 @@ def _load_trajectory(data_path, dt, inputs, outputs, preset, arm) -> dataio.Traj
 
 def _load_system(model_path):
     """Model file -> (ArxModel, SystemModel with stored noise, metadata)."""
-    arx, meta = sysid.load_model(model_path)
+    with _reading(model_path):
+        arx, meta = sysid.load_model(model_path)
     noise = meta.get("noise") or {}
     q = noise.get("q")
     r_diag = noise.get("r_diag")
@@ -307,7 +325,8 @@ def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
 def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     if args.replay:
-        config = simrunner.read_embedded_config(args.replay)
+        with _reading(args.replay):
+            config = simrunner.read_embedded_config(args.replay)
         if config.get("command") != "sweep":
             raise ContractViolationError(
                 f"{args.replay} does not embed a sweep config"
@@ -509,8 +528,7 @@ def main(argv=None) -> int:
         KinematicsFormatError,
         UnknownChannelNameError,
         UnsupportedStructureError,
-        FileNotFoundError,
-        json.JSONDecodeError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -165,6 +165,54 @@ def test_run_undecodable_data_exits_2(tmp_path, dataset, model_file, capsys):
     assert not (tmp_path / "run_out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("cfg.json", b'{"seed": 1\xff}'),
+        ("model.json", b'{"format": "\xff"}'),
+        ("data.txt.truth.json", b'{"input_names": ["u\xff"]}'),
+    ],
+    ids=["config", "model", "sidecar"],
+)
+def test_json_input_that_is_not_utf8_exits_2(name, text, tmp_path, dataset, model_file, capsys):
+    _, holdout = dataset
+    data, model, cfg = tmp_path / "data.txt", tmp_path / "model.json", tmp_path / "cfg.json"
+    data.write_bytes(holdout.read_bytes())
+    (tmp_path / "data.txt.truth.json").write_bytes(Path(str(holdout) + ".truth.json").read_bytes())
+    model.write_bytes(model_file.read_bytes())
+    cfg.write_text("{}")
+    bad = tmp_path / name
+    bad.write_bytes(text)
+    out_dir = tmp_path / "run_out"
+    argv = ["run", "--config", str(cfg), "--model", str(model), "--data", str(data), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: byte offset "), err
+    assert "cannot decode b'\\xff' as UTF-8" in err, err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--model", "{model}", "--data", "{dir}"],
+        ["sweep", "--model", "{dir}", "--data", "{data}", "--rows", "0,0,0"],
+        ["sweep", "--replay", "{dir}"],
+    ],
+    ids=["run-data", "sweep-model", "sweep-replay"],
+)
+def test_directory_as_input_file_exits_2(argv, tmp_path, dataset, model_file, capsys):
+    _, holdout = dataset
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out_dir = tmp_path / "out"
+    argv = [arg.format(model=model_file, data=holdout, dir=folder) for arg in argv]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err, err
+    assert not out_dir.exists()
+
+
 def test_sweep_grid_and_replay_byte_identical(tmp_path, dataset, model_file):
     _, holdout = dataset
     out_a = tmp_path / "sweep_a"

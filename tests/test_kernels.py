@@ -45,13 +45,30 @@ def _covariance_per_step(a, h, q, r_diag, p0, has_z):
     return p_pri, p_post, gains
 
 
+def _state_per_step(a, b, h, gains, x0, u, z, has_z):
+    """The state recursion applying one scalar row update at a time."""
+    x = x0
+    x_pri, x_post = [], []
+    for t in range(u.shape[0]):
+        x = a @ x + b @ u[t]
+        x_pri.append(x)
+        if has_z[t]:
+            for d in range(h.shape[0]):
+                x = x + gains[t, d] * (z[t, d] - h[d] @ x)
+        x_post.append(x)
+    return np.array(x_pri), np.array(x_post)
+
+
 @pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
 def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
     model = exact_lti(seed=7) if which == "exact_lti" else identified_system(reference_dataset())
     args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states))
     steps = 600
     rng = np.random.default_rng(8)
-    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
+    # the last mask converges, drops a burst of 10 steps, then resumes
+    burst = np.ones(steps, dtype=bool)
+    burst[300:310] = False
+    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst):
         *got, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
         assert (bad_step, bad_row) == (-1, -1)
         for got_arr, want_arr in zip(got, _covariance_per_step(*args, mask)):
@@ -93,3 +110,42 @@ def test_state_loop_does_not_depend_on_chunk_length(monkeypatch):
         for x_pri, x_post in runs[1:]:
             np.testing.assert_array_equal(x_pri, runs[0][0])
             np.testing.assert_array_equal(x_post, runs[0][1])
+
+
+@pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
+def test_state_loop_matches_per_step_row_updates(which):
+    model = exact_lti(seed=7) if which == "exact_lti" else identified_system(reference_dataset())
+    rng = np.random.default_rng(11)
+    steps = 800
+    u = rng.standard_normal((steps, model.n_inputs))
+    z = rng.standard_normal((steps, model.n_outputs))
+    x0 = rng.standard_normal(model.n_states)
+    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
+        gains = _kernels.covariance_loop(
+            model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states), mask
+        )[2]
+        args = (model.a, model.b, model.h, gains, x0, u, z, mask)
+        for got, want in zip(_kernels.state_loop(*args), _state_per_step(*args)):
+            # relative to the largest state entry: entries near zero carry its rounding
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_state_loop_keeps_gain_sets_that_differ_in_one_row_apart():
+    model = exact_lti(seed=7, p=3)
+    rng = np.random.default_rng(12)
+    steps = 300
+    first, settled = _kernels.covariance_loop(
+        model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states),
+        np.ones(20, dtype=bool),
+    )[2][[0, -1]]
+    # set 0 is the settled gain set; set d + 1 takes its row d from the first step
+    sets = np.repeat(settled[None], model.n_outputs + 1, axis=0)
+    for d in range(model.n_outputs):
+        sets[d + 1, d] = first[d]
+    gains = sets[rng.integers(0, len(sets), steps)]
+    u = rng.standard_normal((steps, model.n_inputs))
+    z = rng.standard_normal((steps, model.n_outputs))
+    mask = rng.random(steps) > 0.2
+    args = (model.a, model.b, model.h, gains, np.zeros(model.n_states), u, z, mask)
+    for got, want in zip(_kernels.state_loop(*args), _state_per_step(*args)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -17,7 +17,7 @@ __all__ = ["covariance_loop", "state_loop"]
 NUMBA_ENABLED = False
 
 #: steps whose folded measurement updates ``state_loop`` forms together
-CHUNK = 512
+CHUNK = 128
 
 
 def covariance_loop(a, h, q, r_diag, p0, has_z):
@@ -59,11 +59,8 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
         done = seen.get(key)
         if done is not None:
             period = t - done
-            end = _periodic_run_end(has_z, mask, t, period)
-            if end - t <= period:
-                src = slice(done, done + end - t)
-            else:
-                src = done + np.arange(end - t) % period
+            end = _periodic_run_end(has_z, t, period)
+            src = done + np.arange(end - t) % period
             for arr in (p_pri, p_post, gains):
                 arr[t:end] = arr[src]
             t = end
@@ -89,27 +86,21 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     return p_pri, p_post, gains, -1, -1
 
 
-def _periodic_run_end(has_z, flags, start, period):
+def _periodic_run_end(has_z, start, period):
     """The first step at or after ``start`` whose flag differs from the one
-    ``period`` steps before it, or ``len(flags)``.
+    ``period`` steps before it, or ``len(has_z)``.
 
-    ``flags`` is ``has_z`` as a list.  Under a random mask most runs end
-    within a few steps, so the first few flags are compared one by one; the
-    rest are compared in windows that double in length, so a long run costs
-    a few comparisons, not one per step.
+    The flags are compared in windows that double in length, so a long run
+    costs a few comparisons, not one per step.
     """
-    steps = len(flags)
-    stop = min(start + 8, steps)
-    for t in range(start, stop):
-        if flags[t] != flags[t - period]:
-            return t
-    width = 8
-    while stop < steps:
-        start, stop = stop, min(stop + width, steps)
+    steps = has_z.shape[0]
+    width = 1
+    while start < steps:
+        stop = min(start + width, steps)
         differs = has_z[start:stop] != has_z[start - period : stop - period]
         if differs.any():
             return start + int(differs.argmax())
-        width *= 2
+        start, width = stop, 2 * width
     return steps
 
 

@@ -83,9 +83,16 @@ def _parse_rows(text: str) -> list[tuple[float, float, float]]:
 
 @contextlib.contextmanager
 def _reading(path):
-    """Turn text in ``path`` that is not UTF-8 or not JSON into an error naming the file."""
+    """Turn an input ``path`` that cannot be read, or whose text is not
+    UTF-8 or not JSON, into an error naming the file.
+
+    Only input reads go through here; an I/O error while writing outputs
+    is not a usage error.
+    """
     try:
         yield
+    except OSError as exc:
+        raise ContractViolationError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start : exc.end]
         raise ContractViolationError(
@@ -122,7 +129,8 @@ def _load_trajectory(data_path, dt, inputs, outputs, preset, arm) -> dataio.Traj
     then the preset, then a ``<data>.truth.json`` sidecar written by
     ``synth``.
     """
-    ts = dataio.parse_kinematics(data_path, dt=dt, trial_id=str(data_path))
+    with _reading(data_path):
+        ts = dataio.parse_kinematics(data_path, dt=dt, trial_id=str(data_path))
     if inputs or outputs:
         if not (inputs and outputs):
             raise ContractViolationError("--inputs and --outputs must be given together")
@@ -528,7 +536,8 @@ def main(argv=None) -> int:
         KinematicsFormatError,
         UnknownChannelNameError,
         UnsupportedStructureError,
-        OSError,
+        FileNotFoundError,
+        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -6,7 +6,7 @@ the patient-side stream through a delay/jitter/loss channel (`channel`),
 filter it (`filtering`), and score scenario sweeps (`simrunner`, `cli`).
 """
 
-from .channel import NetworkConfig, apply_channel, observe
+from .channel import NetworkConfig, apply_channel
 from .dataio import SyntheticSpec, TrajectorySet, gen_synthetic, parse_kinematics
 from .filtering import (
     StateEstimate,
@@ -39,7 +39,6 @@ __all__ = [
     "fit_percent",
     "gen_synthetic",
     "mse",
-    "observe",
     "parse_kinematics",
     "predict",
     "run_filter",

@@ -3,10 +3,11 @@
 The covariance recursion reads neither the controls nor the measurements,
 only the model, the initial covariance and which steps carry a measurement,
 so it runs apart from the state: ``covariance_loop`` computes the
-covariances and each measurement row's gain, and ``state_loop`` applies
-those gains to the state.  The public functions in :mod:`telekf.filtering`
-validate their arguments and call both, so a single step and a batch
-perform the same operations.
+covariances and folds the measurement row updates of each step it computes
+into one matrix, and ``state_loop`` looks each step's fold up and applies
+it to the state.  The public functions in :mod:`telekf.filtering` validate
+their arguments and call both, so a single step and a batch perform the
+same operations.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ __all__ = ["covariance_loop", "state_loop"]
 # there is no compiled path; kept because ``perfbench/run.py`` records it in every result
 NUMBA_ENABLED = False
 
-#: steps whose folded measurement updates ``state_loop`` forms together
+#: steps whose row views ``state_loop`` lists at a time
 CHUNK = 128
 
 
@@ -28,26 +29,29 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     covariance left by row d-1.  The covariance is re-symmetrized after the
     time update and after every row.
 
-    Returns ``(p_pri, p_post, gains, bad_step, bad_row)``: the a-priori and
-    a-posteriori covariances per step, ``gains[t, d]`` the gain of row d at
-    step t (zero on steps without a measurement), and ``(bad_step, bad_row)``
-    -1 on success, else the first location whose innovation variance was
-    not positive and finite; the arrays are then filled only before it.
+    Returns ``(p_pri, p_post, mk, fold, bad_step, bad_row)``: the a-priori
+    and a-posteriori covariances per step, ``mk`` the row updates of each
+    observed step computed here folded by :func:`_fold_rows`, ``fold[t]``
+    the index into ``mk`` of step t's fold (-1 on steps without a
+    measurement), and ``(bad_step, bad_row)`` -1 on success, else the first
+    location whose innovation variance was not positive and finite; the
+    arrays are then filled only before it, and ``mk`` is None.
 
     A step's results depend only on the covariance entering it and on
     whether it is observed.  So once step t enters with the covariance and
     flag of an earlier step s, steps t, t+1, ... repeat steps s, s+1, ...
     with period t - s for as long as the mask repeats with that period, and
-    that whole run is filled in one periodic copy.  With every step
-    observed the recursion settles into a short cycle after a few dozen
-    steps, and the rest of the pass is one copy.
+    that whole run, fold indices included, is filled in one periodic copy.
+    With every step observed the recursion settles into a short cycle after
+    a few dozen steps, and the rest of the pass is one copy.
     """
     steps = has_z.shape[0]
     p, n = h.shape
     a_t = np.ascontiguousarray(a.T)
     p_pri = np.empty((steps, n, n))
     p_post = np.empty((steps, n, n))
-    gains = np.zeros((steps, p, n))
+    fold = np.full(steps, -1)
+    gains = []  # the (p, n) row gains of each observed step computed below
     mask = has_z.tolist()
 
     seen = {}  # (bytes of the entering covariance, observed) -> first step
@@ -61,7 +65,7 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
             period = t - done
             end = _periodic_run_end(has_z, t, period)
             src = done + np.arange(end - t) % period
-            for arr in (p_pri, p_post, gains):
+            for arr in (p_pri, p_post, fold):
                 arr[t:end] = arr[src]
             t = end
             cov = p_post[t - 1]
@@ -70,20 +74,23 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
         cov = 0.5 * (cov + cov.T)
         p_pri[t] = cov
         if observed:
+            step_gains = np.empty((p, n))
             for d in range(p):
                 hd = h[d]
                 ph = cov @ hd
                 s = hd @ ph + r_diag[d]
                 if not 0.0 < s < np.inf:
-                    return p_pri, p_post, gains, t, d
+                    return p_pri, p_post, None, fold, t, d
                 gain = ph / s
-                gains[t, d] = gain
+                step_gains[d] = gain
                 cov = cov - np.outer(gain, ph)
                 cov = 0.5 * (cov + cov.T)
+            fold[t] = len(gains)
+            gains.append(step_gains)
         p_post[t] = cov
         seen[key] = t
         t += 1
-    return p_pri, p_post, gains, -1, -1
+    return p_pri, p_post, _fold_rows(h, np.reshape(gains, (len(gains), p, n))), fold, -1, -1
 
 
 def _periodic_run_end(has_z, start, period):
@@ -122,32 +129,16 @@ def _fold_rows(h, gains):
     return mk
 
 
-def _folds(h, gains, observed):
-    """``[M | K]`` for each step of ``gains`` (k, p, n) that is ``observed``,
-    None for the others.
+def state_loop(a, b, mk, fold, x0, u, z):
+    """Run the state recursion with the folds of :func:`covariance_loop`.
 
-    Each distinct gain set is folded once, and the steps whose gains are
-    equal to it bit for bit share its array.
-    """
-    g = gains[observed]
-    # every step's gains as one bytes object, made in a single call
-    keys = g.reshape(-1, gains[0].size).view(np.dtype((np.void, gains[0].nbytes)))[:, 0].tolist()
-    where = dict(zip(keys, range(len(keys))))  # one step per distinct gain set
-    fold = dict(zip(where, _fold_rows(h, g[list(where.values())])))
-    per_step = map(fold.__getitem__, keys)
-    return [next(per_step) if obs else None for obs in observed.tolist()]
-
-
-def state_loop(a, b, h, gains, x0, u, z, has_z):
-    """Run the state recursion with the gains of :func:`covariance_loop`.
-
-    Step t predicts ``x = [a | b] [x; u[t]]`` and, when ``has_z[t]``,
-    applies the step's p row updates folded into ``x = [M_t | K_t] [x; z[t]]``:
-    two matrix-vector products per step, each written straight into the row
-    that the next one reads.  The folds are formed for ``CHUNK`` steps at a
-    time, once per distinct gain set, with the same operations whatever the
-    batch length; measurements of steps without one are never read.
-    Returns the a-priori and a-posteriori states.
+    Step t predicts ``x = [a | b] [x; u[t]]`` and, when ``fold[t] >= 0``,
+    applies the step's p row updates folded into
+    ``x = mk[fold[t]] @ [x; z[t]]``: two matrix-vector products per step,
+    each written straight into the row that the next one reads.  The row
+    views are listed ``CHUNK`` steps at a time; measurements of steps
+    without one are never read.  Returns the a-priori and a-posteriori
+    states.
     """
     steps, m = u.shape
     n = a.shape[0]
@@ -155,15 +146,17 @@ def state_loop(a, b, h, gains, x0, u, z, has_z):
     xu = np.zeros((steps + 1, n + m))  # row t: [x_post[t-1]; u[t]]
     xu[0, :n] = x0
     xu[:steps, n:] = u
+    has_z = fold >= 0
     xz = np.zeros((steps, n + z.shape[1]))  # row t: [x_pri[t]; z[t]]
     xz[has_z, n:] = z[has_z]
     x_pri = xz[:, :n]
     x_post = xu[1:, :n]
+    mk_rows = list(mk) + [None]  # index -1, an unobserved step, reads None
 
     dot, copyto = np.dot, np.copyto
     for start in range(0, steps, CHUNK):
         span = slice(start, start + CHUNK)
-        folds = _folds(h, gains[span], has_z[span])
+        folds = map(mk_rows.__getitem__, fold[span].tolist())
         rows = zip(list(xu[span]), list(xz[span]), list(x_pri[span]), list(x_post[span]), folds)
         for xu_t, xz_t, pri_t, post_t, mk_t in rows:
             dot(ab, xu_t, out=pri_t)

@@ -102,13 +102,52 @@ def _reading(path):
         raise ContractViolationError(f"{path}: {exc}") from None
 
 
-def _read_config(path) -> dict:
-    """The --config JSON object keyed by flag destination; null means unset."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(map(check, value))
+
+
+def _is_row(value) -> bool:
+    return _is_list_of(value, _is_number) and len(value) == 3
+
+
+#: for each flag type, what a --config value that is not a string must be:
+#: the form the type returns (argparse parses a string like the flag's text)
+_CONFIG_FORMS = {
+    None: ("a string", lambda value: False),
+    int: ("an integer", _is_int),
+    float: ("a number", _is_number),
+    _parse_int_values: ("a list of integers", lambda value: _is_list_of(value, _is_int)),
+    _parse_float_list: ("a list of numbers", lambda value: _is_list_of(value, _is_number)),
+    _parse_rows: ("a list of [delay_ms, jitter_ms, loss] rows", lambda value: _is_list_of(value, _is_row)),
+}
+
+
+def _read_config(path, parser: argparse.ArgumentParser) -> dict:
+    """The --config JSON object keyed by flag destination; null means unset.
+
+    A value of a type the flag of ``parser`` would not accept is an error
+    naming the file and the key.
+    """
     with _reading(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ContractViolationError(f"config file {path} must hold a JSON object")
-    return {key.replace("-", "_"): value for key, value in doc.items() if value is not None}
+    config = {key.replace("-", "_"): value for key, value in doc.items() if value is not None}
+    flag_types = {action.dest: action.type for action in parser._actions}
+    for key, value in config.items():
+        if key in flag_types and not isinstance(value, str):
+            form, check = _CONFIG_FORMS[flag_types[key]]
+            if not check(value):
+                raise ContractViolationError(f"{path}: {key}: expected {form}, got {json.dumps(value)}")
+    return config
 
 
 def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
@@ -527,7 +566,8 @@ def main(argv=None) -> int:
         if args.config:
             # defaults set on the top-level parser do not reach subcommand
             # arguments, so the config becomes the subcommand's defaults
-            commands[args.command].set_defaults(**_read_config(args.config))
+            command = commands[args.command]
+            command.set_defaults(**_read_config(args.config, command))
             args = parser.parse_args(argv)
         return args.func(args)
     except (

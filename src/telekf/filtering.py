@@ -188,11 +188,11 @@ def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
     if not np.isfinite(u).all():
         raise ContractViolationError("control vector must be finite")
     has_z = np.zeros(1, dtype=bool)
-    p_pri, _, gains, _, _ = _kernels.covariance_loop(
+    p_pri, _, mk, fold, _, _ = _kernels.covariance_loop(
         model.a, model.h, model.q, np.diag(model.r), est.p, has_z
     )
     x_pri, _ = _kernels.state_loop(
-        model.a, model.b, model.h, gains, est.x_hat, u[None], np.zeros((1, model.n_outputs)), has_z
+        model.a, model.b, mk, fold, est.x_hat, u[None], np.zeros((1, model.n_outputs))
     )
     return StateEstimate(x_pri[0], p_pri[0], est.k_index + 1)
 
@@ -239,7 +239,7 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
     n = model.n_states
     eye = np.eye(n)
     has_z = np.ones(1, dtype=bool)
-    _, p_post, gains, _, bad_row = _kernels.covariance_loop(
+    _, p_post, mk, fold, _, bad_row = _kernels.covariance_loop(
         eye, model.h, np.zeros((n, n)), model.r_diagonal(), est.p, has_z
     )
     if bad_row >= 0:
@@ -248,7 +248,7 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
             condition=float("inf"),
         )
     _, x_post = _kernels.state_loop(
-        eye, np.zeros((n, 1)), model.h, gains, est.x_hat, np.zeros((1, 1)), z[None], has_z
+        eye, np.zeros((n, 1)), mk, fold, est.x_hat, np.zeros((1, 1)), z[None]
     )
     return StateEstimate(x_post[0], _finalize_cov(p_post[0]), est.k_index)
 
@@ -292,9 +292,10 @@ def run_filter_trace(
 ) -> FilterTrace:
     """Array-level batch filter run; see :func:`run_filter` for semantics.
 
-    ``observations`` may be an (N, p) array with a separate mask given as a
-    ``(z, mask)`` tuple, or a sequence with ``None`` entries for missing
-    measurements.  The covariance pass depends only on the model, ``init.p``
+    ``observations`` may be an (N, p) array with a separate boolean mask
+    given as a ``(z, mask)`` tuple, or a sequence with ``None`` entries for
+    missing measurements; any other tuple, a pair included, is such a
+    sequence.  The covariance pass depends only on the model, ``init.p``
     and the mask; the last one is kept, so calls that share those (the
     scenarios of a sweep) compute it once and share its arrays read-only.
     """
@@ -309,10 +310,11 @@ def run_filter_trace(
         raise ContractViolationError("at least one step is required")
 
     p_dim = model.n_outputs
-    if isinstance(observations, tuple) and len(observations) == 2:
+    pair = isinstance(observations, tuple) and len(observations) == 2
+    if pair and np.asarray(observations[1]).dtype == bool:
         z, mask = observations
         z = np.ascontiguousarray(np.asarray(z, dtype=float).reshape(-1, p_dim))
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        mask = np.asarray(mask).reshape(-1)
     else:
         obs_list = list(observations)
         z = np.zeros((len(obs_list), p_dim))
@@ -332,7 +334,7 @@ def run_filter_trace(
         raise ContractViolationError("observations must be finite on steps with a measurement")
 
     r_diag = model.r_diagonal() if mask.any() else np.diag(model.r).copy()
-    p_pri, p_post, gains, bad_step, bad_row = _covariances(
+    p_pri, p_post, mk, fold, bad_step, bad_row = _covariances(
         model.a, model.h, model.q, r_diag, init.p, mask
     )
     if bad_step >= 0:
@@ -341,7 +343,7 @@ def run_filter_trace(
             f"measurement row {bad_row}",
             condition=float("inf"),
         )
-    x_pri, x_post = _kernels.state_loop(model.a, model.b, model.h, gains, init.x_hat, u, z, mask)
+    x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, fold, init.x_hat, u, z)
     return FilterTrace(x_pri, p_pri, x_post, p_post, mask, k_start=init.k_index + 1)
 
 
@@ -352,17 +354,18 @@ _memo = None
 def _covariances(a, h, q, r_diag, p0, mask):
     """:func:`_kernels.covariance_loop`, kept for the last distinct input.
 
-    The covariances and gains depend on nothing else, so the scenarios of a
+    The covariances and folds depend on nothing else, so the scenarios of a
     sweep, which share the model, the initial covariance and the full mask,
-    share one pass.  The key is the exact bytes of every input; the cached
-    arrays are made read-only, and a breakdown is cached like a result.
+    share one pass.  The key is the exact bytes of every input; the
+    covariance stacks, which every trace shares, are made read-only, and a
+    breakdown is cached like a result.
     """
     global _memo
     key = tuple((arr.shape, arr.tobytes()) for arr in (a, h, q, r_diag, p0, mask))
     memo = _memo
     if memo is None or memo[0] != key:
         result = _kernels.covariance_loop(a, h, q, r_diag, p0, mask)
-        for arr in result[:3]:
+        for arr in result[:2]:
             arr.flags.writeable = False
         memo = _memo = (key, result)
     return memo[1]

@@ -474,6 +474,10 @@ def model_to_doc(model: ArxModel) -> dict:
     }
 
 
+#: the keys :func:`model_from_doc` reads
+_MODEL_KEYS = ("na", "nb", "nk", "a_coeffs", "b_coeffs", "n_outputs", "n_inputs", "dt")
+
+
 def model_from_doc(doc: dict) -> ArxModel:
     return ArxModel(
         na=doc["na"],
@@ -523,14 +527,19 @@ def save_model(
 def load_model(path) -> tuple[ArxModel, dict]:
     """Read a model file back; returns (model, metadata)."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ContractViolationError(f"{path}: a model file must hold a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ContractViolationError(
-            f"not a {MODEL_FORMAT} file: format={doc.get('format')!r}"
+            f"{path}: not a {MODEL_FORMAT} file: format={doc.get('format')!r}"
         )
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ContractViolationError(
-            f"unsupported model file version {doc.get('version')!r}"
+            f"{path}: unsupported model file version {doc.get('version')!r}"
         )
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise ContractViolationError(f"{path}: model file lacks {', '.join(missing)}")
     model = model_from_doc(doc)
     meta = {k: doc.get(k) for k in ("input_names", "output_names", "fit", "noise")}
     return model, meta

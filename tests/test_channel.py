@@ -1,52 +1,38 @@
 import numpy as np
 import pytest
 
-from telekf.channel import (
-    RNG_ALGORITHM,
-    ChannelState,
-    NetworkConfig,
-    apply_channel,
-    delayed_index,
-    observe,
-)
+from telekf.channel import RNG_ALGORITHM, NetworkConfig, apply_channel
 from telekf.errors import ContractViolationError
 
 DT = 1.0 / 30.0
 
 
-def jitter_rng(cfg):
-    return cfg.spawn_streams()[0]
+def source_index(cfg, steps):
+    """The 0-based sample each step of a ``steps``-sample stream delivers under ``cfg``."""
+    return apply_channel(np.zeros((steps, 1)), cfg, DT)[1]
 
 
 def test_delayed_index_no_impairment_is_current_step():
     cfg = NetworkConfig(0.0, 0.0, 0.0, seed=1)
-    rng = jitter_rng(cfg)
-    for k in (2, 10, 500):
-        assert delayed_index(k, cfg, DT, rng) == k
+    np.testing.assert_array_equal(source_index(cfg, 501), np.arange(501))
 
 
 def test_delayed_index_subsample_delay_rounds_to_zero():
     # 5 ms at 30 Hz is 0.15 samples -> rounds to 0
     cfg = NetworkConfig(5.0, 0.0, 0.0, seed=1)
-    assert delayed_index(100, cfg, DT, jitter_rng(cfg)) == 100
+    np.testing.assert_array_equal(source_index(cfg, 101), np.arange(101))
 
 
 def test_delayed_index_hundred_ms_is_three_samples():
     cfg = NetworkConfig(100.0, 0.0, 0.0, seed=1)
-    assert delayed_index(100, cfg, DT, jitter_rng(cfg)) == 97
-
-
-def test_delayed_index_consumes_a_draw_even_without_jitter():
-    cfg = NetworkConfig(0.0, 0.0, 0.0, seed=1)
-    rng_a = jitter_rng(cfg)
-    rng_b = jitter_rng(cfg)
-    delayed_index(2, cfg, DT, rng_a)
-    assert rng_a.standard_normal() == rng_b.standard_normal(2)[1]
+    np.testing.assert_array_equal(source_index(cfg, 101), np.maximum(np.arange(101) - 3, 0))
 
 
 def test_delayed_index_floors_at_one():
+    # 10 s is 300 samples, longer than the stream: every step delivers the
+    # first sample (sample 1 in the 1-based channel rule)
     cfg = NetworkConfig(10000.0, 0.0, 0.0, seed=1)
-    assert delayed_index(2, cfg, DT, jitter_rng(cfg)) == 1
+    np.testing.assert_array_equal(source_index(cfg, 101), np.zeros(101))
 
 
 def test_observe_identity_channel_matches_truth_exactly():
@@ -97,20 +83,6 @@ def test_causality_delivered_index_never_exceeds_step():
     _, src_idx, _, _ = apply_channel(truth, NetworkConfig(0.0, 500.0, 0.0, seed=5), DT)
     assert (src_idx <= np.arange(2000)).all()
     assert (src_idx >= 0).all()
-
-
-def test_step_api_matches_batch_bit_for_bit():
-    rng = np.random.default_rng(6)
-    truth = rng.standard_normal((400, 3))
-    cfg = NetworkConfig(100.0, 40.0, 0.2, seed=99)
-    delivered, _, _, stats = apply_channel(truth, cfg, DT)
-    state = ChannelState.initial(truth[0], cfg)
-    values = [truth[0]]
-    for k in range(2, truth.shape[0] + 1):
-        values.append(observe(k, truth, cfg, state, DT))
-    assert np.array_equal(delivered, np.asarray(values))
-    assert state.stats.packets_lost == stats.packets_lost
-    assert state.stats.delay_histogram == stats.delay_histogram
 
 
 def scalar_channel(truth, cfg, dt):
@@ -175,15 +147,13 @@ def test_realized_delay_mean_matches_rounding_oracle():
     assert abs(offsets.mean() - oracle.mean()) <= tol
 
 
-def test_observe_validates_step_and_truth():
+def test_apply_channel_validates_truth_and_dt():
     cfg = NetworkConfig(0, 0, 0, seed=1)
-    state = ChannelState.initial(np.zeros(2), cfg)
     with pytest.raises(ContractViolationError, match="empty"):
-        observe(2, np.zeros((0, 2)), cfg, state, DT)
-    with pytest.raises(ContractViolationError):
-        observe(1, np.zeros((5, 2)), cfg, state, DT)
-    with pytest.raises(ContractViolationError):
-        observe(7, np.zeros((5, 2)), cfg, state, DT)
+        apply_channel(np.zeros((0, 2)), cfg, DT)
+    for dt in (0.0, -DT, float("nan")):
+        with pytest.raises(ContractViolationError, match="dt must be positive"):
+            apply_channel(np.zeros((5, 2)), cfg, dt)
 
 
 def test_network_config_validation():

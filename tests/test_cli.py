@@ -287,6 +287,19 @@ def test_config_file_supplies_flags_and_cli_overrides(tmp_path, dataset, model_f
     assert config["seeds"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("value", [[1], 1.5, True], ids=["list", "fraction", "bool"])
+def test_config_value_of_the_wrong_type_exits_2(value, tmp_path, dataset, model_file, capsys):
+    _, holdout = dataset
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": value}))
+    out_dir = tmp_path / "run_out"
+    argv = ["run", "--config", str(cfg_path), "--model", str(model_file), "--data", str(holdout)]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: seed: expected an integer, got "), err
+    assert not out_dir.exists()
+
+
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(telekf.__file__).resolve().parents[1]))
     code = "import sys, telekf.cli; print('scipy' in sys.modules, 'numba' in sys.modules)"

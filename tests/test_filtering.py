@@ -286,6 +286,18 @@ def test_run_filter_length_mismatch():
         run_filter(model, init, [[0.0], [0.0]], [None])
 
 
+def test_two_observations_in_a_tuple_are_a_sequence_not_a_pair():
+    # only a tuple whose second item is a boolean mask is the (z, mask) form
+    model = scalar_model()
+    init = StateEstimate([0.0], [[1.0]])
+    u = [[0.0], [0.0]]
+    as_list = run_filter_trace(model, init, u, [[1.0], [2.0]])
+    for observations in (([1.0], [2.0]), ([[1.0], [2.0]], np.ones(2, dtype=bool))):
+        trace = run_filter_trace(model, init, u, observations)
+        np.testing.assert_array_equal(trace.x_post, as_list.x_post)
+        np.testing.assert_array_equal(trace.has_obs, [True, True])
+
+
 def test_run_filter_missing_observations_propagate_prediction():
     model = exact_lti(seed=3)
     rng = np.random.default_rng(8)

@@ -69,10 +69,14 @@ def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
     burst = np.ones(steps, dtype=bool)
     burst[300:310] = False
     for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst):
-        *got, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
+        p_pri, p_post, mk, fold, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
         assert (bad_step, bad_row) == (-1, -1)
-        for got_arr, want_arr in zip(got, _covariance_per_step(*args, mask)):
-            np.testing.assert_array_equal(got_arr, want_arr)
+        want_pri, want_post, want_gains = _covariance_per_step(*args, mask)
+        np.testing.assert_array_equal(p_pri, want_pri)
+        np.testing.assert_array_equal(p_post, want_post)
+        np.testing.assert_array_equal(fold[~mask], -1)
+        assert (fold[mask] >= 0).all()
+        np.testing.assert_array_equal(mk[fold[mask]], _kernels._fold_rows(model.h, want_gains[mask]))
 
 
 def test_covariance_loop_reports_singular_row():
@@ -81,15 +85,15 @@ def test_covariance_loop_reports_singular_row():
         a, h, q, r_diag, p0, mask = _cov_inputs(3)
         mask[:first_obs] = False
         mask[first_obs:] = True
-        assert _kernels.covariance_loop(a, h, q, r_diag, p0, mask)[3:] == (-1, -1)
+        assert _kernels.covariance_loop(a, h, q, r_diag, p0, mask)[4:] == (-1, -1)
         for bad_row, r_value in ((1, np.nan), (2, np.inf)):
             r_bad = r_diag.copy()
             r_bad[bad_row] = r_value
             out = _kernels.covariance_loop(a, h, q, r_bad, p0, mask)
-            assert out[3:] == (first_obs, bad_row)
+            assert out[4:] == (first_obs, bad_row)
         zero = np.zeros_like(q)
         out = _kernels.covariance_loop(a, h, zero, np.zeros_like(r_diag), zero, mask)
-        assert out[3:] == (first_obs, 0)
+        assert out[4:] == (first_obs, 0)
 
 
 def test_state_loop_does_not_depend_on_chunk_length(monkeypatch):
@@ -100,13 +104,13 @@ def test_state_loop_does_not_depend_on_chunk_length(monkeypatch):
     z = rng.standard_normal((steps, model.n_outputs))
     x0 = rng.standard_normal(model.n_states)
     for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
-        gains = _kernels.covariance_loop(
+        mk, fold = _kernels.covariance_loop(
             model.a, model.h, model.q, np.diag(model.r).copy(), np.eye(model.n_states), mask
-        )[2]
+        )[2:4]
         runs = []
         for chunk in (1, 7, 128, steps + 1):
             monkeypatch.setattr(_kernels, "CHUNK", chunk)
-            runs.append(_kernels.state_loop(model.a, model.b, model.h, gains, x0, u, z, mask))
+            runs.append(_kernels.state_loop(model.a, model.b, mk, fold, x0, u, z))
         for x_pri, x_post in runs[1:]:
             np.testing.assert_array_equal(x_pri, runs[0][0])
             np.testing.assert_array_equal(x_post, runs[0][1])
@@ -121,11 +125,12 @@ def test_state_loop_matches_per_step_row_updates(which):
     z = rng.standard_normal((steps, model.n_outputs))
     x0 = rng.standard_normal(model.n_states)
     for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
-        gains = _kernels.covariance_loop(
-            model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states), mask
-        )[2]
-        args = (model.a, model.b, model.h, gains, x0, u, z, mask)
-        for got, want in zip(_kernels.state_loop(*args), _state_per_step(*args)):
+        cov_args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states), mask)
+        mk, fold = _kernels.covariance_loop(*cov_args)[2:4]
+        gains = _covariance_per_step(*cov_args)[2]
+        got_states = _kernels.state_loop(model.a, model.b, mk, fold, x0, u, z)
+        want_states = _state_per_step(model.a, model.b, model.h, gains, x0, u, z, mask)
+        for got, want in zip(got_states, want_states):
             # relative to the largest state entry: entries near zero carry its rounding
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -134,7 +139,7 @@ def test_state_loop_keeps_gain_sets_that_differ_in_one_row_apart():
     model = exact_lti(seed=7, p=3)
     rng = np.random.default_rng(12)
     steps = 300
-    first, settled = _kernels.covariance_loop(
+    first, settled = _covariance_per_step(
         model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states),
         np.ones(20, dtype=bool),
     )[2][[0, -1]]
@@ -142,10 +147,14 @@ def test_state_loop_keeps_gain_sets_that_differ_in_one_row_apart():
     sets = np.repeat(settled[None], model.n_outputs + 1, axis=0)
     for d in range(model.n_outputs):
         sets[d + 1, d] = first[d]
-    gains = sets[rng.integers(0, len(sets), steps)]
+    fold = rng.integers(0, len(sets), steps)
+    gains = sets[fold]
     u = rng.standard_normal((steps, model.n_inputs))
     z = rng.standard_normal((steps, model.n_outputs))
     mask = rng.random(steps) > 0.2
-    args = (model.a, model.b, model.h, gains, np.zeros(model.n_states), u, z, mask)
-    for got, want in zip(_kernels.state_loop(*args), _state_per_step(*args)):
+    fold[~mask] = -1
+    x0 = np.zeros(model.n_states)
+    got_states = _kernels.state_loop(model.a, model.b, _kernels._fold_rows(model.h, sets), fold, x0, u, z)
+    want_states = _state_per_step(model.a, model.b, model.h, gains, x0, u, z, mask)
+    for got, want in zip(got_states, want_states):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -129,18 +129,20 @@ PAPER_CONDITIONS = [
 
 
 def test_sweep_runs_the_covariance_pass_once(monkeypatch):
-    calls = []
-    covariance_loop = _kernels.covariance_loop
+    calls = {"covariance_loop": 0, "_fold_rows": 0}
+    for name in calls:
+        wrapped = getattr(_kernels, name)
 
-    def counted(*args):
-        calls.append(args)
-        return covariance_loop(*args)
+        def counted(*args, _name=name, _wrapped=wrapped):
+            calls[_name] += 1
+            return _wrapped(*args)
 
+        monkeypatch.setattr(_kernels, name, counted)
     monkeypatch.setattr(filtering, "_memo", None)
-    monkeypatch.setattr(_kernels, "covariance_loop", counted)
     runs = run_sweep(SYSTEM, DATA, PAPER_CONDITIONS, seeds=[0, 1])
     assert len(runs) == 14 and all(run["error"] is None for run in runs)
-    assert len(calls) == 1
+    # the row updates are folded once, inside the shared pass
+    assert calls == {"covariance_loop": 1, "_fold_rows": 1}
 
 
 def test_scenario_after_a_sweep_matches_a_cold_run(monkeypatch):

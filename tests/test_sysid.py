@@ -428,6 +428,13 @@ def test_model_file_round_trip_is_lossless(tmp_path):
 
 def test_load_model_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
-    path.write_text(json.dumps({"format": "something-else"}))
-    with pytest.raises(ContractViolationError, match="format"):
-        load_model(path)
+    cases = [
+        ({"format": "something-else"}, "format"),
+        ([1], "must hold a JSON object"),
+        ({"format": "telekf-arx", "version": 1, "na": 2}, "lacks nb, nk, a_coeffs"),
+    ]
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolationError, match=message) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")

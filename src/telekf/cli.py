@@ -126,27 +126,36 @@ _CONFIG_FORMS = {
     float: ("a number", _is_number),
     _parse_int_values: ("a list of integers", lambda value: _is_list_of(value, _is_int)),
     _parse_float_list: ("a list of numbers", lambda value: _is_list_of(value, _is_number)),
-    _parse_rows: ("a list of [delay_ms, jitter_ms, loss] rows", lambda value: _is_list_of(value, _is_row)),
+    _parse_rows: ("a list of [jitter_ms, delay_ms, loss] rows", lambda value: _is_list_of(value, _is_row)),
 }
 
 
 def _read_config(path, parser: argparse.ArgumentParser) -> dict:
     """The --config JSON object keyed by flag destination; null means unset.
 
-    A value of a type the flag of ``parser`` would not accept is an error
-    naming the file and the key.
+    A key that names no flag of ``parser``, or a value of a type its flag
+    would not accept, is an error naming the file and the key.  A list of
+    rows reads its columns in the flag's order.
     """
     with _reading(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ContractViolationError(f"config file {path} must hold a JSON object")
-    config = {key.replace("-", "_"): value for key, value in doc.items() if value is not None}
     flag_types = {action.dest: action.type for action in parser._actions}
-    for key, value in config.items():
-        if key in flag_types and not isinstance(value, str):
+    config = {}
+    for name, value in doc.items():
+        key = name.replace("-", "_")
+        if key not in flag_types:
+            raise ContractViolationError(f"{path}: unknown key {name!r}")
+        if value is None:
+            continue
+        if not isinstance(value, str):
             form, check = _CONFIG_FORMS[flag_types[key]]
             if not check(value):
                 raise ContractViolationError(f"{path}: {key}: expected {form}, got {json.dumps(value)}")
+            if flag_types[key] is _parse_rows:
+                value = [(n_d, n_j, n_p) for n_j, n_d, n_p in value]  # as _parse_rows orders them
+        config[key] = value
     return config
 
 

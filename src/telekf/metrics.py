@@ -36,7 +36,12 @@ def fit_percent(truth, estimate) -> np.ndarray:
     number.
     """
     truth, estimate = _aligned(truth, estimate, min_len=2)
-    err = np.linalg.norm(truth - estimate, axis=0)
+    return fit_from_error_norm(np.linalg.norm(truth - estimate, axis=0), truth)
+
+
+def fit_from_error_norm(err, truth) -> np.ndarray:
+    """:func:`fit_percent` of an estimate given only its per-channel error
+    norm ``err``, for a caller that sums the squared errors as it goes."""
     spread = np.linalg.norm(truth - truth.mean(axis=0), axis=0)
     out = np.full(truth.shape[1], np.nan)
     ok = spread > 0.0

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .filtering import SystemModel
-from .metrics import fit_aggregate, fit_percent, mse
+from .metrics import fit_aggregate, fit_from_error_norm
 
 __all__ = [
     "ArxModel",
@@ -48,6 +48,9 @@ MODEL_FORMAT_VERSION = 1
 
 #: relative residual above which a rank-deficient regression is rejected
 _EXACT_FIT_RTOL = 1e-8
+
+#: time steps the batched free run of :func:`order_sweep` holds at a time
+CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -243,6 +246,21 @@ def _histories(model: ArxModel, y_init, u_init):
     return y_hist, u_hist
 
 
+def _forced(model: ArxModel, u_src: np.ndarray, steps: int) -> np.ndarray:
+    """Input term of ``steps`` consecutive steps, in one product.
+
+    The input term reads no output.  Lag l of step s is
+    ``u_src[s + nb - 1 - l]``, so ``u_src`` starts nb + nk - 1 rows before
+    the first step.  numpy sends a one-row product to gemv, which rounds
+    differently from the gemm of more rows, so a caller that splits the
+    steps must never ask for one row.
+    """
+    nb, p, m = model.nb, model.n_outputs, model.n_inputs
+    lagged = u_src[np.arange(steps)[:, None] + np.arange(nb - 1, -1, -1)]
+    b_flat = model.b_coeffs.reshape(p, m * nb)
+    return lagged.transpose(0, 2, 1).reshape(steps, m * nb) @ b_flat.T
+
+
 def simulate_arx(model: ArxModel, u, y_init=None, u_init=None, noise=None) -> np.ndarray:
     """Free-run simulation: the recursion feeds on its own past outputs.
 
@@ -257,18 +275,12 @@ def simulate_arx(model: ArxModel, u, y_init=None, u_init=None, noise=None) -> np
         raise ContractViolationError(
             f"u must have {model.n_inputs} channels, got {u.shape[1]}"
         )
-    na, nb = model.na, model.nb
-    p, m = model.n_outputs, model.n_inputs
+    na, p = model.na, model.n_outputs
     y_hist, u_hist = _histories(model, y_init, u_init)
     steps = u.shape[0]
     if noise is not None:
         noise = np.asarray(noise, dtype=float).reshape(steps, p)
-    # the input term reads no output, so every step's is one product:
-    # lag l of step t is u_full[t + nb - 1 - l]
-    u_full = np.vstack([u_hist, u])
-    lagged = u_full[np.arange(steps)[:, None] + np.arange(nb - 1, -1, -1)]
-    b_flat = model.b_coeffs.reshape(p, m * nb)
-    forced = lagged.transpose(0, 2, 1).reshape(steps, m * nb) @ b_flat.T
+    forced = _forced(model, np.vstack([u_hist, u]), steps)
     if na == 0:
         return forced if noise is None else forced + noise
     # the output lags are a recursion; with a few lags per channel, Python
@@ -386,12 +398,9 @@ def residual_covariances(model: ArxModel, data) -> tuple[np.ndarray, np.ndarray]
     return q * np.eye(n), np.diag(r_diag)
 
 
-def cross_validate(model: ArxModel, holdout) -> FitReport:
-    """Free-run validation on an independent trajectory.
-
-    The first max-lag samples of the holdout seed the simulation history;
-    the remainder is scored with the fit percentage and per-channel MSE.
-    """
+def _holdout_arrays(model: ArxModel, holdout) -> tuple[np.ndarray, np.ndarray]:
+    """The holdout's (inputs, outputs), checked against the model's channels
+    and long enough to seed its history and score two steps."""
     u = np.atleast_2d(np.asarray(holdout.inputs, dtype=float))
     y = np.atleast_2d(np.asarray(holdout.outputs, dtype=float))
     if y.shape[1] != model.n_outputs or u.shape[1] != model.n_inputs:
@@ -399,24 +408,122 @@ def cross_validate(model: ArxModel, holdout) -> FitReport:
             f"holdout has {u.shape[1]} inputs / {y.shape[1]} outputs, model expects "
             f"{model.n_inputs} / {model.n_outputs}"
         )
-    holdout_id = getattr(holdout, "trial_id", None)
-    if holdout_id and model.source_trial and holdout_id == model.source_trial:
-        warnings.warn(
-            f"holdout trial {holdout_id!r} matches the training trial; "
-            "validation is not independent",
-            stacklevel=2,
-        )
     lag = model.max_lag
     if y.shape[0] <= lag + 1:
         raise ContractViolationError(
             f"holdout needs more than {lag + 1} samples, got {y.shape[0]}"
         )
-    y_sim = simulate_arx(model, u[lag:], y_init=y[:lag], u_init=u[:lag])
-    return FitReport(
-        fit_percent=fit_percent(y[lag:], y_sim),
-        mse=mse(y[lag:], y_sim),
-        model_label=model.label,
-    )
+    return u, y
+
+
+def _warn_if_same_trial(model: ArxModel, holdout) -> None:
+    holdout_id = getattr(holdout, "trial_id", None)
+    if holdout_id and model.source_trial and holdout_id == model.source_trial:
+        warnings.warn(
+            f"holdout trial {holdout_id!r} matches the training trial; "
+            "validation is not independent",
+            stacklevel=3,
+        )
+
+
+def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> list[FitReport]:
+    """Holdout reports of several models from one free run over all of them.
+
+    Each model is seeded with the first max-lag samples of the holdout, as
+    ``simulate_arx(model, u[lag:], y_init=y[:lag], u_init=u[:lag])`` is,
+    and scored on the rest.  Every (model, output channel) pair is a column
+    of one array.  The columns are ordered by na, largest first, so each
+    lag's taps apply to a prefix of them, and one time loop advances them
+    all, CHUNK steps at a time, streaming the squared errors.
+
+    The arithmetic is simulate_arx's, (0.0 + a1 y1) + a2 y2 ..., then the
+    input term plus that, and the error sums run row by row, as numpy
+    reduces an (n, p) array over axis 0.  With two or more outputs the
+    reports therefore equal those of simulate_arx, fit_percent and mse bit
+    for bit.  With one output numpy sums the error column pairwise and
+    makes the input term by gemv, so the two agree to rounding.
+    """
+    n, p = y.shape
+    rank = sorted(range(len(models)), key=lambda k: -models[k].na)
+    runs = [models[k] for k in rank]
+    span = [slice(j * p, j * p + p) for j in range(len(runs))]
+    width = len(runs) * p
+    channel = np.tile(np.arange(p), len(runs))
+    start = np.repeat([model.max_lag for model in runs], p)  # first free step per column
+    pad = max(model.nb + model.nk - 1 for model in runs)
+    u_pad = np.vstack([np.zeros((pad, u.shape[1])), u])
+
+    na_max = runs[0].na
+    taps = np.zeros((na_max, width))  # row na_max - i: lag i's taps, 0 past a column's na
+    for j, model in enumerate(runs):
+        taps[na_max - model.na :, span[j]] = model.a_coeffs[:, ::-1].T
+    prods = np.empty((na_max, width))
+    acc = np.zeros(width)
+    adds = []  # (left, lag i's products, out), lag by lag over the columns with na >= i
+    for i in range(1, na_max + 1):
+        w = p * sum(model.na >= i for model in runs)
+        adds.append((acc[:w] if i > 1 else 0.0, prods[na_max - i, :w], acc[:w]))
+
+    # ys: the na_max steps before the chunk, then the chunk's outputs;
+    # sq: the running sums of squared errors, then the chunk's squares
+    chunk = CHUNK
+    ys = np.zeros((na_max + chunk + 1, width))
+    forced = np.empty((chunk + 1, width))
+    sq = np.zeros((chunk + 2, width))
+
+    t_first, t_late = int(start.min()), int(start.max())
+    for r, t in enumerate(range(t_first - na_max, t_first)):
+        if t >= 0:  # earlier rows meet only zero taps
+            ys[r] = y[t, channel]
+    bounds = [*range(t_first, n, chunk), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # a one-row tail joins the chunk before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0, t1 in zip(bounds, bounds[1:]):
+            rows = t1 - t0
+            for j, model in enumerate(runs):
+                u_src = u_pad[pad + t0 - model.nb - model.nk + 1 :]
+                forced[:rows, span[j]] = _forced(model, u_src, rows)
+            measured = sq[1 : rows + 1]  # in place, then the chunk's squared errors
+            measured[...] = y[t0:t1, channel]
+            for s in range(rows):
+                np.multiply(taps, ys[s : s + na_max], out=prods)
+                for left, prod, out in adds:
+                    np.add(left, prod, out=out)
+                y_s = ys[na_max + s]
+                np.add(forced[s], acc, out=y_s)
+                if t0 + s < t_late:  # a model that starts later still reads measured history
+                    late = start > t0 + s
+                    y_s[late] = measured[s, late]
+            np.subtract(measured, ys[na_max : na_max + rows], out=measured)
+            np.multiply(measured, measured, out=measured)
+            np.cumsum(sq[: rows + 1], axis=0, out=sq[: rows + 1])
+            sq[0] = sq[rows]
+            ys[:na_max] = ys[rows : rows + na_max]
+
+        reports = [None] * len(models)
+        for j, model in enumerate(runs):
+            lag = model.max_lag
+            total = sq[0, span[j]]
+            reports[rank[j]] = FitReport(
+                fit_percent=fit_from_error_norm(np.sqrt(total), y[lag:]),
+                mse=total / (n - lag),
+                model_label=model.label,
+            )
+    return reports
+
+
+def cross_validate(model: ArxModel, holdout) -> FitReport:
+    """Free-run validation on an independent trajectory.
+
+    The first max-lag samples of the holdout seed the simulation history;
+    the remainder is scored with the fit percentage and per-channel MSE.
+    The holdout must be longer than max-lag + 1 samples.  A holdout from
+    the training trial draws a warning on every call.
+    """
+    u, y = _holdout_arrays(model, holdout)
+    _warn_if_same_trial(model, holdout)
+    return _free_run_reports([model], u, y)[0]
 
 
 def order_sweep(
@@ -431,10 +538,16 @@ def order_sweep(
     Returns one record per (na, nb, nk): the fitted model, its holdout
     report, and whether it can be realized for filtering (na >= 1 and
     nk >= 1).  Sorted by aggregate fit descending; ties break toward the
-    lowest total order.  Combinations that fail to fit are recorded with
-    the error message instead of a model.
+    lowest total order.  Combinations that fail to fit or to validate are
+    recorded with the error message instead of a report (and, when the fit
+    failed, of a model).
+
+    Every fitted candidate is validated as :func:`cross_validate` does it,
+    but all of them in one free run over the holdout.  A holdout from the
+    training trial draws one warning per sweep.
     """
     records = []
+    valid = []
     for na in na_values:
         for nb in nb_values:
             for nk in nk_values:
@@ -443,10 +556,16 @@ def order_sweep(
                 try:
                     model = arx_fit(train, (na, nb, nk))
                     rec["model"] = model
-                    rec["report"] = cross_validate(model, holdout)
+                    u, y = _holdout_arrays(model, holdout)
+                    valid.append(rec)
                 except (ContractViolationError, IllConditionedDataError) as exc:
                     rec["error"] = str(exc)
                 records.append(rec)
+    if valid:
+        _warn_if_same_trial(valid[0]["model"], holdout)
+        reports = _free_run_reports([rec["model"] for rec in valid], u, y)
+        for rec, report in zip(valid, reports):
+            rec["report"] = report
 
     def sort_key(rec):
         agg = rec["report"].aggregate if rec["report"] is not None else float("-inf")

@@ -300,6 +300,29 @@ def test_config_value_of_the_wrong_type_exits_2(value, tmp_path, dataset, model_
     assert not out_dir.exists()
 
 
+def test_config_key_naming_no_flag_exits_2(tmp_path, dataset, model_file, capsys):
+    _, holdout = dataset
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sed": 3}))
+    out_dir = tmp_path / "run_out"
+    argv = ["run", "--config", str(cfg_path), "--model", str(model_file), "--data", str(holdout)]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: unknown key 'sed'\n"
+    assert not out_dir.exists()
+
+
+def test_config_rows_read_in_the_flag_column_order(tmp_path, dataset, model_file):
+    _, holdout = dataset
+    base = ["sweep", "--model", str(model_file), "--data", str(holdout), "--seeds", "1"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rows": [[2, 5, 0.1], [0.5, 7, 0]]}))
+    assert main([*base, "--config", str(cfg_path), "--out-dir", str(tmp_path / "cfg")]) == 0
+    assert main([*base, "--rows", "2,5,0.1;0.5,7,0", "--out-dir", str(tmp_path / "flag")]) == 0
+    from_config = read_embedded_config(tmp_path / "cfg" / "sweep_aggregated.csv")
+    from_flag = read_embedded_config(tmp_path / "flag" / "sweep_aggregated.csv")
+    assert from_config["conditions"] == from_flag["conditions"] == [[5.0, 2.0, 0.1], [7.0, 0.5, 0.0]]
+
+
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(telekf.__file__).resolve().parents[1]))
     code = "import sys, telekf.cli; print('scipy' in sys.modules, 'numba' in sys.modules)"

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import telekf.sysid
 from conftest import reference_dataset
 from telekf.dataio import SyntheticSpec, TrajectorySet, gen_synthetic, random_stable_arx
 from telekf.errors import (
@@ -10,6 +13,7 @@ from telekf.errors import (
     IllConditionedDataError,
     UnsupportedStructureError,
 )
+from telekf.metrics import fit_percent, mse
 from telekf.sysid import (
     ArxModel,
     arx_fit,
@@ -384,6 +388,84 @@ def test_order_sweep_prefers_true_orders():
     assert best["report"].aggregate >= 95.0
     low = next(r for r in records if r["orders"] == (1, 1, 1))
     assert best["report"].aggregate > low["report"].aggregate
+
+
+def _assert_reports_match_one_at_a_time(records, holdout):
+    """Every report equals simulate_arx + fit_percent + mse of its candidate
+    alone, bit for bit (NaN and inf with their signs)."""
+    u, y = holdout.inputs, holdout.outputs
+    scored = [rec for rec in records if rec["report"] is not None]
+    for rec in scored:
+        model = rec["model"]
+        lag = model.max_lag
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_sim = simulate_arx(model, u[lag:], y_init=y[:lag], u_init=u[:lag])
+            want_fit, want_mse = fit_percent(y[lag:], y_sim), mse(y[lag:], y_sim)
+        assert rec["report"].fit_percent.tobytes() == want_fit.tobytes(), model.label
+        assert rec["report"].mse.tobytes() == want_mse.tobytes(), model.label
+        assert rec["report"].model_label == model.label
+    return scored
+
+
+@pytest.fixture(scope="module")
+def grid_train():
+    return reference_dataset(n_samples=1500, seed=31)
+
+
+@pytest.mark.parametrize("n_holdout", [514, 1026, 1537])
+def test_order_sweep_reports_equal_one_candidate_at_a_time(grid_train, n_holdout):
+    # 514 and 1026 leave a one-row tail after 512-step chunks from t = 1
+    holdout = reference_dataset(n_samples=n_holdout, seed=32)
+    records = order_sweep(grid_train, holdout)
+    scored = _assert_reports_match_one_at_a_time(records, holdout)
+    assert len(scored) == 48
+    assert any(not np.isfinite(rec["report"].aggregate) for rec in scored)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7])
+def test_order_sweep_reports_do_not_depend_on_the_chunk(grid_train, chunk, monkeypatch):
+    holdout = reference_dataset(n_samples=600, seed=33)
+    monkeypatch.setattr(telekf.sysid, "CHUNK", chunk)
+    records = order_sweep(grid_train, holdout)
+    scored = _assert_reports_match_one_at_a_time(records, holdout)
+    assert len(scored) == 48
+    assert any(not np.isfinite(rec["report"].aggregate) for rec in scored)
+
+
+def test_order_sweep_scores_a_holdout_too_short_for_some_orders(grid_train):
+    full = reference_dataset(n_samples=50, seed=34)
+    holdout = dataclasses.replace(full, inputs=full.inputs[:6], outputs=full.outputs[:6])
+    records = order_sweep(grid_train, holdout)
+    short = [rec for rec in records if rec["report"] is None]
+    assert sorted(rec["orders"] for rec in short) == [(na, 4, 2) for na in (1, 2, 3, 4)]
+    assert {rec["error"] for rec in short} == {"holdout needs more than 6 samples, got 6"}
+    assert all(rec["model"] is not None for rec in short)
+    assert len(_assert_reports_match_one_at_a_time(records, holdout)) == 44
+
+
+def test_order_sweep_diverging_candidate_emits_no_runtime_warning(grid_train):
+    holdout = reference_dataset(n_samples=600, seed=35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = order_sweep(grid_train, holdout)
+    diverged = [rec for rec in records if not np.isfinite(rec["report"].aggregate)]
+    assert [rec["orders"] for rec in diverged] == [(1, 1, 2)]
+
+
+def test_order_sweep_warns_once_on_the_training_trial():
+    data = reference_dataset(n_samples=300, seed=36)
+    with pytest.warns(UserWarning, match="matches the training trial") as caught:
+        order_sweep(data, data, na_values=(1, 2), nb_values=(1, 2), nk_values=(1,))
+    assert len(caught) == 1
+
+
+def test_cross_validate_is_the_sweep_of_one_model(grid_train):
+    holdout = reference_dataset(n_samples=400, seed=37)
+    records = order_sweep(grid_train, holdout, na_values=(2, 3), nb_values=(2,), nk_values=(1,))
+    for rec in records:
+        alone = cross_validate(rec["model"], holdout)
+        assert alone.fit_percent.tobytes() == rec["report"].fit_percent.tobytes()
+        assert alone.mse.tobytes() == rec["report"].mse.tobytes()
 
 
 # ---------------------------------------------------------------------------

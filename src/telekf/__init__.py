@@ -12,7 +12,6 @@ from .filtering import (
     StateEstimate,
     SystemModel,
     predict,
-    run_filter,
     update_joint,
     update_sequential,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "mse",
     "parse_kinematics",
     "predict",
-    "run_filter",
     "run_scenario",
     "simulate_arx",
     "update_joint",

@@ -305,13 +305,11 @@ def random_stable_arx(
     seed: int,
     dt: float = DEFAULT_DT,
     pole_radius: float = 0.9,
-    gain_scale: float = 1.0,
 ) -> ArxModel:
     """Random ARX model with all poles inside ``pole_radius``.
 
     Poles are drawn as complex-conjugate pairs (plus one real pole when na
-    is odd); input coefficients are standard normal scaled by
-    ``gain_scale``.
+    is odd); input coefficients are standard normal.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     a_coeffs = np.empty((n_outputs, na))
@@ -327,7 +325,7 @@ def random_stable_arx(
             poles.append(rng.uniform(-pole_radius, pole_radius))
         poly = np.real(np.poly(np.asarray(poles))) if poles else np.array([1.0])
         a_coeffs[c] = -poly[1:]
-    b_coeffs = gain_scale * rng.standard_normal((n_outputs, n_inputs, nb))
+    b_coeffs = rng.standard_normal((n_outputs, n_inputs, nb))
     return ArxModel(
         na=na,
         nb=nb,
@@ -358,7 +356,6 @@ class SyntheticSpec:
     process_noise: float = 0.0
     measurement_noise: float = 0.0
     dt: float | None = None
-    allow_unstable: bool = False
 
     def __post_init__(self):
         if self.excitation not in ("white", "sines"):
@@ -375,13 +372,11 @@ def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
     """Simulate the generator under seeded excitation and noise.
 
     The same spec always produces the same TrajectorySet.  Unstable
-    generators are rejected unless ``allow_unstable`` is set.
+    generators are rejected.
     """
     model = spec.generator
-    if not model.stable and not spec.allow_unstable:
-        raise ContractViolationError(
-            "generator is unstable; pass allow_unstable=True to simulate anyway"
-        )
+    if not model.stable:
+        raise ContractViolationError("generator is unstable")
     dt = spec.dt if spec.dt is not None else model.dt
     exc_seq, proc_seq, meas_seq = np.random.SeedSequence(spec.seed).spawn(3)
     exc_rng = np.random.Generator(np.random.PCG64(exc_seq))

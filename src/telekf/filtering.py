@@ -2,8 +2,9 @@
 
 Implements the prediction step, the joint-vector measurement update, and the
 sequential-scalar measurement update (valid for diagonal measurement noise),
-plus a batch runner that records the full estimate trajectory.  All functions
-are pure: they return new estimates and never mutate their inputs.
+and runs the filter over a whole trajectory with a per-step arrival mask.
+All functions are pure: they return new estimates and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "predict",
     "update_joint",
     "update_sequential",
-    "run_filter",
     "run_filter_trace",
     "initial_estimate",
 ]
@@ -121,7 +121,6 @@ class StateEstimate:
 
     x_hat: np.ndarray
     p: np.ndarray
-    k_index: int = 0
 
     def __post_init__(self):
         x = np.asarray(self.x_hat, dtype=float).reshape(-1)
@@ -137,7 +136,6 @@ class StateEstimate:
             raise ContractViolationError("covariance must be finite")
         object.__setattr__(self, "x_hat", x)
         object.__setattr__(self, "p", cov)
-        object.__setattr__(self, "k_index", int(self.k_index))
 
     @property
     def n_states(self) -> int:
@@ -194,7 +192,7 @@ def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
     x_pri, _ = _kernels.state_loop(
         model.a, model.b, mk, fold, est.x_hat, u[None], np.zeros((1, model.n_outputs))
     )
-    return StateEstimate(x_pri[0], p_pri[0], est.k_index + 1)
+    return StateEstimate(x_pri[0], p_pri[0])
 
 
 def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
@@ -222,7 +220,7 @@ def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
     gain = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ est.p)).T
     x = est.x_hat + gain @ (z - h @ est.x_hat)
     cov = (np.eye(model.n_states) - gain @ h) @ est.p
-    return StateEstimate(x, _finalize_cov(cov), est.k_index)
+    return StateEstimate(x, _finalize_cov(cov))
 
 
 def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
@@ -250,12 +248,12 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
     _, x_post = _kernels.state_loop(
         eye, np.zeros((n, 1)), mk, fold, est.x_hat, np.zeros((1, 1)), z[None]
     )
-    return StateEstimate(x_post[0], _finalize_cov(p_post[0]), est.k_index)
+    return StateEstimate(x_post[0], _finalize_cov(p_post[0]))
 
 
 @dataclass
 class FilterTrace:
-    """Stacked per-step filter output over a batch run.
+    """Stacked per-step output of :func:`run_filter_trace`.
 
     ``x_prior``/``p_prior`` hold the a-priori estimates, ``x_post``/``p_post``
     the a-posteriori ones (identical to the priors on steps without a
@@ -269,7 +267,6 @@ class FilterTrace:
     x_post: np.ndarray
     p_post: np.ndarray
     has_obs: np.ndarray
-    k_start: int = 1
 
     def innovations(self, model: SystemModel, z: np.ndarray):
         """Innovation vectors and covariances on observed steps.
@@ -290,14 +287,18 @@ def run_filter_trace(
     inputs,
     observations,
 ) -> FilterTrace:
-    """Array-level batch filter run; see :func:`run_filter` for semantics.
+    """Run the filter over N steps and record every estimate.
 
-    ``observations`` may be an (N, p) array with a separate boolean mask
-    given as a ``(z, mask)`` tuple, or a sequence with ``None`` entries for
-    missing measurements; any other tuple, a pair included, is such a
-    sequence.  The covariance pass depends only on the model, ``init.p``
-    and the mask; the last one is kept, so calls that share those (the
-    scenarios of a sweep) compute it once and share its arrays read-only.
+    ``inputs`` is (N, m) and ``observations`` is a ``(z, mask)`` pair: ``z``
+    holds N measurement rows and the boolean ``mask`` marks the steps whose
+    measurement arrived.  Step t predicts from the running estimate with
+    ``inputs[t]`` and, where ``mask[t]`` is set, refines with the
+    sequential-scalar update on ``z[t]``; rows of ``z`` on other steps are
+    never read.  The first step starts from ``init``.
+
+    The covariance pass depends only on the model, ``init.p`` and the mask;
+    the last one is kept, so calls that share those (the scenarios of a
+    sweep) compute it once and share its arrays read-only.
     """
     _check_est(init, model)
     u = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)))
@@ -309,20 +310,13 @@ def run_filter_trace(
     if steps < 1:
         raise ContractViolationError("at least one step is required")
 
-    p_dim = model.n_outputs
-    pair = isinstance(observations, tuple) and len(observations) == 2
-    if pair and np.asarray(observations[1]).dtype == bool:
-        z, mask = observations
-        z = np.ascontiguousarray(np.asarray(z, dtype=float).reshape(-1, p_dim))
-        mask = np.asarray(mask).reshape(-1)
-    else:
-        obs_list = list(observations)
-        z = np.zeros((len(obs_list), p_dim))
-        mask = np.zeros(len(obs_list), dtype=bool)
-        for t, obs in enumerate(obs_list):
-            if obs is not None:
-                z[t] = np.asarray(obs, dtype=float).reshape(-1)
-                mask[t] = True
+    if not (isinstance(observations, tuple) and len(observations) == 2):
+        raise ContractViolationError("observations must be a (z, mask) pair")
+    z, mask = observations
+    mask = np.asarray(mask).reshape(-1)
+    if mask.dtype != bool:
+        raise ContractViolationError(f"the observation mask must be boolean, got dtype {mask.dtype}")
+    z = np.ascontiguousarray(np.asarray(z, dtype=float).reshape(-1, model.n_outputs))
     if z.shape[0] != steps or mask.shape[0] != steps:
         raise ContractViolationError(
             f"inputs and observations must have equal length, got {steps} and {z.shape[0]}"
@@ -344,7 +338,7 @@ def run_filter_trace(
             condition=float("inf"),
         )
     x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, fold, init.x_hat, u, z)
-    return FilterTrace(x_pri, p_pri, x_post, p_post, mask, k_start=init.k_index + 1)
+    return FilterTrace(x_pri, p_pri, x_post, p_post, mask)
 
 
 #: ``(key, result)`` of the last covariance pass of :func:`run_filter_trace`
@@ -371,33 +365,7 @@ def _covariances(a, h, q, r_diag, p0, mask):
     return memo[1]
 
 
-def run_filter(
-    model: SystemModel,
-    init: StateEstimate,
-    inputs,
-    observations,
-) -> list[StateEstimate]:
-    """Run predict (+ sequential update when a measurement is present) per step.
-
-    ``inputs`` and ``observations`` must have equal length N; step t predicts
-    from the running estimate with ``inputs[t]`` and, unless
-    ``observations[t]`` is ``None``, refines with the sequential-scalar
-    update.  Returns the N a-posteriori estimates (pure predictions on steps
-    without a measurement).
-    """
-    trace = run_filter_trace(model, init, inputs, observations)
-    return [
-        StateEstimate(trace.x_post[t], trace.p_post[t], trace.k_start + t)
-        for t in range(trace.x_post.shape[0])
-    ]
-
-
-def initial_estimate(
-    model: SystemModel,
-    first_obs: Optional[np.ndarray] = None,
-    p0_scale: float = 10.0,
-    k_index: int = 0,
-) -> StateEstimate:
+def initial_estimate(model: SystemModel, first_obs: Optional[np.ndarray] = None) -> StateEstimate:
     """Diffuse starting estimate: pseudoinverse-mapped first sample, p = 10 I.
 
     With no observation available the state starts at zero.
@@ -411,4 +379,4 @@ def initial_estimate(
                 f"first observation has length {first_obs.shape[0]}, expected {model.n_outputs}"
             )
         x0 = np.linalg.pinv(model.h) @ first_obs
-    return StateEstimate(x0, p0_scale * np.eye(model.n_states), k_index)
+    return StateEstimate(x0, 10.0 * np.eye(model.n_states))

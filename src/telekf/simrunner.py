@@ -22,7 +22,7 @@ import numpy as np
 from .channel import RNG_ALGORITHM, ChannelStats, NetworkConfig, apply_channel
 from .dataio import TrajectorySet
 from .errors import ContractViolationError
-from .filtering import FilterTrace, StateEstimate, SystemModel, initial_estimate, run_filter_trace
+from .filtering import FilterTrace, SystemModel, initial_estimate, run_filter_trace
 from .metrics import fit_aggregate, fit_percent, mse
 
 __all__ = [
@@ -50,7 +50,6 @@ class Scenario:
     model: SystemModel
     network: NetworkConfig
     data: TrajectorySet
-    init: Optional[StateEstimate] = None
 
     def __post_init__(self):
         if self.model.n_outputs != self.data.outputs.shape[1]:
@@ -63,10 +62,6 @@ class Scenario:
                 f"model has {self.model.n_inputs} inputs but data has "
                 f"{self.data.inputs.shape[1]} input channels"
             )
-        if self.init is not None and self.init.n_states != self.model.n_states:
-            raise ContractViolationError(
-                f"init estimate has {self.init.n_states} states, model has {self.model.n_states}"
-            )
 
 
 @dataclass
@@ -78,7 +73,6 @@ class ScenarioResult:
     est_percent: np.ndarray
     est_aggregate: float
     channel_stats: ChannelStats
-    seed_manifest: dict
     runtime_ms: float
     delivered: Optional[np.ndarray] = None
     trace: Optional[FilterTrace] = None
@@ -98,9 +92,7 @@ def run_scenario(scenario: Scenario, return_trace: bool = False) -> ScenarioResu
         raise ContractViolationError("a scenario needs at least two samples")
     start = time.perf_counter()
     delivered, _, _, stats = apply_channel(data.outputs, scenario.network, data.dt)
-    init = scenario.init
-    if init is None:
-        init = initial_estimate(scenario.model, first_obs=data.outputs[0])
+    init = initial_estimate(scenario.model, first_obs=data.outputs[0])
     trace = run_filter_trace(
         scenario.model,
         init,
@@ -118,7 +110,6 @@ def run_scenario(scenario: Scenario, return_trace: bool = False) -> ScenarioResu
         est_percent=per_fit,
         est_aggregate=fit_aggregate(per_fit),
         channel_stats=stats,
-        seed_manifest={"network_seed": scenario.network.seed, "rng_algorithm": RNG_ALGORITHM},
         runtime_ms=runtime_ms,
         delivered=delivered if return_trace else None,
         trace=trace if return_trace else None,
@@ -264,6 +255,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted (RFC 4180) if it holds a comma or a quote."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _meta_lines(config: dict, version: str) -> list[str]:
     return [
         f"# {REPORT_FORMAT} v{REPORT_VERSION} telekf={version} rng={RNG_ALGORITHM}",
@@ -285,7 +283,8 @@ def report_header(channel_names) -> list[str]:
 
 
 def write_runs_csv(path, runs: list[dict], channel_names, config: dict, version: str) -> None:
-    """Per-(condition, seed) rows, including runtime; failures get an error row."""
+    """Per-(condition, seed) rows, including runtime; failures get an error row
+    whose message fills the est_aggregate column."""
     lines = _meta_lines(config, version)
     lines.append(",".join(report_header(channel_names)))
     for run in runs:
@@ -293,7 +292,7 @@ def write_runs_csv(path, runs: list[dict], channel_names, config: dict, version:
         prefix = [_fmt(n_d), _fmt(n_j), _fmt(n_p), str(run["seed"])]
         result = run["result"]
         if result is None:
-            row = prefix + ["error"] * (2 * len(channel_names)) + [run["error"], "", "", ""]
+            row = prefix + ["error"] * (2 * len(channel_names)) + [_csv_field(run["error"]), "", "", "", ""]
         else:
             row = (
                 prefix

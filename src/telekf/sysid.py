@@ -543,8 +543,9 @@ def order_sweep(
     failed, of a model).
 
     Every fitted candidate is validated as :func:`cross_validate` does it,
-    but all of them in one free run over the holdout.  A holdout from the
-    training trial draws one warning per sweep.
+    but all of them in one free run over the holdout.  Unlike
+    :func:`cross_validate`, the sweep does not warn about a holdout from the
+    training trial; ``telekf identify`` reports that case itself.
     """
     records = []
     valid = []
@@ -562,7 +563,6 @@ def order_sweep(
                     rec["error"] = str(exc)
                 records.append(rec)
     if valid:
-        _warn_if_same_trial(valid[0]["model"], holdout)
         reports = _free_run_reports([rec["model"] for rec in valid], u, y)
         for rec, report in zip(valid, reports):
             rec["report"] = report

@@ -16,7 +16,6 @@ from telekf.filtering import (
     SystemModel,
     initial_estimate,
     predict,
-    run_filter,
     run_filter_trace,
     update_joint,
     update_sequential,
@@ -41,7 +40,6 @@ def test_predict_identity_dynamics():
     out = predict(est, model, [0.0])
     np.testing.assert_array_equal(out.x_hat, [1.0, 2.0])
     np.testing.assert_array_equal(out.p, np.eye(2))
-    assert out.k_index == 1
 
 
 def test_predict_constant_velocity_exact():
@@ -208,7 +206,7 @@ def test_sequential_zero_innovation_variance():
         with pytest.raises(SingularInnovationError, match="step 0, measurement row 0"), np.errstate(
             over="ignore", invalid="ignore"
         ):
-            run_filter_trace(model, est, [[0.0]], [[1.0]])
+            run_filter_trace(model, est, [[0.0]], ([[1.0]], [True]))
 
 
 def test_update_never_increases_trace():
@@ -230,18 +228,17 @@ def test_update_never_increases_trace():
 
 
 # ---------------------------------------------------------------------------
-# run_filter
+# run_filter_trace
 
 
 def test_run_filter_single_step_without_observation_is_predict():
     model = scalar_model(a=0.9, b=0.5, q=0.04)
     init = StateEstimate([2.0], [[1.0]])
-    out = run_filter(model, init, [[1.0]], [None])
+    trace = run_filter_trace(model, init, [[1.0]], ([[0.0]], [False]))
     expected = predict(init, model, [1.0])
-    assert len(out) == 1
-    np.testing.assert_allclose(out[0].x_hat, expected.x_hat, rtol=1e-15)
-    np.testing.assert_allclose(out[0].p, expected.p, rtol=1e-15)
-    assert out[0].k_index == 1
+    assert trace.x_post.shape == (1, 1)
+    np.testing.assert_allclose(trace.x_post[0], expected.x_hat, rtol=1e-15)
+    np.testing.assert_allclose(trace.p_post[0], expected.p, rtol=1e-15)
 
 
 def test_run_filter_tracks_perfect_sensor():
@@ -257,14 +254,13 @@ def test_run_filter_tracks_perfect_sensor():
         dt=DT,
     )
     z = rng.standard_normal((50, n))
-    out = run_filter(
+    trace = run_filter_trace(
         model,
         StateEstimate(np.zeros(n), np.eye(n)),
         np.zeros((50, 1)),
         (z, np.ones(50, dtype=bool)),
     )
-    for t in range(1, 50):
-        np.testing.assert_allclose(out[t].x_hat, z[t], atol=1e-6)
+    np.testing.assert_allclose(trace.x_post[1:], z[1:], atol=1e-6)
 
 
 def test_step_api_matches_batch_trace_bit_for_bit():
@@ -283,19 +279,23 @@ def test_run_filter_length_mismatch():
     model = scalar_model()
     init = StateEstimate([0.0], [[1.0]])
     with pytest.raises(ContractViolationError, match="equal length"):
-        run_filter(model, init, [[0.0], [0.0]], [None])
+        run_filter_trace(model, init, [[0.0], [0.0]], ([[0.0]], [False]))
 
 
-def test_two_observations_in_a_tuple_are_a_sequence_not_a_pair():
-    # only a tuple whose second item is a boolean mask is the (z, mask) form
+def test_observations_must_be_a_pair_with_a_boolean_mask():
     model = scalar_model()
     init = StateEstimate([0.0], [[1.0]])
     u = [[0.0], [0.0]]
-    as_list = run_filter_trace(model, init, u, [[1.0], [2.0]])
-    for observations in (([1.0], [2.0]), ([[1.0], [2.0]], np.ones(2, dtype=bool))):
-        trace = run_filter_trace(model, init, u, observations)
-        np.testing.assert_array_equal(trace.x_post, as_list.x_post)
-        np.testing.assert_array_equal(trace.has_obs, [True, True])
+    z = [[1.0], [2.0]]
+    for not_a_pair in (z, [[1.0], None], (z,), [z, [True, True]]):
+        with pytest.raises(ContractViolationError, match=r"\(z, mask\) pair"):
+            run_filter_trace(model, init, u, not_a_pair)
+    # a tuple of two observations is a pair whose mask is not boolean
+    for mask in ([2.0], [1, 1], np.ones(2)):
+        with pytest.raises(ContractViolationError, match="mask must be boolean"):
+            run_filter_trace(model, init, u, ([1.0], mask))
+    trace = run_filter_trace(model, init, u, (z, np.ones(2, dtype=bool)))
+    np.testing.assert_array_equal(trace.has_obs, [True, True])
 
 
 def test_run_filter_missing_observations_propagate_prediction():
@@ -303,8 +303,9 @@ def test_run_filter_missing_observations_propagate_prediction():
     rng = np.random.default_rng(8)
     steps = 40
     u = rng.standard_normal((steps, model.n_inputs))
-    obs = [rng.standard_normal(model.n_outputs) if t % 3 == 0 else None for t in range(steps)]
-    trace = run_filter_trace(model, initial_estimate(model), u, obs)
+    z = rng.standard_normal((steps, model.n_outputs))
+    mask = np.arange(steps) % 3 == 0
+    trace = run_filter_trace(model, initial_estimate(model), u, (z, mask))
     skipped = ~trace.has_obs
     np.testing.assert_array_equal(trace.x_post[skipped], trace.x_prior[skipped])
     np.testing.assert_array_equal(trace.p_post[skipped], trace.p_prior[skipped])
@@ -324,21 +325,6 @@ def test_run_filter_covariance_hygiene_on_random_run():
         asym, eig_min = hygiene_of_covs(stack)
         assert asym <= 1e-9
         assert eig_min >= -1e-9
-
-
-def test_run_filter_objects_match_trace():
-    model = exact_lti(seed=21)
-    rng = np.random.default_rng(22)
-    steps = 10
-    u = rng.standard_normal((steps, model.n_inputs))
-    z = rng.standard_normal((steps, model.n_outputs))
-    init = initial_estimate(model, first_obs=z[0], k_index=5)
-    estimates = run_filter(model, init, u, (z, np.ones(steps, dtype=bool)))
-    trace = run_filter_trace(model, init, u, (z, np.ones(steps, dtype=bool)))
-    assert [e.k_index for e in estimates] == list(range(6, 16))
-    np.testing.assert_array_equal(
-        np.array([e.x_hat for e in estimates]), trace.x_post
-    )
 
 
 def test_initial_estimate_policies():
@@ -374,9 +360,7 @@ def test_non_finite_controls_and_measurements_rejected():
             with pytest.raises(ContractViolationError, match="measurement must be finite"):
                 update(est, model, [bad])
         with pytest.raises(ContractViolationError, match="inputs must be finite"):
-            run_filter_trace(model, est, [[0.0], [bad]], [[1.0], [1.0]])
-        with pytest.raises(ContractViolationError, match="observations must be finite"):
-            run_filter_trace(model, est, [[0.0], [0.0]], [[1.0], [bad]])
+            run_filter_trace(model, est, [[0.0], [bad]], ([[1.0], [1.0]], [True, True]))
         with pytest.raises(ContractViolationError, match="observations must be finite"):
             run_filter_trace(model, est, [[0.0], [0.0]], ([[1.0], [bad]], [True, True]))
 

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,7 +40,6 @@ def test_clean_channel_tracks_tightly():
     assert result.est_aggregate >= 99.0
     assert result.z_est.shape == (DATA.n_samples, 3)
     assert result.channel_stats.loss_realized == 0.0
-    assert result.seed_manifest["rng_algorithm"] == "pcg64"
 
 
 def test_total_loss_is_strictly_worse_than_clean():
@@ -184,9 +184,13 @@ def test_aggregate_sweep_means_and_std():
 
 
 def test_csv_writers_schema_and_embedded_config(tmp_path):
-    runs = run_sweep(SYSTEM, DATA, [(0, 0, 0.1)], seeds=[0, 1])
+    runs = run_sweep(SYSTEM, DATA, [(0, 0, 0.1), (0, 0, -0.5)], seeds=[0, 1])
     aggs = aggregate_sweep(runs)
-    config = {"command": "sweep", "conditions": [[0, 0, 0.1]], "seeds": [0, 1]}
+    # error messages as a failing scenario could word them: one with a quote,
+    # one with neither a quote nor a comma
+    for seed, message in ((2, 'SingularInnovationError: row "y1"'), (3, "ValueError: bad")):
+        runs.append({"condition": (0.0, 0.0, 0.1), "seed": seed, "result": None, "error": message})
+    config = {"command": "sweep", "conditions": [[0, 0, 0.1], [0, 0, -0.5]], "seeds": [0, 1]}
     runs_path = tmp_path / "runs.csv"
     agg_path = tmp_path / "agg.csv"
     write_runs_csv(runs_path, runs, DATA.output_names, config, "0.1.0")
@@ -205,11 +209,24 @@ def test_csv_writers_schema_and_embedded_config(tmp_path):
         "runtime_ms",
     ]
     assert read_embedded_config(agg_path) == config
-    agg_rows = [l for l in agg_path.read_text().splitlines() if not l.startswith("#")][1:]
-    assert len(agg_rows) == 1
-    assert agg_rows[0].split(",")[3] == "AGG"
+
+    def data_rows(path):
+        rows = list(csv.reader(l for l in path.read_text().splitlines() if not l.startswith("#")))
+        assert rows[0] == cols
+        assert all(len(row) == len(cols) for row in rows[1:])
+        return [dict(zip(cols, row)) for row in rows[1:]]
+
+    errors = [row["est_aggregate"] for row in data_rows(runs_path) if row[cols[4]] == "error"]
+    assert errors == [run["error"] for run in runs if run["error"] is not None]
+    assert errors[0] == "ContractViolationError: n_p must be in [0, 1], got -0.5"
+    # only a message with a comma or a quote is quoted
+    assert ",ValueError: bad," in runs_path.read_text()
+
+    agg_rows = data_rows(agg_path)
+    assert [row["seed"] for row in agg_rows] == ["AGG", "AGG"]
+    assert agg_rows[1][cols[4]] == "error"
     # aggregated rows carry no runtime so the file is reproducible
-    assert agg_rows[0].split(",")[-1] == ""
+    assert [row["runtime_ms"] for row in agg_rows] == ["", ""]
 
 
 def reference_trace_csv(path, data, delivered, z_est, config, version):

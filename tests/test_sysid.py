@@ -452,13 +452,6 @@ def test_order_sweep_diverging_candidate_emits_no_runtime_warning(grid_train):
     assert [rec["orders"] for rec in diverged] == [(1, 1, 2)]
 
 
-def test_order_sweep_warns_once_on_the_training_trial():
-    data = reference_dataset(n_samples=300, seed=36)
-    with pytest.warns(UserWarning, match="matches the training trial") as caught:
-        order_sweep(data, data, na_values=(1, 2), nb_values=(1, 2), nk_values=(1,))
-    assert len(caught) == 1
-
-
 def test_cross_validate_is_the_sweep_of_one_model(grid_train):
     holdout = reference_dataset(n_samples=400, seed=37)
     records = order_sweep(grid_train, holdout, na_values=(2, 3), nb_values=(2,), nk_values=(1,))

@@ -41,9 +41,9 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     whether it is observed.  So once step t enters with the covariance and
     flag of an earlier step s, steps t, t+1, ... repeat steps s, s+1, ...
     with period t - s for as long as the mask repeats with that period, and
-    that whole run, fold indices included, is filled in one periodic copy.
+    that whole run, fold indices included, is copied from steps s .. t-1.
     With every step observed the recursion settles into a short cycle after
-    a few dozen steps, and the rest of the pass is one copy.
+    a few dozen steps, and the rest of the pass is a few slice copies.
     """
     steps = has_z.shape[0]
     p, n = h.shape
@@ -62,11 +62,9 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
         key = (cov.tobytes(), observed)
         done = seen.get(key)
         if done is not None:
-            period = t - done
-            end = _periodic_run_end(has_z, t, period)
-            src = done + np.arange(end - t) % period
+            end = _periodic_run_end(has_z, t, t - done)
             for arr in (p_pri, p_post, fold):
-                arr[t:end] = arr[src]
+                _fill_periodic(arr, done, t, end)
             t = end
             cov = p_post[t - 1]
             continue
@@ -109,6 +107,18 @@ def _periodic_run_end(has_z, start, period):
             return start + int(differs.argmax())
         start, width = stop, 2 * width
     return steps
+
+
+def _fill_periodic(arr, first, start, end):
+    """Fill ``arr[start:end]`` by repeating ``arr[first:start]``.
+
+    Each slice copy doubles the filled span, so a run takes a few copies
+    and makes no temporary of its own length.
+    """
+    while start < end:
+        width = min(start - first, end - start)
+        arr[start : start + width] = arr[first : first + width]
+        start += width
 
 
 def _fold_rows(h, gains):

@@ -160,14 +160,22 @@ def _read_config(path, parser: argparse.ArgumentParser) -> dict:
 
 
 def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
+    """The channel names of ``<data>.truth.json``, if it names both sides."""
     sidecar = Path(str(data_path) + ".truth.json")
     if not sidecar.exists():
         return None
     with _reading(sidecar):
         doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    if "input_names" in doc and "output_names" in doc:
-        return list(doc["input_names"]), list(doc["output_names"])
-    return None
+    if not isinstance(doc, dict):
+        raise ContractViolationError(f"sidecar {sidecar} must hold a JSON object")
+    if "input_names" not in doc or "output_names" not in doc:
+        return None
+    names = doc["input_names"], doc["output_names"]
+    if not all(_is_list_of(side, lambda name: isinstance(name, str)) for side in names):
+        raise ContractViolationError(
+            f"sidecar {sidecar}: input_names and output_names must be lists of strings"
+        )
+    return names
 
 
 def _load_trajectory(data_path, dt, inputs, outputs, preset, arm) -> dataio.TrajectorySet:
@@ -338,6 +346,10 @@ def _sweep_conditions(args) -> list[tuple[float, float, float]]:
     return [tuple(float(v) for v in row) for row in rows]
 
 
+#: the keys of a sweep config that :func:`_run_sweep_from_config` reads
+_SWEEP_CONFIG_KEYS = ("model", "data", "inputs", "outputs", "preset", "arm", "dt", "conditions", "seeds")
+
+
 def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
     conditions = [tuple(c) for c in config["conditions"]]
     seeds = [int(s) for s in config["seeds"]]
@@ -383,9 +395,14 @@ def cmd_sweep(args) -> int:
     if args.replay:
         with _reading(args.replay):
             config = simrunner.read_embedded_config(args.replay)
-        if config.get("command") != "sweep":
+        if not isinstance(config, dict) or config.get("command") != "sweep":
             raise ContractViolationError(
                 f"{args.replay} does not embed a sweep config"
+            )
+        missing = [key for key in _SWEEP_CONFIG_KEYS if key not in config]
+        if missing:
+            raise ContractViolationError(
+                f"{args.replay}: embedded sweep config lacks {', '.join(missing)}"
             )
         return _run_sweep_from_config(config, out_dir)
 

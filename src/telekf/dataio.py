@@ -146,7 +146,7 @@ def _read_text(source) -> str:
         ) from None
 
 
-def _parse_tokens(text: str, n_columns: int) -> np.ndarray:
+def _parse_tokens(lines: list[str], n_columns: int) -> np.ndarray:
     """Per-token reader: values, or the error naming the offending row.
 
     Reads tokens only Python's ``float`` accepts (``1_0``, non-ASCII digits)
@@ -154,7 +154,7 @@ def _parse_tokens(text: str, n_columns: int) -> np.ndarray:
     """
     rows = []
     line_numbers = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -187,6 +187,14 @@ def _parse_tokens(text: str, n_columns: int) -> np.ndarray:
     return values
 
 
+def _columns(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[:, index]``: a view when the columns are consecutive, as in
+    the packaged layout, and a copy otherwise."""
+    if index.size and (np.diff(index) == 1).all():
+        return values[:, index[0] : index[-1] + 1]
+    return values[:, index]
+
+
 def parse_kinematics(
     source,
     layout: ColumnLayout | None = None,
@@ -206,11 +214,15 @@ def parse_kinematics(
     text = _read_text(source)
     if not text or text.isspace():
         raise ContractViolationError("kinematics source contains no data rows")
+    # the decoded text goes once it is split and the lines once they are
+    # parsed, so only the lines are held while numpy builds the array
+    lines = text.splitlines()
+    del text
     # numpy's reader splits rows and tokens as str.splitlines/str.split do and
     # parses a subset of what float() accepts to the same bits; anything it
     # rejects goes to the per-token reader for its value or its error
     try:
-        values = np.loadtxt(text.splitlines(), dtype=float, comments=None, ndmin=2)
+        values = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
     except ValueError:
         values = None
     if (
@@ -218,14 +230,15 @@ def parse_kinematics(
         or values.shape[1] != layout.n_columns
         or not np.isfinite(values).all()
     ):
-        values = _parse_tokens(text, layout.n_columns)
+        values = _parse_tokens(lines, layout.n_columns)
+    del lines
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     names = np.asarray(layout.names)
     return TrajectorySet(
         dt=dt,
-        inputs=values[:, master],
-        outputs=values[:, slave],
+        inputs=_columns(values, master),
+        outputs=_columns(values, slave),
         input_names=tuple(names[master]),
         output_names=tuple(names[slave]),
         trial_id=trial_id,

@@ -319,7 +319,8 @@ def run_filter_trace(
     z = np.ascontiguousarray(np.asarray(z, dtype=float).reshape(-1, model.n_outputs))
     if z.shape[0] != steps or mask.shape[0] != steps:
         raise ContractViolationError(
-            f"inputs and observations must have equal length, got {steps} and {z.shape[0]}"
+            "inputs, observations and mask must have equal length, "
+            f"got {steps}, {z.shape[0]} and {mask.shape[0]}"
         )
 
     if not np.isfinite(u).all():

@@ -36,14 +36,20 @@ def fit_percent(truth, estimate) -> np.ndarray:
     number.
     """
     truth, estimate = _aligned(truth, estimate, min_len=2)
-    return fit_from_error_norm(np.linalg.norm(truth - estimate, axis=0), truth)
+    return fit_from_error_norm(np.linalg.norm(truth - estimate, axis=0), channel_spread(truth))
 
 
-def fit_from_error_norm(err, truth) -> np.ndarray:
+def channel_spread(truth) -> np.ndarray:
+    """Per-channel ``||y - mean(y)||``, the denominator of :func:`fit_percent`."""
+    return np.linalg.norm(truth - truth.mean(axis=0), axis=0)
+
+
+def fit_from_error_norm(err, spread) -> np.ndarray:
     """:func:`fit_percent` of an estimate given only its per-channel error
-    norm ``err``, for a caller that sums the squared errors as it goes."""
-    spread = np.linalg.norm(truth - truth.mean(axis=0), axis=0)
-    out = np.full(truth.shape[1], np.nan)
+    norm ``err`` and the truth's :func:`channel_spread`, for a caller that
+    sums the squared errors as it goes and scores several estimates of one
+    truth."""
+    out = np.full(spread.shape[0], np.nan)
     ok = spread > 0.0
     out[ok] = 100.0 * (1.0 - err[ok] / spread[ok])
     return out

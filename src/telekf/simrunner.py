@@ -42,6 +42,9 @@ __all__ = [
 REPORT_FORMAT = "telekf-report"
 REPORT_VERSION = 1
 
+#: rows of ``trace.csv`` formatted and written at a time
+TRACE_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -337,7 +340,11 @@ def write_aggregate_csv(path, aggregates: list[dict], channel_names, config: dic
 
 
 def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.ndarray, config: dict, version: str) -> None:
-    """Three-block trace: truth, delivered observation, and estimate per channel."""
+    """Three-block trace: truth, delivered observation, and estimate per channel.
+
+    The rows are formatted and written ``TRACE_BLOCK_ROWS`` at a time, so
+    the text held at once stays the same size however long the trace is.
+    """
     names = data.output_names
     lines = _meta_lines(config, version)
     header = ["t"]
@@ -345,10 +352,14 @@ def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.
     header += [f"delivered_{n}" for n in names]
     header += [f"est_{n}" for n in names]
     lines.append(",".join(header))
-    t = np.arange(data.n_samples) * data.dt
-    rows = np.column_stack([t, data.outputs, delivered, z_est]).tolist()
-    lines += [",".join(map(repr, row)) for row in rows]
-    _write_lines(path, lines)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("\n".join(lines) + "\n")
+        for start in range(0, data.n_samples, TRACE_BLOCK_ROWS):
+            stop = min(start + TRACE_BLOCK_ROWS, data.n_samples)
+            t = np.arange(start, stop) * data.dt
+            block = [t, data.outputs[start:stop], delivered[start:stop], z_est[start:stop]]
+            rows = np.column_stack(block).tolist()
+            out.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def _write_lines(path, lines: list[str]) -> None:

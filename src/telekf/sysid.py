@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .filtering import SystemModel
-from .metrics import fit_aggregate, fit_from_error_norm
+from .metrics import channel_spread, fit_aggregate, fit_from_error_norm
 
 __all__ = [
     "ArxModel",
@@ -146,12 +146,11 @@ def _regressor(y: np.ndarray, u: np.ndarray, na: int, nb: int, nk: int):
     rows = n_samples - t0
     cols = na + m * nb
     phi = np.empty((rows, cols))
-    t = np.arange(t0, n_samples)
     for i in range(na):
-        phi[:, i] = y[t - 1 - i]
+        phi[:, i] = y[t0 - 1 - i : n_samples - 1 - i]
     for j in range(m):
         for lag in range(nb):
-            phi[:, na + j * nb + lag] = u[t - nk - lag, j]
+            phi[:, na + j * nb + lag] = u[t0 - nk - lag : n_samples - nk - lag, j]
     return phi, y[t0:], t0
 
 
@@ -178,6 +177,8 @@ def arx_fit(data, orders: tuple[int, int, int]) -> ArxModel:
         )
     if nb < 1:
         raise ContractViolationError(f"nb must be >= 1, got {nb}")
+    if na < 0 or nk < 0:
+        raise ContractViolationError(f"na and nk must be >= 0, got {na} and {nk}")
 
     p = y.shape[1]
     m = u.shape[1]
@@ -502,11 +503,14 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
             ys[:na_max] = ys[rows : rows + na_max]
 
         reports = [None] * len(models)
+        spreads = {}  # max lag -> the spread of the window it scores
         for j, model in enumerate(runs):
             lag = model.max_lag
+            if lag not in spreads:
+                spreads[lag] = channel_spread(y[lag:])
             total = sq[0, span[j]]
             reports[rank[j]] = FitReport(
-                fit_percent=fit_from_error_norm(np.sqrt(total), y[lag:]),
+                fit_percent=fit_from_error_norm(np.sqrt(total), spreads[lag]),
                 mse=total / (n - lag),
                 model_label=model.label,
             )

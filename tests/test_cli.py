@@ -193,6 +193,47 @@ def test_json_input_that_is_not_utf8_exits_2(name, text, tmp_path, dataset, mode
 
 
 @pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        ("1", "must hold a JSON object"),
+        ('{"input_names": "u1", "output_names": ["y1"]}', "must be lists of strings"),
+        ('{"input_names": ["u1"], "output_names": [1]}', "must be lists of strings"),
+    ],
+    ids=["not-an-object", "names-not-a-list", "name-not-a-string"],
+)
+def test_malformed_sidecar_exits_2(sidecar, message, tmp_path, dataset, model_file, capsys):
+    _, holdout = dataset
+    data = tmp_path / "data.txt"
+    data.write_bytes(holdout.read_bytes())
+    sidecar_path = tmp_path / "data.txt.truth.json"
+    sidecar_path.write_text(sidecar)
+    out_dir = tmp_path / "run_out"
+    assert main(["run", "--model", str(model_file), "--data", str(data), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sidecar {sidecar_path}") and message in err, err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("1", "does not embed a sweep config"),
+        ('{"command": "sweep"}', "embedded sweep config lacks model, data, "),
+        ('{"command": "sweep", "model": "m.json", "data": "d.txt"}', "lacks inputs, outputs, preset, arm, dt, conditions, seeds"),
+    ],
+    ids=["not-an-object", "command-only", "keys-missing"],
+)
+def test_replay_of_a_malformed_config_exits_2(config, message, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(f"# config={config}\nn_d,n_j\n")
+    out_dir = tmp_path / "replayed"
+    assert main(["sweep", "--replay", str(report), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}") and message in err, err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--model", "{model}", "--data", "{dir}"],

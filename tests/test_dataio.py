@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -399,6 +400,42 @@ def test_write_kinematics_matches_savetxt(tmp_path, layout, m, p):
     write_kinematics(ts, tmp_path / "new.txt", layout)
     savetxt_reference(ts, tmp_path / "ref.txt", layout)
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+@pytest.mark.parametrize("layout", [None, INTERLEAVED], ids=["packaged", "interleaved"])
+def test_parse_keeps_consecutive_blocks_as_views_and_copies_interleaved_ones(layout):
+    layout = layout or default_layout()
+    values = np.random.default_rng(6).standard_normal((5, layout.n_columns))
+    text = "".join(" ".join(map(repr, row)) + "\n" for row in values.tolist())
+    ts = parse_kinematics(text.encode(), layout)
+    master = layout.block_indices("master")
+    slave = layout.block_indices("slave")
+    assert ts.inputs.tobytes() == values[:, master].tobytes()
+    assert ts.outputs.tobytes() == values[:, slave].tobytes()
+    # views of the one parsed array span each other's rows; copies do not
+    consecutive = bool((np.diff(master) == 1).all() and (np.diff(slave) == 1).all())
+    assert consecutive == (layout is default_layout())
+    assert np.may_share_memory(ts.inputs, ts.outputs) == consecutive
+
+
+def test_parse_peak_is_the_lines_plus_one_parsed_array(tmp_path):
+    gen = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=35)
+    ts = gen_synthetic(SyntheticSpec(generator=gen, n_samples=10000, seed=3, process_noise=0.01))
+    path = tmp_path / "long.txt"
+    write_kinematics(ts, path)
+    lines = path.read_bytes().decode("utf-8").splitlines()
+    line_bytes = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+    tracemalloc.start()
+    try:
+        # one parsed array, with the slack numpy's reader grows it by
+        assert np.loadtxt(lines, dtype=float, comments=None, ndmin=2).shape == (10000, 76)
+        array_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        parse_kinematics(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= line_bytes + array_peak + 1024 * 1024
 
 
 def test_write_kinematics_rejects_too_many_channels(tmp_path):

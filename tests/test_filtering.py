@@ -280,6 +280,9 @@ def test_run_filter_length_mismatch():
     init = StateEstimate([0.0], [[1.0]])
     with pytest.raises(ContractViolationError, match="equal length"):
         run_filter_trace(model, init, [[0.0], [0.0]], ([[0.0]], [False]))
+    # a short mask, with z of the right length, is named as the short one
+    with pytest.raises(ContractViolationError, match="equal length, got 2, 2 and 1"):
+        run_filter_trace(model, init, [[0.0], [0.0]], ([[0.0], [0.0]], [False]))
 
 
 def test_observations_must_be_a_pair_with_a_boolean_mask():

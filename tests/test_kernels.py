@@ -1,5 +1,7 @@
 """The filter kernels against plain references, and their breakdown report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,12 @@ def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
     # the last mask converges, drops a burst of 10 steps, then resumes
     burst = np.ones(steps, dtype=bool)
     burst[300:310] = False
-    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst):
+    # the alternating and period-3 masks repeat with a period above one step
+    alternating = np.arange(steps) % 2 == 0
+    period_3 = np.arange(steps) % 3 != 2
+    masks = (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst,
+             alternating, period_3)
+    for mask in masks:
         p_pri, p_post, mk, fold, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
         assert (bad_step, bad_row) == (-1, -1)
         want_pri, want_post, want_gains = _covariance_per_step(*args, mask)
@@ -77,6 +84,21 @@ def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
         np.testing.assert_array_equal(fold[~mask], -1)
         assert (fold[mask] >= 0).all()
         np.testing.assert_array_equal(mk[fold[mask]], _kernels._fold_rows(model.h, want_gains[mask]))
+
+
+def test_full_mask_covariance_loop_holds_little_beyond_its_covariance_stacks():
+    # the repeating run is filled by slice copies, with no temporary of its length
+    model = identified_system(reference_dataset())
+    args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states))
+    mask = np.ones(10000, dtype=bool)
+    tracemalloc.start()
+    try:
+        p_pri, p_post = _kernels.covariance_loop(*args, mask)[:2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the constant covers the fold indices and the mask's list, 16 bytes a step
+    assert peak <= p_pri.nbytes + p_post.nbytes + 512 * 1024
 
 
 def test_covariance_loop_reports_singular_row():

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -255,7 +256,8 @@ def reference_trace_csv(path, data, delivered, z_est, config, version):
 
 @pytest.mark.parametrize("dt", [0.002, 1.0 / 30.0])
 def test_write_trace_csv_matches_per_value_formatting(tmp_path, dt):
-    data = replace(DATA, dt=dt)
+    # longer than two row blocks, ending inside the third
+    data = replace(reference_dataset(n_samples=2 * simrunner.TRACE_BLOCK_ROWS + 452, seed=2), dt=dt)
     result = run_scenario(
         Scenario(model=SYSTEM, network=NetworkConfig(n_d=0.1, n_j=0.05, n_p=0.2, seed=4), data=data),
         return_trace=True,
@@ -266,6 +268,21 @@ def test_write_trace_csv_matches_per_value_formatting(tmp_path, dt):
     write_trace_csv(tmp_path / "new.csv", data, delivered, result.z_est, config, "0.1.0")
     reference_trace_csv(tmp_path / "ref.csv", data, delivered, result.z_est, config, "0.1.0")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_trace_csv_peak_stays_below_the_file_size(tmp_path):
+    data = reference_dataset(n_samples=20000, seed=3)
+    rng = np.random.default_rng(5)
+    delivered = data.outputs + rng.standard_normal(data.outputs.shape)
+    z_est = data.outputs + rng.standard_normal(data.outputs.shape)
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_trace_csv(path, data, delivered, z_est, {"command": "run"}, "0.1.0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_config_hash_is_stable_and_order_free():

@@ -111,6 +111,28 @@ def test_fit_rejects_short_data():
         arx_fit(short, (1, 1, 1))
 
 
+def test_regressor_matches_the_per_row_lag_layout():
+    rng = np.random.default_rng(13)
+    y = rng.standard_normal(40)
+    u = rng.standard_normal((40, 2))
+    for na, nb, nk in ((0, 1, 0), (1, 1, 0), (3, 2, 1), (2, 4, 2), (4, 1, 3)):
+        phi, target, t0 = telekf.sysid._regressor(y, u, na, nb, nk)
+        want = [
+            [y[t - 1 - i] for i in range(na)] + [u[t - nk - lag, j] for j in range(2) for lag in range(nb)]
+            for t in range(t0, 40)
+        ]
+        assert t0 == max(na, nb + nk - 1)
+        np.testing.assert_array_equal(phi, np.array(want).reshape(40 - t0, na + 2 * nb))
+        np.testing.assert_array_equal(target, y[t0:])
+
+
+def test_fit_rejects_negative_orders():
+    data = synth(known_111(), 200, seed=7)
+    for orders in ((1, 1, -1), (-1, 1, 1)):
+        with pytest.raises(ContractViolationError, match="na and nk must be >= 0"):
+            arx_fit(data, orders)
+
+
 def test_fit_rank_deficient_noisy_data_raises_with_condition():
     rng = np.random.default_rng(8)
     n = 400

@@ -2,10 +2,10 @@
 
 The covariance recursion reads neither the controls nor the measurements,
 only the model, the initial covariance and which steps carry a measurement,
-so it runs apart from the state: ``covariance_loop`` computes the
-covariances and folds the measurement row updates of each step it computes
-into one matrix, and ``state_loop`` looks each step's fold up and applies
-it to the state.  The public functions in :mod:`telekf.filtering` validate
+so it runs apart from the state: ``covariance_loop`` computes each distinct
+step once, its covariances and its row updates folded into one matrix, and
+indexes every step's row; ``state_loop`` applies each step's fold to the
+state.  The public functions in :mod:`telekf.filtering` validate
 their arguments and call both, so a single step and a batch perform the
 same operations.
 """
@@ -29,66 +29,62 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     covariance left by row d-1.  The covariance is re-symmetrized after the
     time update and after every row.
 
-    Returns ``(p_pri, p_post, mk, fold, bad_step, bad_row)``: the a-priori
-    and a-posteriori covariances per step, ``mk`` the row updates of each
-    observed step computed here folded by :func:`_fold_rows`, ``fold[t]``
-    the index into ``mk`` of step t's fold (-1 on steps without a
-    measurement), and ``(bad_step, bad_row)`` -1 on success, else the first
-    location whose innovation variance was not positive and finite; the
-    arrays are then filled only before it, and ``mk`` is None.
+    Returns ``(p_pri, p_post, mk, step, bad_step, bad_row)``.  ``p_pri``,
+    ``p_post`` and ``mk`` hold one row per step computed here: its a-priori
+    and a-posteriori covariances and its row updates folded by
+    :func:`_fold_rows` (zero gains, so ``[I | 0]``, without a measurement).
+    ``step[t]`` is the row of step t.  ``(bad_step, bad_row)`` is -1 on
+    success, else the first location whose innovation variance was not
+    positive and finite, and the four arrays are None.
 
     A step's results depend only on the covariance entering it and on
     whether it is observed.  So once step t enters with the covariance and
     flag of an earlier step s, steps t, t+1, ... repeat steps s, s+1, ...
     with period t - s for as long as the mask repeats with that period, and
-    that whole run, fold indices included, is copied from steps s .. t-1.
-    With every step observed the recursion settles into a short cycle after
-    a few dozen steps, and the rest of the pass is a few slice copies.
+    that whole run takes its rows from steps s .. t-1.  With every step
+    observed, a few dozen rows serve the whole pass.
     """
     steps = has_z.shape[0]
     p, n = h.shape
     a_t = np.ascontiguousarray(a.T)
-    p_pri = np.empty((steps, n, n))
-    p_post = np.empty((steps, n, n))
-    fold = np.full(steps, -1)
-    gains = []  # the (p, n) row gains of each observed step computed below
-    mask = has_z.tolist()
+    step = np.empty(steps, dtype=np.intp)
+    p_pri, p_post, gains = [], [], []  # one entry per step computed below
 
     seen = {}  # (bytes of the entering covariance, observed) -> first step
     cov = p0
     t = 0
     while t < steps:
-        observed = mask[t]
+        observed = bool(has_z[t])
         key = (cov.tobytes(), observed)
         done = seen.get(key)
         if done is not None:
             end = _periodic_run_end(has_z, t, t - done)
-            for arr in (p_pri, p_post, fold):
-                _fill_periodic(arr, done, t, end)
+            _fill_periodic(step, done, t, end)
             t = end
-            cov = p_post[t - 1]
+            cov = p_post[step[t - 1]]
             continue
         cov = a @ cov @ a_t + q
         cov = 0.5 * (cov + cov.T)
-        p_pri[t] = cov
-        if observed:
-            step_gains = np.empty((p, n))
-            for d in range(p):
-                hd = h[d]
-                ph = cov @ hd
-                s = hd @ ph + r_diag[d]
-                if not 0.0 < s < np.inf:
-                    return p_pri, p_post, None, fold, t, d
-                gain = ph / s
-                step_gains[d] = gain
-                cov = cov - np.outer(gain, ph)
-                cov = 0.5 * (cov + cov.T)
-            fold[t] = len(gains)
-            gains.append(step_gains)
-        p_post[t] = cov
+        p_pri.append(cov)
+        step_gains = np.zeros((p, n))
+        for d in range(p if observed else 0):
+            hd = h[d]
+            ph = cov @ hd
+            s = hd @ ph + r_diag[d]
+            if not 0.0 < s < np.inf:
+                return None, None, None, None, t, d
+            gain = ph / s
+            step_gains[d] = gain
+            cov = cov - np.outer(gain, ph)
+            cov = 0.5 * (cov + cov.T)
+        step[t] = len(p_post)
+        p_post.append(cov)
+        gains.append(step_gains)
         seen[key] = t
         t += 1
-    return p_pri, p_post, _fold_rows(h, np.reshape(gains, (len(gains), p, n))), fold, -1, -1
+    del seen  # with a lossy mask most steps are distinct: fold before stacking
+    mk = _fold_rows(h, np.array(gains))
+    return np.array(p_pri), np.array(p_post), mk, step, -1, -1
 
 
 def _periodic_run_end(has_z, start, period):
@@ -139,16 +135,15 @@ def _fold_rows(h, gains):
     return mk
 
 
-def state_loop(a, b, mk, fold, x0, u, z):
+def state_loop(a, b, mk, step, has_z, x0, u, z):
     """Run the state recursion with the folds of :func:`covariance_loop`.
 
-    Step t predicts ``x = [a | b] [x; u[t]]`` and, when ``fold[t] >= 0``,
-    applies the step's p row updates folded into
-    ``x = mk[fold[t]] @ [x; z[t]]``: two matrix-vector products per step,
-    each written straight into the row that the next one reads.  The row
-    views are listed ``CHUNK`` steps at a time; measurements of steps
-    without one are never read.  Returns the a-priori and a-posteriori
-    states.
+    Step t predicts ``x = [a | b] [x; u[t]]`` and applies its p row updates
+    folded into ``x = mk[step[t]] @ [x; z[t]]``: two matrix-vector products
+    per step, each written straight into the row that the next one reads.
+    The row views are listed ``CHUNK`` steps at a time.  ``z[t]`` is read
+    only where ``has_z[t]``; elsewhere it is taken as zero, which the step's
+    ``[I | 0]`` fold ignores.  Returns the a-priori and a-posteriori states.
     """
     steps, m = u.shape
     n = a.shape[0]
@@ -156,22 +151,18 @@ def state_loop(a, b, mk, fold, x0, u, z):
     xu = np.zeros((steps + 1, n + m))  # row t: [x_post[t-1]; u[t]]
     xu[0, :n] = x0
     xu[:steps, n:] = u
-    has_z = fold >= 0
     xz = np.zeros((steps, n + z.shape[1]))  # row t: [x_pri[t]; z[t]]
     xz[has_z, n:] = z[has_z]
     x_pri = xz[:, :n]
     x_post = xu[1:, :n]
-    mk_rows = list(mk) + [None]  # index -1, an unobserved step, reads None
+    mk_rows = list(mk)
 
-    dot, copyto = np.dot, np.copyto
+    dot = np.dot
     for start in range(0, steps, CHUNK):
         span = slice(start, start + CHUNK)
-        folds = map(mk_rows.__getitem__, fold[span].tolist())
+        folds = map(mk_rows.__getitem__, step[span].tolist())
         rows = zip(list(xu[span]), list(xz[span]), list(x_pri[span]), list(x_post[span]), folds)
         for xu_t, xz_t, pri_t, post_t, mk_t in rows:
             dot(ab, xu_t, out=pri_t)
-            if mk_t is None:
-                copyto(post_t, pri_t)
-            else:
-                dot(mk_t, xz_t, out=post_t)
+            dot(mk_t, xz_t, out=post_t)
     return x_pri.copy(), x_post.copy()

@@ -37,6 +37,9 @@ from .errors import (
     KinematicsFormatError,
     UnknownChannelNameError,
     UnsupportedStructureError,
+    is_int,
+    is_list_of,
+    is_number,
 )
 
 USAGE_ERROR = 2
@@ -102,31 +105,19 @@ def _reading(path):
         raise ContractViolationError(f"{path}: {exc}") from None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_list_of(value, check) -> bool:
-    return isinstance(value, list) and all(map(check, value))
-
-
 def _is_row(value) -> bool:
-    return _is_list_of(value, _is_number) and len(value) == 3
+    return is_list_of(value, is_number) and len(value) == 3
 
 
 #: for each flag type, what a --config value that is not a string must be:
 #: the form the type returns (argparse parses a string like the flag's text)
 _CONFIG_FORMS = {
     None: ("a string", lambda value: False),
-    int: ("an integer", _is_int),
-    float: ("a number", _is_number),
-    _parse_int_values: ("a list of integers", lambda value: _is_list_of(value, _is_int)),
-    _parse_float_list: ("a list of numbers", lambda value: _is_list_of(value, _is_number)),
-    _parse_rows: ("a list of [jitter_ms, delay_ms, loss] rows", lambda value: _is_list_of(value, _is_row)),
+    int: ("an integer", is_int),
+    float: ("a number", is_number),
+    _parse_int_values: ("a list of integers", lambda value: is_list_of(value, is_int)),
+    _parse_float_list: ("a list of numbers", lambda value: is_list_of(value, is_number)),
+    _parse_rows: ("a list of [jitter_ms, delay_ms, loss] rows", lambda value: is_list_of(value, _is_row)),
 }
 
 
@@ -171,7 +162,7 @@ def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
     if "input_names" not in doc or "output_names" not in doc:
         return None
     names = doc["input_names"], doc["output_names"]
-    if not all(_is_list_of(side, lambda name: isinstance(name, str)) for side in names):
+    if not all(is_list_of(side, lambda name: isinstance(name, str)) for side in names):
         raise ContractViolationError(
             f"sidecar {sidecar}: input_names and output_names must be lists of strings"
         )
@@ -346,13 +337,28 @@ def _sweep_conditions(args) -> list[tuple[float, float, float]]:
     return [tuple(float(v) for v in row) for row in rows]
 
 
-#: the keys of a sweep config that :func:`_run_sweep_from_config` reads
-_SWEEP_CONFIG_KEYS = ("model", "data", "inputs", "outputs", "preset", "arm", "dt", "conditions", "seeds")
+def _is_str_or_null(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+#: what each key of a sweep config that :func:`_run_sweep_from_config` reads
+#: must hold; a row lists the condition as [delay_ms, jitter_ms, loss]
+_SWEEP_CONFIG_FORMS = {
+    "model": ("a string", lambda value: isinstance(value, str)),
+    "data": ("a string", lambda value: isinstance(value, str)),
+    "inputs": ("a string or null", _is_str_or_null),
+    "outputs": ("a string or null", _is_str_or_null),
+    "preset": ("a string or null", _is_str_or_null),
+    "arm": ("a string or null", _is_str_or_null),
+    "dt": ("a number", is_number),
+    "conditions": ("a list of [delay_ms, jitter_ms, loss] rows", lambda value: is_list_of(value, _is_row)),
+    "seeds": ("a list of integers", lambda value: is_list_of(value, is_int)),
+}
 
 
 def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
     conditions = [tuple(c) for c in config["conditions"]]
-    seeds = [int(s) for s in config["seeds"]]
+    seeds = config["seeds"]
     # run_sweep records a failing scenario and moves on; a grid entry that no
     # channel accepts is a usage error, reported before any scenario runs
     for (n_d, n_j, n_p), seed in itertools.product(conditions, seeds):
@@ -399,11 +405,16 @@ def cmd_sweep(args) -> int:
             raise ContractViolationError(
                 f"{args.replay} does not embed a sweep config"
             )
-        missing = [key for key in _SWEEP_CONFIG_KEYS if key not in config]
+        missing = [key for key in _SWEEP_CONFIG_FORMS if key not in config]
         if missing:
             raise ContractViolationError(
                 f"{args.replay}: embedded sweep config lacks {', '.join(missing)}"
             )
+        for key, (form, check) in _SWEEP_CONFIG_FORMS.items():
+            if not check(config[key]):
+                raise ContractViolationError(
+                    f"{args.replay}: {key}: expected {form}, got {json.dumps(config[key])}"
+                )
         return _run_sweep_from_config(config, out_dir)
 
     if not args.model or not args.data:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON value checks of
+the input readers that raise them."""
 
 
 class ContractViolationError(ValueError):
@@ -40,3 +41,16 @@ class KinematicsFormatError(ValueError):
 
 class UnknownChannelNameError(KeyError):
     """A requested channel label does not exist; message lists available names."""
+
+
+def is_int(value) -> bool:
+    """A JSON integer (``true`` and ``false`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return is_int(value) or isinstance(value, float)
+
+
+def is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(map(check, value))

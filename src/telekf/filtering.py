@@ -186,11 +186,11 @@ def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
     if not np.isfinite(u).all():
         raise ContractViolationError("control vector must be finite")
     has_z = np.zeros(1, dtype=bool)
-    p_pri, _, mk, fold, _, _ = _kernels.covariance_loop(
+    p_pri, _, mk, step, _, _ = _kernels.covariance_loop(
         model.a, model.h, model.q, np.diag(model.r), est.p, has_z
     )
     x_pri, _ = _kernels.state_loop(
-        model.a, model.b, mk, fold, est.x_hat, u[None], np.zeros((1, model.n_outputs))
+        model.a, model.b, mk, step, has_z, est.x_hat, u[None], np.zeros((1, model.n_outputs))
     )
     return StateEstimate(x_pri[0], p_pri[0])
 
@@ -237,7 +237,7 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
     n = model.n_states
     eye = np.eye(n)
     has_z = np.ones(1, dtype=bool)
-    _, p_post, mk, fold, _, bad_row = _kernels.covariance_loop(
+    _, p_post, mk, step, _, bad_row = _kernels.covariance_loop(
         eye, model.h, np.zeros((n, n)), model.r_diagonal(), est.p, has_z
     )
     if bad_row >= 0:
@@ -246,27 +246,37 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
             condition=float("inf"),
         )
     _, x_post = _kernels.state_loop(
-        eye, np.zeros((n, 1)), mk, fold, est.x_hat, np.zeros((1, 1)), z[None]
+        eye, np.zeros((n, 1)), mk, step, has_z, est.x_hat, np.zeros((1, 1)), z[None]
     )
     return StateEstimate(x_post[0], _finalize_cov(p_post[0]))
 
 
 @dataclass
 class FilterTrace:
-    """Stacked per-step output of :func:`run_filter_trace`.
+    """Per-step output of :func:`run_filter_trace`.
 
-    ``x_prior``/``p_prior`` hold the a-priori estimates, ``x_post``/``p_post``
-    the a-posteriori ones (identical to the priors on steps without a
-    measurement).  ``has_obs`` marks which steps carried a measurement.
-    The covariance stacks are read-only: runs with the same model, initial
-    covariance and mask share them.
+    ``x_prior``/``x_post`` hold the a-priori and a-posteriori states (equal on
+    steps without a measurement); ``has_obs`` marks the observed steps.
+    ``cov_prior``/``cov_post`` hold each distinct covariance of the Riccati
+    pass once, read-only and shared by runs with the same model, initial
+    covariance and mask; ``step[t]`` is step t's row in them, and the
+    ``p_prior``/``p_post`` properties index them into per-step stacks.
     """
 
     x_prior: np.ndarray
-    p_prior: np.ndarray
     x_post: np.ndarray
-    p_post: np.ndarray
     has_obs: np.ndarray
+    cov_prior: np.ndarray
+    cov_post: np.ndarray
+    step: np.ndarray
+
+    @property
+    def p_prior(self) -> np.ndarray:
+        return self.cov_prior[self.step]
+
+    @property
+    def p_post(self) -> np.ndarray:
+        return self.cov_post[self.step]
 
     def innovations(self, model: SystemModel, z: np.ndarray):
         """Innovation vectors and covariances on observed steps.
@@ -277,7 +287,7 @@ class FilterTrace:
         mask = self.has_obs
         h = model.h
         nu = z[mask] - self.x_prior[mask] @ h.T
-        s = h @ self.p_prior[mask] @ h.T + model.r
+        s = h @ self.cov_prior[self.step[mask]] @ h.T + model.r
         return nu, s
 
 
@@ -329,7 +339,7 @@ def run_filter_trace(
         raise ContractViolationError("observations must be finite on steps with a measurement")
 
     r_diag = model.r_diagonal() if mask.any() else np.diag(model.r).copy()
-    p_pri, p_post, mk, fold, bad_step, bad_row = _covariances(
+    p_pri, p_post, mk, step, bad_step, bad_row = _covariances(
         model.a, model.h, model.q, r_diag, init.p, mask
     )
     if bad_step >= 0:
@@ -338,8 +348,8 @@ def run_filter_trace(
             f"measurement row {bad_row}",
             condition=float("inf"),
         )
-    x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, fold, init.x_hat, u, z)
-    return FilterTrace(x_pri, p_pri, x_post, p_post, mask)
+    x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, step, mask, init.x_hat, u, z)
+    return FilterTrace(x_pri, x_post, mask, p_pri, p_post, step)
 
 
 #: ``(key, result)`` of the last covariance pass of :func:`run_filter_trace`
@@ -352,18 +362,17 @@ def _covariances(a, h, q, r_diag, p0, mask):
     The covariances and folds depend on nothing else, so the scenarios of a
     sweep, which share the model, the initial covariance and the full mask,
     share one pass.  The key is the exact bytes of every input; the
-    covariance stacks, which every trace shares, are made read-only, and a
-    breakdown is cached like a result.
+    distinct covariances, folds and step index, which every trace shares, are
+    made read-only, and a breakdown is cached like a result.
     """
     global _memo
     key = tuple((arr.shape, arr.tobytes()) for arr in (a, h, q, r_diag, p0, mask))
-    memo = _memo
-    if memo is None or memo[0] != key:
+    if _memo is None or _memo[0] != key:
         result = _kernels.covariance_loop(a, h, q, r_diag, p0, mask)
-        for arr in result[:2]:
+        for arr in result[:4] if result[4] < 0 else ():
             arr.flags.writeable = False
-        memo = _memo = (key, result)
-    return memo[1]
+        _memo = (key, result)
+    return _memo[1]
 
 
 def initial_estimate(model: SystemModel, first_obs: Optional[np.ndarray] = None) -> StateEstimate:

@@ -23,6 +23,9 @@ from .errors import (
     ContractViolationError,
     IllConditionedDataError,
     UnsupportedStructureError,
+    is_int,
+    is_list_of,
+    is_number,
 )
 from .filtering import SystemModel
 from .metrics import channel_spread, fit_aggregate, fit_from_error_norm
@@ -647,6 +650,39 @@ def save_model(
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=True) + "\n", encoding="utf-8")
 
 
+def _is_nested(value, shape) -> bool:
+    """``value`` is nested lists of numbers with the given lengths."""
+    if not shape:
+        return is_number(value)
+    return is_list_of(value, lambda item: _is_nested(item, shape[1:])) and len(value) == shape[0]
+
+
+def _check_model_doc(path, doc: dict) -> None:
+    """Raise, naming ``path``, unless a model file's values have the types and
+    shapes its model needs."""
+
+    def reject(what, value):
+        raise ContractViolationError(f"{path}: {what}, got {json.dumps(value)}")
+
+    for key in ("na", "nb", "nk", "n_outputs", "n_inputs"):
+        if not (is_int(doc[key]) and doc[key] >= 0):
+            reject(f"{key}: expected a non-negative integer", doc[key])
+    if not is_number(doc["dt"]):
+        reject("dt: expected a number", doc["dt"])
+    p = doc["n_outputs"]
+    for key, shape in (("a_coeffs", (p, doc["na"])), ("b_coeffs", (p, doc["n_inputs"], doc["nb"]))):
+        if not _is_nested(doc[key], shape):
+            reject(f"{key}: expected {' x '.join(map(str, shape))} nested lists of numbers", doc[key])
+    noise = doc.get("noise")
+    if not (noise is None or isinstance(noise, dict)):
+        reject("noise: expected an object", noise)
+    noise = noise or {}
+    if not (noise.get("q") is None or is_number(noise["q"])):
+        reject("noise: q: expected a number", noise["q"])
+    if not (noise.get("r_diag") is None or _is_nested(noise["r_diag"], (p,))):
+        reject(f"noise: r_diag: expected a list of {p} numbers", noise["r_diag"])
+
+
 def load_model(path) -> tuple[ArxModel, dict]:
     """Read a model file back; returns (model, metadata)."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -663,6 +699,7 @@ def load_model(path) -> tuple[ArxModel, dict]:
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
         raise ContractViolationError(f"{path}: model file lacks {', '.join(missing)}")
+    _check_model_doc(path, doc)
     model = model_from_doc(doc)
     meta = {k: doc.get(k) for k in ("input_names", "output_names", "fit", "noise")}
     return model, meta

@@ -214,14 +214,27 @@ def test_malformed_sidecar_exits_2(sidecar, message, tmp_path, dataset, model_fi
     assert not out_dir.exists()
 
 
+def _sweep_config(**changes):
+    """An embedded sweep config with every key, as JSON text, with ``changes`` applied."""
+    config = {"command": "sweep", "model": "m.json", "data": "d.txt", "inputs": None, "outputs": None,
+              "preset": None, "arm": None, "dt": 0.05, "conditions": [[0, 0, 0]], "seeds": [0]}
+    return json.dumps({**config, **changes})
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
         ("1", "does not embed a sweep config"),
         ('{"command": "sweep"}', "embedded sweep config lacks model, data, "),
         ('{"command": "sweep", "model": "m.json", "data": "d.txt"}', "lacks inputs, outputs, preset, arm, dt, conditions, seeds"),
+        # the model and data files do not exist: the types are checked first
+        (_sweep_config(conditions=[[1, 2]]), ": conditions: expected a list of [delay_ms, jitter_ms, loss] rows, got [[1, 2]]"),
+        (_sweep_config(conditions=5), ": conditions: expected a list of [delay_ms, jitter_ms, loss] rows, got 5"),
+        (_sweep_config(dt="x"), ': dt: expected a number, got "x"'),
+        (_sweep_config(seeds="ab"), ': seeds: expected a list of integers, got "ab"'),
     ],
-    ids=["not-an-object", "command-only", "keys-missing"],
+    ids=["not-an-object", "command-only", "keys-missing", "short-row", "conditions-a-number", "dt-a-string",
+         "seeds-a-string"],
 )
 def test_replay_of_a_malformed_config_exits_2(config, message, tmp_path, capsys):
     report = tmp_path / "report.csv"

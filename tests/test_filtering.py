@@ -401,9 +401,12 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
 
     first = run_filter_trace(model, init, u, (z, mask))
     other_data = run_filter_trace(model, init, 2.0 * u, (-z, mask))
-    assert other_data.p_post is first.p_post and other_data.p_prior is first.p_prior
-    with pytest.raises(ValueError, match="read-only"):
-        first.p_post[0, 0, 0] = 1.0
+    # the distinct covariances and the step index are shared, and no run can write them
+    for name in ("cov_prior", "cov_post", "step"):
+        assert getattr(other_data, name) is getattr(first, name)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first, name)[0] = 1.0
+    assert len(first.cov_post) < steps
 
     q_ulp = model.q.copy()
     q_ulp[0, 0] = np.nextafter(q_ulp[0, 0], np.inf)
@@ -416,13 +419,12 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
     for changed, start, obs in ((nudged, init, mask), (model, init, fewer), (model, other_init, mask)):
         base = run_filter_trace(model, init, u, (z, mask))
         fresh = run_filter_trace(changed, start, u, (z, obs))
-        assert fresh.p_post is not base.p_post
+        assert fresh.cov_post is not base.cov_post and fresh.step is not base.step
         assert not np.array_equal(fresh.p_post, base.p_post)
         monkeypatch.setattr(filtering, "_memo", None)
         cold = run_filter_trace(changed, start, u, (z, obs))
-        np.testing.assert_array_equal(cold.p_prior, fresh.p_prior)
-        np.testing.assert_array_equal(cold.p_post, fresh.p_post)
-        np.testing.assert_array_equal(cold.x_post, fresh.x_post)
+        for name in ("cov_prior", "cov_post", "step", "p_prior", "p_post", "x_post"):
+            np.testing.assert_array_equal(getattr(cold, name), getattr(fresh, name))
 
 
 # ---------------------------------------------------------------------------

@@ -76,29 +76,32 @@ def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
     masks = (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst,
              alternating, period_3)
     for mask in masks:
-        p_pri, p_post, mk, fold, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
+        p_pri, p_post, mk, step, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
         assert (bad_step, bad_row) == (-1, -1)
+        # every row is some step's; a full mask settles into a short cycle
+        np.testing.assert_array_equal(np.unique(step), np.arange(len(p_post)))
+        assert len(p_pri) == len(mk) == len(p_post) <= (100 if mask.all() else mask.shape[0])
         want_pri, want_post, want_gains = _covariance_per_step(*args, mask)
-        np.testing.assert_array_equal(p_pri, want_pri)
-        np.testing.assert_array_equal(p_post, want_post)
-        np.testing.assert_array_equal(fold[~mask], -1)
-        assert (fold[mask] >= 0).all()
-        np.testing.assert_array_equal(mk[fold[mask]], _kernels._fold_rows(model.h, want_gains[mask]))
+        np.testing.assert_array_equal(p_pri[step], want_pri)
+        np.testing.assert_array_equal(p_post[step], want_post)
+        # an unobserved step's zero gains fold to [I | 0]
+        np.testing.assert_array_equal(mk[step], _kernels._fold_rows(model.h, want_gains))
 
 
 def test_full_mask_covariance_loop_holds_little_beyond_its_covariance_stacks():
-    # the repeating run is filled by slice copies, with no temporary of its length
+    # only the distinct steps are stored, and the repeating run of the step
+    # index is filled by slice copies, with no temporary of its length
     model = identified_system(reference_dataset())
     args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states))
-    mask = np.ones(10000, dtype=bool)
+    steps = 10000
+    mask = np.ones(steps, dtype=bool)
     tracemalloc.start()
     try:
-        p_pri, p_post = _kernels.covariance_loop(*args, mask)[:2]
+        _kernels.covariance_loop(*args, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the constant covers the fold indices and the mask's list, 16 bytes a step
-    assert peak <= p_pri.nbytes + p_post.nbytes + 512 * 1024
+    assert peak <= 16 * steps + 256 * 1024
 
 
 def test_covariance_loop_reports_singular_row():
@@ -126,13 +129,13 @@ def test_state_loop_does_not_depend_on_chunk_length(monkeypatch):
     z = rng.standard_normal((steps, model.n_outputs))
     x0 = rng.standard_normal(model.n_states)
     for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
-        mk, fold = _kernels.covariance_loop(
+        mk, step = _kernels.covariance_loop(
             model.a, model.h, model.q, np.diag(model.r).copy(), np.eye(model.n_states), mask
         )[2:4]
         runs = []
         for chunk in (1, 7, 128, steps + 1):
             monkeypatch.setattr(_kernels, "CHUNK", chunk)
-            runs.append(_kernels.state_loop(model.a, model.b, mk, fold, x0, u, z))
+            runs.append(_kernels.state_loop(model.a, model.b, mk, step, mask, x0, u, z))
         for x_pri, x_post in runs[1:]:
             np.testing.assert_array_equal(x_pri, runs[0][0])
             np.testing.assert_array_equal(x_post, runs[0][1])
@@ -148,9 +151,9 @@ def test_state_loop_matches_per_step_row_updates(which):
     x0 = rng.standard_normal(model.n_states)
     for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
         cov_args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states), mask)
-        mk, fold = _kernels.covariance_loop(*cov_args)[2:4]
+        mk, step = _kernels.covariance_loop(*cov_args)[2:4]
         gains = _covariance_per_step(*cov_args)[2]
-        got_states = _kernels.state_loop(model.a, model.b, mk, fold, x0, u, z)
+        got_states = _kernels.state_loop(model.a, model.b, mk, step, mask, x0, u, z)
         want_states = _state_per_step(model.a, model.b, model.h, gains, x0, u, z, mask)
         for got, want in zip(got_states, want_states):
             # relative to the largest state entry: entries near zero carry its rounding
@@ -165,18 +168,21 @@ def test_state_loop_keeps_gain_sets_that_differ_in_one_row_apart():
         model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states),
         np.ones(20, dtype=bool),
     )[2][[0, -1]]
-    # set 0 is the settled gain set; set d + 1 takes its row d from the first step
-    sets = np.repeat(settled[None], model.n_outputs + 1, axis=0)
+    # set 0 is the settled gain set; set d + 1 takes its row d from the first
+    # step; the last set, all zeros, is that of the unobserved steps
+    sets = np.repeat(settled[None], model.n_outputs + 2, axis=0)
     for d in range(model.n_outputs):
         sets[d + 1, d] = first[d]
-    fold = rng.integers(0, len(sets), steps)
-    gains = sets[fold]
+    sets[-1] = 0.0
+    step = rng.integers(0, len(sets) - 1, steps)
+    gains = sets[step]
     u = rng.standard_normal((steps, model.n_inputs))
     z = rng.standard_normal((steps, model.n_outputs))
     mask = rng.random(steps) > 0.2
-    fold[~mask] = -1
+    step[~mask] = len(sets) - 1
     x0 = np.zeros(model.n_states)
-    got_states = _kernels.state_loop(model.a, model.b, _kernels._fold_rows(model.h, sets), fold, x0, u, z)
+    mk = _kernels._fold_rows(model.h, sets)
+    got_states = _kernels.state_loop(model.a, model.b, mk, step, mask, x0, u, z)
     want_states = _state_per_step(model.a, model.b, model.h, gains, x0, u, z, mask)
     for got, want in zip(got_states, want_states):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -149,12 +149,13 @@ def test_sweep_runs_the_covariance_pass_once(monkeypatch):
 def test_scenario_after_a_sweep_matches_a_cold_run(monkeypatch):
     run_sweep(SYSTEM, DATA, PAPER_CONDITIONS[:3], seeds=[0, 1])
     warm = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3), return_trace=True)
-    assert warm.trace.p_post is filtering._memo[1][1]
+    assert warm.trace.cov_post is filtering._memo[1][1]
+    assert warm.trace.step is filtering._memo[1][3]
     monkeypatch.setattr(filtering, "_memo", None)
     cold = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3), return_trace=True)
-    assert cold.trace.p_post is not warm.trace.p_post
+    assert cold.trace.cov_post is not warm.trace.cov_post
     np.testing.assert_array_equal(warm.z_est, cold.z_est)
-    for name in ("x_prior", "p_prior", "x_post", "p_post", "has_obs"):
+    for name in ("x_prior", "x_post", "has_obs", "cov_prior", "cov_post", "step", "p_prior", "p_post"):
         np.testing.assert_array_equal(getattr(warm.trace, name), getattr(cold.trace, name))
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,13 +527,30 @@ def test_model_file_round_trip_is_lossless(tmp_path):
 
 def test_load_model_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
+    good = json.loads((Path(__file__).parent / "data" / "golden" / "model.json").read_text())
+    noise = {"q": 0.1, "r_diag": [0.1, 0.1, 0.1]}
     cases = [
         ({"format": "something-else"}, "format"),
         ([1], "must hold a JSON object"),
         ({"format": "telekf-arx", "version": 1, "na": 2}, "lacks nb, nk, a_coeffs"),
+        # every key present, one of the wrong type or shape
+        ({**good, "na": "x"}, 'na: expected a non-negative integer, got "x"'),
+        ({**good, "na": 2.5}, "na: expected a non-negative integer, got 2.5"),
+        ({**good, "nb": True}, "nb: expected a non-negative integer, got true"),
+        ({**good, "dt": "x"}, 'dt: expected a number, got "x"'),
+        ({**good, "a_coeffs": "x"}, 'a_coeffs: expected 3 x 3 nested lists of numbers, got "x"'),
+        ({**good, "a_coeffs": good["a_coeffs"][:2]}, "a_coeffs: expected 3 x 3 nested lists of numbers"),
+        ({**good, "b_coeffs": [[[1.0]]]}, "b_coeffs: expected 3 x 2 x 2 nested lists of numbers"),
+        ({**good, "noise": [1]}, "noise: expected an object, got [1]"),
+        ({**good, "noise": {**noise, "q": "x"}}, 'noise: q: expected a number, got "x"'),
+        ({**good, "noise": {**noise, "r_diag": [0.1]}}, "noise: r_diag: expected a list of 3 numbers, got [0.1]"),
     ]
     for doc, message in cases:
         path.write_text(json.dumps(doc))
-        with pytest.raises(ContractViolationError, match=message) as info:
+        with pytest.raises(ContractViolationError, match=re.escape(message)) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
+    # the golden file itself, with and without noise, loads
+    for doc in (good, {**good, "noise": noise}, {**good, "noise": None}):
+        path.write_text(json.dumps(doc))
+        load_model(path)

@@ -12,13 +12,12 @@ same operations.
 
 import numpy as np
 
+from .errors import SingularInnovationError
+
 __all__ = ["covariance_loop", "state_loop"]
 
 # there is no compiled path; kept because ``perfbench/run.py`` records it in every result
 NUMBA_ENABLED = False
-
-#: steps whose row views ``state_loop`` lists at a time
-CHUNK = 128
 
 
 def covariance_loop(a, h, q, r_diag, p0, has_z):
@@ -29,13 +28,12 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     covariance left by row d-1.  The covariance is re-symmetrized after the
     time update and after every row.
 
-    Returns ``(p_pri, p_post, mk, step, bad_step, bad_row)``.  ``p_pri``,
-    ``p_post`` and ``mk`` hold one row per step computed here: its a-priori
-    and a-posteriori covariances and its row updates folded by
-    :func:`_fold_rows` (zero gains, so ``[I | 0]``, without a measurement).
-    ``step[t]`` is the row of step t.  ``(bad_step, bad_row)`` is -1 on
-    success, else the first location whose innovation variance was not
-    positive and finite, and the four arrays are None.
+    Returns ``(p_pri, p_post, mk, step)``.  ``p_pri``, ``p_post`` and ``mk``
+    hold one row per step computed here: its a-priori and a-posteriori
+    covariances and its row updates folded by :func:`_fold_rows` (zero
+    gains, so ``[I | 0]``, without a measurement).  ``step[t]`` is the row
+    of step t.  The first innovation variance that is not positive and
+    finite raises :class:`SingularInnovationError` naming its step and row.
 
     A step's results depend only on the covariance entering it and on
     whether it is observed.  So once step t enters with the covariance and
@@ -72,7 +70,9 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
             ph = cov @ hd
             s = hd @ ph + r_diag[d]
             if not 0.0 < s < np.inf:
-                return None, None, None, None, t, d
+                raise SingularInnovationError(
+                    f"innovation variance is not positive and finite at step {t}, measurement row {d}"
+                )
             gain = ph / s
             step_gains[d] = gain
             cov = cov - np.outer(gain, ph)
@@ -84,7 +84,7 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
         t += 1
     del seen  # with a lossy mask most steps are distinct: fold before stacking
     mk = _fold_rows(h, np.array(gains))
-    return np.array(p_pri), np.array(p_post), mk, step, -1, -1
+    return np.array(p_pri), np.array(p_post), mk, step
 
 
 def _periodic_run_end(has_z, start, period):
@@ -141,13 +141,14 @@ def state_loop(a, b, mk, step, has_z, x0, u, z):
     Step t predicts ``x = [a | b] [x; u[t]]`` and applies its p row updates
     folded into ``x = mk[step[t]] @ [x; z[t]]``: two matrix-vector products
     per step, each written straight into the row that the next one reads.
-    The row views are listed ``CHUNK`` steps at a time.  ``z[t]`` is read
-    only where ``has_z[t]``; elsewhere it is taken as zero, which the step's
-    ``[I | 0]`` fold ignores.  Returns the a-priori and a-posteriori states.
+    One loop walks the row views and the folds together, reading ``step``
+    as it goes, so it holds nothing of the run's length beyond its outputs.
+    ``z[t]`` is read only where ``has_z[t]``; elsewhere it is taken as zero,
+    which the step's ``[I | 0]`` fold ignores.  Returns the a-priori and
+    a-posteriori states.
     """
     steps, m = u.shape
     n = a.shape[0]
-    ab = np.hstack([a, b])
     xu = np.zeros((steps + 1, n + m))  # row t: [x_post[t-1]; u[t]]
     xu[0, :n] = x0
     xu[:steps, n:] = u
@@ -155,14 +156,11 @@ def state_loop(a, b, mk, step, has_z, x0, u, z):
     xz[has_z, n:] = z[has_z]
     x_pri = xz[:, :n]
     x_post = xu[1:, :n]
-    mk_rows = list(mk)
 
-    dot = np.dot
-    for start in range(0, steps, CHUNK):
-        span = slice(start, start + CHUNK)
-        folds = map(mk_rows.__getitem__, step[span].tolist())
-        rows = zip(list(xu[span]), list(xz[span]), list(x_pri[span]), list(x_post[span]), folds)
-        for xu_t, xz_t, pri_t, post_t, mk_t in rows:
-            dot(ab, xu_t, out=pri_t)
-            dot(mk_t, xz_t, out=post_t)
+    # bound ``dot`` methods: the same products as ``np.dot``, without its dispatch
+    predict = np.hstack([a, b]).dot
+    folds = [fold.dot for fold in mk]
+    for xu_t, xz_t, pri_t, post_t, update in zip(xu, xz, x_pri, x_post, map(folds.__getitem__, step)):
+        predict(xu_t, out=pri_t)
+        update(xz_t, out=post_t)
     return x_pri.copy(), x_post.copy()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_dt
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -123,8 +123,7 @@ def apply_channel(
         truth = truth.reshape(-1, 1)
     if truth.shape[0] == 0:
         raise ContractViolationError("truth stream is empty")
-    if not dt > 0.0:
-        raise ContractViolationError(f"dt must be positive, got {dt}")
+    dt = check_dt(dt)
     steps = truth.shape[0]
     jitter_rng, loss_rng = cfg.spawn_streams()
     offsets = _offsets(cfg, dt, jitter_rng.standard_normal(steps - 1))

@@ -14,8 +14,8 @@ Flags may also be supplied through ``--config FILE`` (a JSON object keyed
 by flag name); explicit command-line flags take precedence over config
 values, which take precedence over built-in defaults.
 
-Exit codes: 0 on success, 1 when one or more sweep scenarios failed, 2 on
-usage or validation errors.
+Exit codes: 0 on success, 1 when the scenario of ``run`` or one or more
+sweep scenarios failed, 2 on usage or validation errors.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     ContractViolationError,
     IllConditionedDataError,
     KinematicsFormatError,
+    SingularInnovationError,
     UnknownChannelNameError,
     UnsupportedStructureError,
     is_int,
@@ -196,7 +197,7 @@ def _load_trajectory(data_path, dt, inputs, outputs, preset, arm) -> dataio.Traj
 
 
 def _load_system(model_path):
-    """Model file -> (ArxModel, SystemModel with stored noise, metadata)."""
+    """Model file -> SystemModel with the stored noise covariances."""
     with _reading(model_path):
         arx, meta = sysid.load_model(model_path)
     noise = meta.get("noise") or {}
@@ -208,12 +209,11 @@ def _load_system(model_path):
             "using zero process noise and unit measurement noise",
             file=sys.stderr,
         )
-    system = sysid.arx_to_ss(
+    return sysid.arx_to_ss(
         arx,
         q=q,
         r=np.asarray(r_diag, dtype=float) if r_diag is not None else None,
     )
-    return arx, system, meta
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def cmd_run(args) -> int:
     data = _load_trajectory(
         Path(args.data), args.dt, args.inputs, args.outputs, args.preset, args.arm
     )
-    arx, system, meta = _load_system(args.model)
+    system = _load_system(args.model)
     scenario = simrunner.Scenario(model=system, network=network, data=data)
     result = simrunner.run_scenario(scenario, return_trace=True)
 
@@ -367,7 +367,7 @@ def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
         Path(config["data"]), config["dt"], config["inputs"], config["outputs"],
         config["preset"], config["arm"],
     )
-    arx, system, meta = _load_system(config["model"])
+    system = _load_system(config["model"])
 
     runs = simrunner.run_sweep(system, data, conditions, seeds)
     aggregates = simrunner.aggregate_sweep(runs)
@@ -441,7 +441,16 @@ def cmd_sweep(args) -> int:
 # synth
 
 
+#: the least value of each numeric flag of ``synth`` that the generator reads
+_SYNTH_LEAST = {"n": 2, "seed": 0, "gen_seed": 0, "na": 0, "nb": 1, "nk": 0, "n_inputs": 1, "n_outputs": 1,
+                "process_noise": 0, "measurement_noise": 0}
+
+
 def cmd_synth(args) -> int:
+    for key, least in _SYNTH_LEAST.items():
+        value = getattr(args, key)
+        if not least <= value < np.inf:
+            raise ContractViolationError(f"--{key.replace('_', '-')} must be in [{least}, inf), got {value}")
     generator = dataio.random_stable_arx(
         args.na, args.nb, args.nk, n_outputs=args.n_outputs, n_inputs=args.n_inputs,
         seed=args.gen_seed, dt=args.dt,
@@ -454,7 +463,6 @@ def cmd_synth(args) -> int:
         input_scale=args.input_scale,
         process_noise=args.process_noise,
         measurement_noise=args.measurement_noise,
-        dt=args.dt,
     )
     ts = dataio.gen_synthetic(spec)
 
@@ -618,6 +626,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except SingularInnovationError as exc:  # the filter of ``run`` broke down
+        print(f"error: {exc}", file=sys.stderr)
+        return SCENARIO_ERROR
 
 
 if __name__ == "__main__":

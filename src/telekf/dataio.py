@@ -20,6 +20,7 @@ from .errors import (
     ContractViolationError,
     KinematicsFormatError,
     UnknownChannelNameError,
+    check_dt,
 )
 from .sysid import ArxModel, simulate_arx
 
@@ -103,8 +104,7 @@ class TrajectorySet:
             raise ContractViolationError("a trajectory needs at least one sample")
         if not np.isfinite(inputs).all() or not np.isfinite(outputs).all():
             raise ContractViolationError("trajectory values must be finite")
-        if not self.dt > 0.0:
-            raise ContractViolationError(f"dt must be positive, got {self.dt}")
+        object.__setattr__(self, "dt", check_dt(self.dt))
         if len(self.input_names) != inputs.shape[1]:
             raise ContractViolationError(
                 f"{len(self.input_names)} input names for {inputs.shape[1]} input channels"
@@ -113,7 +113,6 @@ class TrajectorySet:
             raise ContractViolationError(
                 f"{len(self.output_names)} output names for {outputs.shape[1]} output channels"
             )
-        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "input_names", tuple(self.input_names))
@@ -358,7 +357,8 @@ class SyntheticSpec:
     ``generator`` is the ground-truth ArxModel; ``excitation`` is "white"
     or "sines"; ``process_noise`` is the standard deviation of the equation
     noise entering the recursion; ``measurement_noise`` is the standard
-    deviation of the additive noise on the recorded outputs.
+    deviation of the additive noise on the recorded outputs.  The sample
+    period is the generator's.
     """
 
     generator: ArxModel
@@ -368,7 +368,6 @@ class SyntheticSpec:
     input_scale: float = 1.0
     process_noise: float = 0.0
     measurement_noise: float = 0.0
-    dt: float | None = None
 
     def __post_init__(self):
         if self.excitation not in ("white", "sines"):
@@ -377,8 +376,8 @@ class SyntheticSpec:
             )
         if self.n_samples < 2:
             raise ContractViolationError("n_samples must be at least 2")
-        if self.process_noise < 0 or self.measurement_noise < 0:
-            raise ContractViolationError("noise levels must be >= 0")
+        if not (0.0 <= self.process_noise < np.inf and 0.0 <= self.measurement_noise < np.inf):
+            raise ContractViolationError("noise levels must be finite and >= 0")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
@@ -390,7 +389,6 @@ def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
     model = spec.generator
     if not model.stable:
         raise ContractViolationError("generator is unstable")
-    dt = spec.dt if spec.dt is not None else model.dt
     exc_seq, proc_seq, meas_seq = np.random.SeedSequence(spec.seed).spawn(3)
     exc_rng = np.random.Generator(np.random.PCG64(exc_seq))
     n, m, p = spec.n_samples, model.n_inputs, model.n_outputs
@@ -398,8 +396,8 @@ def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
     if spec.excitation == "white":
         u = spec.input_scale * exc_rng.standard_normal((n, m))
     else:
-        t = np.arange(n)[:, None, None] * dt
-        freqs = exc_rng.uniform(0.05, 0.45, size=(1, m, 4)) / dt / 10.0
+        t = np.arange(n)[:, None, None] * model.dt
+        freqs = exc_rng.uniform(0.05, 0.45, size=(1, m, 4)) / model.dt / 10.0
         phases = exc_rng.uniform(0.0, 2 * np.pi, size=(1, m, 4))
         amps = exc_rng.uniform(0.3, 1.0, size=(1, m, 4))
         u = spec.input_scale * np.sum(amps * np.sin(2 * np.pi * freqs * t + phases), axis=2)
@@ -413,7 +411,7 @@ def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
         meas_rng = np.random.Generator(np.random.PCG64(meas_seq))
         y = y + spec.measurement_noise * meas_rng.standard_normal((n, p))
     return TrajectorySet(
-        dt=dt,
+        dt=model.dt,
         inputs=u,
         outputs=y,
         input_names=tuple(f"u{j + 1}" for j in range(m)),

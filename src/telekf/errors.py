@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON value checks of
-the input readers that raise them."""
+"""Exception types shared across the package, the JSON value checks of the
+input readers that raise them, and the sample-period check."""
 
 
 class ContractViolationError(ValueError):
@@ -54,3 +54,10 @@ def is_number(value) -> bool:
 
 def is_list_of(value, check) -> bool:
     return isinstance(value, list) and all(map(check, value))
+
+
+def check_dt(dt) -> float:
+    """The sample period ``dt`` as a float, if it is positive and finite."""
+    if not 0.0 < float(dt) < float("inf"):
+        raise ContractViolationError(f"dt must be positive and finite, got {float(dt)}")
+    return float(dt)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import ContractViolationError, SingularInnovationError
+from .errors import ContractViolationError, SingularInnovationError, check_dt
 
 __all__ = [
     "SystemModel",
@@ -71,7 +71,7 @@ class SystemModel:
         object.__setattr__(self, "h", _as_matrix(self.h, "h"))
         object.__setattr__(self, "q", _as_matrix(self.q, "q"))
         object.__setattr__(self, "r", _as_matrix(self.r, "r"))
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", check_dt(self.dt))
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise ContractViolationError(f"a must be square, got {self.a.shape}")
@@ -88,8 +88,6 @@ class SystemModel:
         p = self.h.shape[0]
         if self.r.shape != (p, p):
             raise ContractViolationError(f"r must be {p}x{p} to match h, got {self.r.shape}")
-        if not self.dt > 0.0:
-            raise ContractViolationError(f"dt must be positive, got {self.dt}")
         _check_sym_psd(self.q, "q")
         _check_sym_psd(self.r, "r")
 
@@ -186,7 +184,7 @@ def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
     if not np.isfinite(u).all():
         raise ContractViolationError("control vector must be finite")
     has_z = np.zeros(1, dtype=bool)
-    p_pri, _, mk, step, _, _ = _kernels.covariance_loop(
+    p_pri, _, mk, step = _kernels.covariance_loop(
         model.a, model.h, model.q, np.diag(model.r), est.p, has_z
     )
     x_pri, _ = _kernels.state_loop(
@@ -237,14 +235,9 @@ def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimat
     n = model.n_states
     eye = np.eye(n)
     has_z = np.ones(1, dtype=bool)
-    _, p_post, mk, step, _, bad_row = _kernels.covariance_loop(
+    _, p_post, mk, step = _kernels.covariance_loop(
         eye, model.h, np.zeros((n, n)), model.r_diagonal(), est.p, has_z
     )
-    if bad_row >= 0:
-        raise SingularInnovationError(
-            f"innovation variance is not positive and finite on measurement row {bad_row}",
-            condition=float("inf"),
-        )
     _, x_post = _kernels.state_loop(
         eye, np.zeros((n, 1)), mk, step, has_z, est.x_hat, np.zeros((1, 1)), z[None]
     )
@@ -304,7 +297,9 @@ def run_filter_trace(
     measurement arrived.  Step t predicts from the running estimate with
     ``inputs[t]`` and, where ``mask[t]`` is set, refines with the
     sequential-scalar update on ``z[t]``; rows of ``z`` on other steps are
-    never read.  The first step starts from ``init``.
+    never read.  The first step starts from ``init``.  An innovation
+    variance that is not positive and finite raises
+    :class:`SingularInnovationError` naming its step and measurement row.
 
     The covariance pass depends only on the model, ``init.p`` and the mask;
     the last one is kept, so calls that share those (the scenarios of a
@@ -339,15 +334,7 @@ def run_filter_trace(
         raise ContractViolationError("observations must be finite on steps with a measurement")
 
     r_diag = model.r_diagonal() if mask.any() else np.diag(model.r).copy()
-    p_pri, p_post, mk, step, bad_step, bad_row = _covariances(
-        model.a, model.h, model.q, r_diag, init.p, mask
-    )
-    if bad_step >= 0:
-        raise SingularInnovationError(
-            f"innovation variance is not positive and finite at step {bad_step}, "
-            f"measurement row {bad_row}",
-            condition=float("inf"),
-        )
+    p_pri, p_post, mk, step = _covariances(model.a, model.h, model.q, r_diag, init.p, mask)
     x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, step, mask, init.x_hat, u, z)
     return FilterTrace(x_pri, x_post, mask, p_pri, p_post, step)
 
@@ -363,13 +350,13 @@ def _covariances(a, h, q, r_diag, p0, mask):
     sweep, which share the model, the initial covariance and the full mask,
     share one pass.  The key is the exact bytes of every input; the
     distinct covariances, folds and step index, which every trace shares, are
-    made read-only, and a breakdown is cached like a result.
+    made read-only.  Only a pass that completes is kept.
     """
     global _memo
     key = tuple((arr.shape, arr.tobytes()) for arr in (a, h, q, r_diag, p0, mask))
     if _memo is None or _memo[0] != key:
         result = _kernels.covariance_loop(a, h, q, r_diag, p0, mask)
-        for arr in result[:4] if result[4] < 0 else ():
+        for arr in result:
             arr.flags.writeable = False
         _memo = (key, result)
     return _memo[1]

@@ -23,6 +23,7 @@ from .errors import (
     ContractViolationError,
     IllConditionedDataError,
     UnsupportedStructureError,
+    check_dt,
     is_int,
     is_list_of,
     is_number,
@@ -78,15 +79,13 @@ class ArxModel:
     def __post_init__(self):
         for name in ("na", "nb", "nk", "n_outputs", "n_inputs"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", check_dt(self.dt))
         if self.na < 0:
             raise ContractViolationError(f"na must be >= 0, got {self.na}")
         if self.nb < 1:
             raise ContractViolationError(f"nb must be >= 1, got {self.nb}")
         if self.nk < 0:
             raise ContractViolationError(f"nk must be >= 0, got {self.nk}")
-        if self.dt <= 0.0:
-            raise ContractViolationError(f"dt must be positive, got {self.dt}")
         a = np.asarray(self.a_coeffs, dtype=float).reshape(self.n_outputs, self.na)
         b = np.asarray(self.b_coeffs, dtype=float).reshape(
             self.n_outputs, self.n_inputs, self.nb

@@ -131,6 +131,62 @@ def test_run_writes_correlated_trace(tmp_path, dataset, model_file):
     assert np.corrcoef(truth, est)[0, 1] > 0.99
 
 
+def test_run_of_a_breaking_model_exits_1_without_a_trace(tmp_path, dataset, model_file, capsys):
+    # with no noise the covariance collapses and an innovation variance reaches zero
+    _, holdout = dataset
+    doc = json.loads(model_file.read_text())
+    doc["noise"] = {"q": 0, "r_diag": [0]}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run_out"
+    assert main(["run", "--model", str(broken), "--data", str(holdout), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: innovation variance is not positive and finite at step ")
+    assert err.endswith(", measurement row 0\n"), err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("seed", -1, "--seed must be in [0, inf), got -1"),
+        ("gen-seed", -1, "--gen-seed must be in [0, inf), got -1"),
+        ("na", -1, "--na must be in [0, inf), got -1"),
+        ("nb", -1, "--nb must be in [1, inf), got -1"),
+        ("n-inputs", 0, "--n-inputs must be in [1, inf), got 0"),
+        ("n-outputs", 0, "--n-outputs must be in [1, inf), got 0"),
+        ("process-noise", "nan", "--process-noise must be in [0, inf), got nan"),
+        ("measurement-noise", "nan", "--measurement-noise must be in [0, inf), got nan"),
+        ("measurement-noise", "inf", "--measurement-noise must be in [0, inf), got inf"),
+    ],
+)
+def test_synth_rejects_a_bad_flag_value_before_any_work(flag, value, message, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(telekf.dataio, "random_stable_arx", no_work)
+    out = tmp_path / "sub" / "out.txt"
+    argv = ["synth", "--out", str(out), f"--{flag}", str(value)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("dt", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["synth", "run", "sweep"])
+def test_non_finite_dt_exits_2(command, dt, tmp_path, dataset, model_file, capsys):
+    _, holdout = dataset
+    out_dir = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--out", str(out_dir / "data.txt")],
+        "run": ["run", "--model", str(model_file), "--data", str(holdout)],
+        "sweep": ["sweep", "--model", str(model_file), "--data", str(holdout), "--rows", "0,0,0", "--seeds", "1"],
+    }[command]
+    assert main([*argv, "--dt", dt, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: dt must be positive and finite, got {dt}\n"
+    assert not out_dir.exists()
+
+
 def test_run_channel_mismatch_exits_2(tmp_path, dataset, capsys):
     train, holdout = dataset
     other_model = tmp_path / "wide.json"

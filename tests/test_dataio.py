@@ -330,6 +330,24 @@ def test_gen_synthetic_rejects_unstable_generator():
         gen_synthetic(SyntheticSpec(generator=unstable, n_samples=100, seed=0))
 
 
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -DT])
+def test_non_finite_or_non_positive_dt_rejected(dt):
+    from telekf.sysid import ArxModel
+
+    with pytest.raises(ContractViolationError, match="dt must be positive and finite"):
+        TrajectorySet(dt=dt, inputs=np.zeros((3, 1)), outputs=np.zeros((3, 1)), input_names=("u",), output_names=("y",))
+    with pytest.raises(ContractViolationError, match="dt must be positive and finite"):
+        ArxModel(na=1, nb=1, nk=1, a_coeffs=[[0.5]], b_coeffs=[[[1.0]]], n_outputs=1, n_inputs=1, dt=dt)
+
+
+@pytest.mark.parametrize("noise", ["process_noise", "measurement_noise"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
+def test_synthetic_spec_rejects_noise_that_is_not_finite_and_non_negative(noise, value):
+    gen = random_stable_arx(1, 1, 1, n_outputs=1, n_inputs=1, seed=34)
+    with pytest.raises(ContractViolationError, match="noise levels must be finite and >= 0"):
+        SyntheticSpec(generator=gen, n_samples=50, seed=0, **{noise: value})
+
+
 def test_write_then_parse_round_trip_exact(tmp_path):
     gen = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=35)
     ts = gen_synthetic(

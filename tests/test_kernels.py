@@ -7,6 +7,7 @@ import pytest
 
 from conftest import exact_lti, identified_system, reference_dataset
 from telekf import _kernels
+from telekf.errors import SingularInnovationError
 
 
 def _cov_inputs(seed, steps=60):
@@ -76,8 +77,7 @@ def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
     masks = (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst,
              alternating, period_3)
     for mask in masks:
-        p_pri, p_post, mk, step, bad_step, bad_row = _kernels.covariance_loop(*args, mask)
-        assert (bad_step, bad_row) == (-1, -1)
+        p_pri, p_post, mk, step = _kernels.covariance_loop(*args, mask)
         # every row is some step's; a full mask settles into a short cycle
         np.testing.assert_array_equal(np.unique(step), np.arange(len(p_post)))
         assert len(p_pri) == len(mk) == len(p_post) <= (100 if mask.all() else mask.shape[0])
@@ -110,35 +110,40 @@ def test_covariance_loop_reports_singular_row():
         a, h, q, r_diag, p0, mask = _cov_inputs(3)
         mask[:first_obs] = False
         mask[first_obs:] = True
-        assert _kernels.covariance_loop(a, h, q, r_diag, p0, mask)[4:] == (-1, -1)
+        assert len(_kernels.covariance_loop(a, h, q, r_diag, p0, mask)[3]) == len(mask)
         for bad_row, r_value in ((1, np.nan), (2, np.inf)):
             r_bad = r_diag.copy()
             r_bad[bad_row] = r_value
-            out = _kernels.covariance_loop(a, h, q, r_bad, p0, mask)
-            assert out[4:] == (first_obs, bad_row)
+            with pytest.raises(SingularInnovationError, match=f"step {first_obs}, measurement row {bad_row}$"):
+                _kernels.covariance_loop(a, h, q, r_bad, p0, mask)
         zero = np.zeros_like(q)
-        out = _kernels.covariance_loop(a, h, zero, np.zeros_like(r_diag), zero, mask)
-        assert out[4:] == (first_obs, 0)
+        with pytest.raises(SingularInnovationError, match=f"step {first_obs}, measurement row 0$"):
+            _kernels.covariance_loop(a, h, zero, np.zeros_like(r_diag), zero, mask)
 
 
-def test_state_loop_does_not_depend_on_chunk_length(monkeypatch):
-    model = exact_lti(seed=9)
-    rng = np.random.default_rng(10)
-    steps = 700
+def test_state_loop_matches_plain_dot_products_bit_for_bit():
+    # the same two products per step as np.dot on freshly stacked vectors
+    model = identified_system(reference_dataset())
+    rng = np.random.default_rng(13)
+    steps = 500
     u = rng.standard_normal((steps, model.n_inputs))
     z = rng.standard_normal((steps, model.n_outputs))
     x0 = rng.standard_normal(model.n_states)
-    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
+    ab = np.hstack([model.a, model.b])
+    for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.arange(steps) % 2 == 0):
         mk, step = _kernels.covariance_loop(
-            model.a, model.h, model.q, np.diag(model.r).copy(), np.eye(model.n_states), mask
-        )[2:4]
-        runs = []
-        for chunk in (1, 7, 128, steps + 1):
-            monkeypatch.setattr(_kernels, "CHUNK", chunk)
-            runs.append(_kernels.state_loop(model.a, model.b, mk, step, mask, x0, u, z))
-        for x_pri, x_post in runs[1:]:
-            np.testing.assert_array_equal(x_pri, runs[0][0])
-            np.testing.assert_array_equal(x_post, runs[0][1])
+            model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states), mask
+        )[2:]
+        want_pri, want_post = [], []
+        x = x0
+        for t in range(steps):
+            x = np.dot(ab, np.concatenate([x, u[t]]))
+            want_pri.append(x)
+            x = np.dot(mk[step[t]], np.concatenate([x, z[t] if mask[t] else np.zeros(model.n_outputs)]))
+            want_post.append(x)
+        x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, step, mask, x0, u, z)
+        np.testing.assert_array_equal(x_pri, want_pri)
+        np.testing.assert_array_equal(x_post, want_post)
 
 
 @pytest.mark.parametrize("which", ["exact_lti", "identified_system"])

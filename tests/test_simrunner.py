@@ -168,6 +168,7 @@ def test_sweep_of_a_breaking_model_records_the_scenario_error(monkeypatch):
     broken = SystemModel(a=SYSTEM.a, b=SYSTEM.b, h=h, q=SYSTEM.q, r=r, dt=SYSTEM.dt)
     monkeypatch.setattr(filtering, "_memo", None)
     runs = run_sweep(broken, DATA, PAPER_CONDITIONS[:2], seeds=[0, 1, 2])
+    assert filtering._memo is None  # only a pass that completes is kept
     with pytest.raises(SingularInnovationError) as info:
         run_scenario(Scenario(model=broken, network=NetworkConfig(0, 0, 0, 0), data=DATA))
     expected = f"{type(info.value).__name__}: {info.value}"

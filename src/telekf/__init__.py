@@ -17,7 +17,7 @@ from .filtering import (
 )
 from .metrics import fit_percent, mse
 from .simrunner import Scenario, ScenarioResult, run_scenario
-from .sysid import ArxModel, arx_fit, arx_to_ss, cross_validate, simulate_arx
+from .sysid import ArxModel, arx_fit, arx_to_ss, simulate_arx
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "apply_channel",
     "arx_fit",
     "arx_to_ss",
-    "cross_validate",
     "fit_percent",
     "gen_synthetic",
     "mse",

@@ -368,6 +368,8 @@ def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
         config["preset"], config["arm"],
     )
     system = _load_system(config["model"])
+    # a model that does not fit the data would fail every scenario alike
+    simrunner.Scenario(model=system, network=NetworkConfig(), data=data)
 
     runs = simrunner.run_sweep(system, data, conditions, seeds)
     aggregates = simrunner.aggregate_sweep(runs)
@@ -447,10 +449,23 @@ _SYNTH_LEAST = {"n": 2, "seed": 0, "gen_seed": 0, "na": 0, "nb": 1, "nk": 0, "n_
 
 
 def cmd_synth(args) -> int:
+    layout = dataio.default_layout()
+    master = layout.block_indices("master")
+    slave = layout.block_indices("slave")
+    # the file holds inputs in master columns and outputs in slave columns
+    most = {"n_inputs": (master.size, "master"), "n_outputs": (slave.size, "slave")}
     for key, least in _SYNTH_LEAST.items():
+        flag = f"--{key.replace('_', '-')}"
         value = getattr(args, key)
         if not least <= value < np.inf:
-            raise ContractViolationError(f"--{key.replace('_', '-')} must be in [{least}, inf), got {value}")
+            raise ContractViolationError(f"{flag} must be in [{least}, inf), got {value}")
+        if key in most and value > most[key][0]:
+            size, block = most[key]
+            raise ContractViolationError(
+                f"{flag} must be at most {size} (the layout's {block} columns), got {value}"
+            )
+    if not np.isfinite(args.input_scale):
+        raise ContractViolationError(f"--input-scale must be finite, got {args.input_scale}")
     generator = dataio.random_stable_arx(
         args.na, args.nb, args.nk, n_outputs=args.n_outputs, n_inputs=args.n_inputs,
         seed=args.gen_seed, dt=args.dt,
@@ -468,11 +483,8 @@ def cmd_synth(args) -> int:
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    layout = dataio.default_layout()
     dataio.write_kinematics(ts, out_path, layout)
 
-    master = layout.block_indices("master")
-    slave = layout.block_indices("slave")
     names = np.asarray(layout.names)
     sidecar = {
         "format": "telekf-synth-truth",

@@ -43,10 +43,9 @@ DEFAULT_DT = 1.0 / 30.0
 
 @dataclass(frozen=True)
 class ColumnLayout:
-    """Column descriptor: names, units, and master/slave block per column."""
+    """Column descriptor: names and master/slave block per column."""
 
     names: tuple[str, ...]
-    units: tuple[str, ...]
     blocks: tuple[str, ...]
 
     @property
@@ -61,7 +60,6 @@ class ColumnLayout:
         cols = sorted(doc["columns"], key=lambda c: c["index"])
         return cls(
             names=tuple(c["name"] for c in cols),
-            units=tuple(c["unit"] for c in cols),
             blocks=tuple(c["block"] for c in cols),
         )
 

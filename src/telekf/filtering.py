@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import ContractViolationError, SingularInnovationError, check_dt
+from .errors import ContractViolationError, SingularInnovationError
 
 __all__ = [
     "SystemModel",
@@ -54,8 +54,9 @@ class SystemModel:
     x[k] = a x[k-1] + b u[k-1] + w,   w ~ N(0, q)
     z[k] = h x[k] + v,                v ~ N(0, r)
 
-    ``a`` is n x n, ``b`` is n x m, ``h`` is p x n, ``q`` is n x n,
-    ``r`` is p x p, and ``dt`` is the sample period in seconds.
+    ``a`` is n x n, ``b`` is n x m, ``h`` is p x n, ``q`` is n x n and
+    ``r`` is p x p.  The model steps in samples and carries no sample
+    period: the channel reads the data's ``dt``.
     """
 
     a: np.ndarray
@@ -63,7 +64,6 @@ class SystemModel:
     h: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    dt: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_matrix(self.a, "a"))
@@ -71,7 +71,6 @@ class SystemModel:
         object.__setattr__(self, "h", _as_matrix(self.h, "h"))
         object.__setattr__(self, "q", _as_matrix(self.q, "q"))
         object.__setattr__(self, "r", _as_matrix(self.r, "r"))
-        object.__setattr__(self, "dt", check_dt(self.dt))
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise ContractViolationError(f"a must be square, got {self.a.shape}")

@@ -13,7 +13,6 @@ each output channel regresses on its own past and on all inputs.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +38,6 @@ __all__ = [
     "predict_one_step",
     "arx_to_ss",
     "residual_covariances",
-    "cross_validate",
     "order_sweep",
     "save_model",
     "load_model",
@@ -383,7 +381,7 @@ def arx_to_ss(model: ArxModel, q=None, r=None) -> SystemModel:
         q_mat = np.zeros((n, n))
     if r_mat is None:
         r_mat = np.eye(p)
-    return SystemModel(a=a, b=b, h=h, q=q_mat, r=r_mat, dt=model.dt)
+    return SystemModel(a=a, b=b, h=h, q=q_mat, r=r_mat)
 
 
 def residual_covariances(model: ArxModel, data) -> tuple[np.ndarray, np.ndarray]:
@@ -417,16 +415,6 @@ def _holdout_arrays(model: ArxModel, holdout) -> tuple[np.ndarray, np.ndarray]:
             f"holdout needs more than {lag + 1} samples, got {y.shape[0]}"
         )
     return u, y
-
-
-def _warn_if_same_trial(model: ArxModel, holdout) -> None:
-    holdout_id = getattr(holdout, "trial_id", None)
-    if holdout_id and model.source_trial and holdout_id == model.source_trial:
-        warnings.warn(
-            f"holdout trial {holdout_id!r} matches the training trial; "
-            "validation is not independent",
-            stacklevel=3,
-        )
 
 
 def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> list[FitReport]:
@@ -519,19 +507,6 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     return reports
 
 
-def cross_validate(model: ArxModel, holdout) -> FitReport:
-    """Free-run validation on an independent trajectory.
-
-    The first max-lag samples of the holdout seed the simulation history;
-    the remainder is scored with the fit percentage and per-channel MSE.
-    The holdout must be longer than max-lag + 1 samples.  A holdout from
-    the training trial draws a warning on every call.
-    """
-    u, y = _holdout_arrays(model, holdout)
-    _warn_if_same_trial(model, holdout)
-    return _free_run_reports([model], u, y)[0]
-
-
 def order_sweep(
     train,
     holdout,
@@ -548,10 +523,11 @@ def order_sweep(
     recorded with the error message instead of a report (and, when the fit
     failed, of a model).
 
-    Every fitted candidate is validated as :func:`cross_validate` does it,
-    but all of them in one free run over the holdout.  Unlike
-    :func:`cross_validate`, the sweep does not warn about a holdout from the
-    training trial; ``telekf identify`` reports that case itself.
+    Every fitted candidate is validated in one free run over the holdout:
+    the first max-lag samples seed its history and the rest is scored with
+    the fit percentage and per-channel MSE.  The sweep does not warn about
+    a holdout from the training trial; ``telekf identify`` reports that
+    case itself.
     """
     records = []
     valid = []

@@ -54,7 +54,7 @@ def exact_lti(seed=0, n=4, m=2, p=2):
     h = rng.standard_normal((p, n))
     q = 0.01 * np.eye(n)
     r = np.diag(rng.uniform(0.05, 0.2, p))
-    return SystemModel(a=a, b=b, h=h, q=q, r=r, dt=1.0 / 30.0)
+    return SystemModel(a=a, b=b, h=h, q=q, r=r)
 
 
 def max_rel_diff(a, b):

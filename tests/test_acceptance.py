@@ -114,7 +114,6 @@ def _criterion3_instances(count):
             h=rng.standard_normal((p, n)),
             q=np.zeros((n, n)),
             r=np.diag(rng.uniform(0.05, 2.0, p)),
-            dt=DT,
         )
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         z = rng.standard_normal(p)
@@ -134,7 +133,7 @@ def _criterion4_pairs(count):
     for _ in range(count):
         q = float(rng.uniform(0.0, 1.0)) or 1e-6
         r = float(rng.uniform(0.0, 1.0)) or 1e-6
-        model = SystemModel(a=[[1.0]], b=[[0.0]], h=[[1.0]], q=[[q]], r=[[r]], dt=DT)
+        model = SystemModel(a=[[1.0]], b=[[0.0]], h=[[1.0]], q=[[q]], r=[[r]])
         est = StateEstimate([0.0], [[1.0]])
         prior_p = post_p = None
         min_p = np.inf

@@ -158,6 +158,10 @@ def test_run_of_a_breaking_model_exits_1_without_a_trace(tmp_path, dataset, mode
         ("process-noise", "nan", "--process-noise must be in [0, inf), got nan"),
         ("measurement-noise", "nan", "--measurement-noise must be in [0, inf), got nan"),
         ("measurement-noise", "inf", "--measurement-noise must be in [0, inf), got inf"),
+        ("n-outputs", 39, "--n-outputs must be at most 38 (the layout's slave columns), got 39"),
+        ("n-inputs", 40, "--n-inputs must be at most 38 (the layout's master columns), got 40"),
+        ("input-scale", "nan", "--input-scale must be finite, got nan"),
+        ("input-scale", "inf", "--input-scale must be finite, got inf"),
     ],
 )
 def test_synth_rejects_a_bad_flag_value_before_any_work(flag, value, message, tmp_path, capsys, monkeypatch):
@@ -203,6 +207,26 @@ def test_run_channel_mismatch_exits_2(tmp_path, dataset, capsys):
     ])
     assert rc == 2
     assert "output" in capsys.readouterr().err
+
+
+def test_sweep_model_that_does_not_fit_the_data_exits_2_before_any_scenario(
+    tmp_path, model_file, capsys, monkeypatch
+):
+    def no_scenario(*args, **kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(telekf.simrunner, "run_sweep", no_scenario)
+    wide = tmp_path / "wide.txt"
+    assert main(synth_args(wide, seed=5, n_outputs=2)) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "sweep_out"
+    rc = main([
+        "sweep", "--model", str(model_file), "--data", str(wide),
+        "--rows", "0,0,0;5,7,0.2", "--seeds", "2", "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: model has 1 outputs but data has 2 output channels\n"
+    assert not out_dir.exists()
 
 
 def test_run_undecodable_data_exits_2(tmp_path, dataset, model_file, capsys):

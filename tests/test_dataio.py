@@ -128,7 +128,6 @@ def reference_parse(text, n_columns):
 #: two master and two slave columns, so parsed values are hstack(inputs, outputs)
 SMALL = ColumnLayout(
     names=("m1", "m2", "s1", "s2"),
-    units=("mm",) * 4,
     blocks=("master", "master", "slave", "slave"),
 )
 
@@ -402,7 +401,6 @@ def _edge_trajectory(n_samples, m, p, seed):
 #: used columns of the two blocks alternate
 INTERLEAVED = ColumnLayout(
     names=tuple(f"c{i}" for i in range(9)),
-    units=("mm",) * 9,
     blocks=("slave", "master", "slave", "master", "master", "slave", "slave", "master", "slave"),
 )
 

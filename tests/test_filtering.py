@@ -21,11 +21,9 @@ from telekf.filtering import (
     update_sequential,
 )
 
-DT = 1.0 / 30.0
-
 
 def scalar_model(a=1.0, b=0.0, h=1.0, q=0.0, r=1.0):
-    return SystemModel(a=[[a]], b=[[b]], h=[[h]], q=[[q]], r=[[r]], dt=DT)
+    return SystemModel(a=[[a]], b=[[b]], h=[[h]], q=[[q]], r=[[r]])
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +32,7 @@ def scalar_model(a=1.0, b=0.0, h=1.0, q=0.0, r=1.0):
 
 def test_predict_identity_dynamics():
     model = SystemModel(
-        a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=np.zeros((2, 2)), r=np.eye(2), dt=DT
+        a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=np.zeros((2, 2)), r=np.eye(2)
     )
     est = StateEstimate([1.0, 2.0], np.eye(2))
     out = predict(est, model, [0.0])
@@ -50,7 +48,6 @@ def test_predict_constant_velocity_exact():
         h=np.eye(2),
         q=np.zeros((2, 2)),
         r=np.eye(2),
-        dt=dt,
     )
     est = StateEstimate([0.0, 1.0], np.zeros((2, 2)))
     out = predict(est, model, [0.0])
@@ -86,7 +83,6 @@ def test_update_joint_perfect_sensor_limit():
         h=np.eye(3),
         q=np.zeros((3, 3)),
         r=1e-12 * np.eye(3),
-        dt=DT,
     )
     est = StateEstimate(rng.standard_normal(3), np.eye(3))
     z = rng.standard_normal(3)
@@ -105,7 +101,7 @@ def singular_cases():
     """(estimate, model) pairs of finite values whose innovation variance is
     zero, infinite (h p h' overflows) and NaN (an overflow times zero)."""
     nan_model = SystemModel(
-        a=np.eye(2), b=np.zeros((2, 1)), h=[[1e10, 0.0]], q=np.zeros((2, 2)), r=[[1.0]], dt=DT
+        a=np.eye(2), b=np.zeros((2, 1)), h=[[1e10, 0.0]], q=np.zeros((2, 2)), r=[[1.0]]
     )
     return [
         (StateEstimate([0.0], [[0.0]]), scalar_model(r=0.0)),
@@ -157,7 +153,7 @@ def test_sequential_single_row_equals_joint():
 
 def test_sequential_two_rows_hand_case():
     model = SystemModel(
-        a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=np.zeros((2, 2)), r=np.eye(2), dt=DT
+        a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=np.zeros((2, 2)), r=np.eye(2)
     )
     est = StateEstimate([0.0, 0.0], np.eye(2))
     out = update_sequential(est, model, [2.0, 4.0])
@@ -176,7 +172,6 @@ def test_sequential_matches_joint_on_random_instances():
             h=rng.standard_normal((p, n)),
             q=np.zeros((n, n)),
             r=np.diag(rng.uniform(0.1, 2.0, p)),
-            dt=DT,
         )
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         z = rng.standard_normal(p)
@@ -193,7 +188,6 @@ def test_sequential_rejects_nondiagonal_r():
         h=np.eye(2),
         q=np.zeros((2, 2)),
         r=[[1.0, 0.1], [0.1, 1.0]],
-        dt=DT,
     )
     with pytest.raises(ContractViolationError, match="diagonal"):
         update_sequential(StateEstimate([0.0, 0.0], np.eye(2)), model, [1.0, 1.0])
@@ -220,7 +214,6 @@ def test_update_never_increases_trace():
             h=rng.standard_normal((p, n)),
             q=np.zeros((n, n)),
             r=np.diag(rng.uniform(0.05, 1.0, p)),
-            dt=DT,
         )
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         out = update_joint(est, model, rng.standard_normal(p))
@@ -251,7 +244,6 @@ def test_run_filter_tracks_perfect_sensor():
         h=np.eye(n),
         q=np.eye(n),
         r=1e-12 * np.eye(n),
-        dt=DT,
     )
     z = rng.standard_normal((50, n))
     trace = run_filter_trace(
@@ -410,7 +402,7 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
 
     q_ulp = model.q.copy()
     q_ulp[0, 0] = np.nextafter(q_ulp[0, 0], np.inf)
-    nudged = SystemModel(a=model.a, b=model.b, h=model.h, q=q_ulp, r=model.r, dt=model.dt)
+    nudged = SystemModel(a=model.a, b=model.b, h=model.h, q=q_ulp, r=model.r)
     fewer = mask.copy()
     fewer[5] = False
     p0_ulp = init.p.copy()
@@ -433,10 +425,8 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
 
 def test_system_model_validation():
     with pytest.raises(ContractViolationError, match="square"):
-        SystemModel(a=np.zeros((2, 3)), b=np.zeros((2, 1)), h=np.eye(2), q=np.eye(2), r=np.eye(2), dt=DT)
-    with pytest.raises(ContractViolationError, match="dt"):
-        SystemModel(a=np.eye(1), b=np.eye(1), h=np.eye(1), q=np.eye(1), r=np.eye(1), dt=0.0)
+        SystemModel(a=np.zeros((2, 3)), b=np.zeros((2, 1)), h=np.eye(2), q=np.eye(2), r=np.eye(2))
     with pytest.raises(ContractViolationError, match="symmetric"):
-        SystemModel(a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=[[0.0, 1.0], [0.0, 0.0]], r=np.eye(2), dt=DT)
+        SystemModel(a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=[[0.0, 1.0], [0.0, 0.0]], r=np.eye(2))
     with pytest.raises(ContractViolationError, match="positive semidefinite"):
-        SystemModel(a=np.eye(1), b=np.eye(1), h=np.eye(1), q=[[-1.0]], r=np.eye(1), dt=DT)
+        SystemModel(a=np.eye(1), b=np.eye(1), h=np.eye(1), q=[[-1.0]], r=np.eye(1))

@@ -21,7 +21,6 @@ def test_package_exports_the_documented_surface():
         "apply_channel",
         "arx_fit",
         "arx_to_ss",
-        "cross_validate",
         "fit_percent",
         "gen_synthetic",
         "mse",

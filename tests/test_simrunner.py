@@ -165,7 +165,7 @@ def test_sweep_of_a_breaking_model_records_the_scenario_error(monkeypatch):
     h[1] = 0.0
     r = SYSTEM.r.copy()
     r[1, 1] = 0.0
-    broken = SystemModel(a=SYSTEM.a, b=SYSTEM.b, h=h, q=SYSTEM.q, r=r, dt=SYSTEM.dt)
+    broken = SystemModel(a=SYSTEM.a, b=SYSTEM.b, h=h, q=SYSTEM.q, r=r)
     monkeypatch.setattr(filtering, "_memo", None)
     runs = run_sweep(broken, DATA, PAPER_CONDITIONS[:2], seeds=[0, 1, 2])
     assert filtering._memo is None  # only a pass that completes is kept

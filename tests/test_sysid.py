@@ -20,7 +20,6 @@ from telekf.sysid import (
     ArxModel,
     arx_fit,
     arx_to_ss,
-    cross_validate,
     load_model,
     order_sweep,
     predict_one_step,
@@ -358,20 +357,21 @@ def test_stability_flag():
 
 
 # ---------------------------------------------------------------------------
-# cross-validation and order sweep
+# order sweep: holdout validation
 
 
-def test_cross_validate_self_consistency_on_clean_data():
+def test_order_sweep_self_consistency_on_clean_data():
     truth = known_221()
     data = synth(truth, 1000, seed=13)
-    fit = arx_fit(data, (2, 2, 1))
-    with pytest.warns(UserWarning):
-        report = cross_validate(fit, data)
-    assert report.fit_percent[0] >= 99.99
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a holdout from the training trial draws no warning
+        records = order_sweep(data, data, na_values=(2,), nb_values=(2,), nk_values=(1,))
+    assert records[0]["report"].fit_percent[0] >= 99.99
 
 
-def test_cross_validate_constant_channel_reports_nan_sentinel():
-    model = random_stable_arx(1, 1, 1, n_outputs=2, n_inputs=1, seed=14)
+def test_order_sweep_constant_channel_reports_nan_sentinel():
+    generator = random_stable_arx(1, 1, 1, n_outputs=2, n_inputs=1, seed=14)
+    train = synth(generator, 300, seed=14)
     rng = np.random.default_rng(15)
     holdout = TrajectorySet(
         dt=DT,
@@ -380,24 +380,17 @@ def test_cross_validate_constant_channel_reports_nan_sentinel():
         input_names=("u1",),
         output_names=("y1", "y2"),
     )
-    report = cross_validate(model, holdout)
-    assert np.isnan(report.fit_percent[1])
-    assert np.isfinite(report.fit_percent[0])
+    [rec] = order_sweep(train, holdout, na_values=(1,), nb_values=(1,), nk_values=(1,))
+    assert np.isnan(rec["report"].fit_percent[1])
+    assert np.isfinite(rec["report"].fit_percent[0])
 
 
-def test_cross_validate_channel_mismatch():
-    model = known_111()
-    data = synth(random_stable_arx(1, 1, 1, n_outputs=2, n_inputs=1, seed=16), 300, seed=17)
-    with pytest.raises(ContractViolationError, match="outputs"):
-        cross_validate(model, data)
-
-
-def test_cross_validate_warns_on_same_trial():
-    truth = known_111()
-    data = synth(truth, 400, seed=18)
-    fit = arx_fit(data, (1, 1, 1))
-    with pytest.warns(UserWarning, match="matches the training trial"):
-        cross_validate(fit, data)
+def test_order_sweep_records_a_holdout_channel_mismatch():
+    train = synth(known_111(), 300, seed=16)
+    holdout = synth(random_stable_arx(1, 1, 1, n_outputs=2, n_inputs=1, seed=16), 300, seed=17)
+    [rec] = order_sweep(train, holdout, na_values=(1,), nb_values=(1,), nk_values=(1,))
+    assert rec["model"] is not None and rec["report"] is None
+    assert rec["error"] == "holdout has 1 inputs / 2 outputs, model expects 1 / 1"
 
 
 def test_order_sweep_prefers_true_orders():
@@ -476,15 +469,6 @@ def test_order_sweep_diverging_candidate_emits_no_runtime_warning(grid_train):
     assert [rec["orders"] for rec in diverged] == [(1, 1, 2)]
 
 
-def test_cross_validate_is_the_sweep_of_one_model(grid_train):
-    holdout = reference_dataset(n_samples=400, seed=37)
-    records = order_sweep(grid_train, holdout, na_values=(2, 3), nb_values=(2,), nk_values=(1,))
-    for rec in records:
-        alone = cross_validate(rec["model"], holdout)
-        assert alone.fit_percent.tobytes() == rec["report"].fit_percent.tobytes()
-        assert alone.mse.tobytes() == rec["report"].mse.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # residual noise and serialization
 
@@ -502,10 +486,9 @@ def test_residual_covariances_match_injected_noise():
 
 def test_model_file_round_trip_is_lossless(tmp_path):
     data = reference_dataset(n_samples=800, seed=22)
-    model = arx_fit(data, (2, 2, 1))
+    [rec] = order_sweep(data, data, na_values=(2,), nb_values=(2,), nk_values=(1,))
+    model, report = rec["model"], rec["report"]
     q_mat, r_mat = residual_covariances(model, data)
-    with pytest.warns(UserWarning):
-        report = cross_validate(model, data)
     path = tmp_path / "model.json"
     save_model(
         model,

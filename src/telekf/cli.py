@@ -12,7 +12,9 @@ Subcommands:
 
 Flags may also be supplied through ``--config FILE`` (a JSON object keyed
 by flag name); explicit command-line flags take precedence over config
-values, which take precedence over built-in defaults.
+values, which take precedence over built-in defaults.  Every report embeds
+such an object for its subcommand in its ``# config=`` line, and
+``sweep --replay REPORT`` reads that line as ``--config`` would read a file.
 
 Exit codes: 0 on success, 1 when the scenario of ``run`` or one or more
 sweep scenarios failed, 2 on usage or validation errors.
@@ -69,7 +71,8 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _parse_rows(text: str) -> list[tuple[float, float, float]]:
-    """Explicit conditions: "nj,nd,np;nj,nd,np;..." (table column order)."""
+    """Explicit conditions: "nj,nd,np;nj,nd,np;..." (table column order),
+    kept in that order."""
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -81,7 +84,7 @@ def _parse_rows(text: str) -> list[tuple[float, float, float]]:
             raise argparse.ArgumentTypeError(
                 f"each row needs three numbers (jitter_ms,delay_ms,loss_prob), got {chunk!r}"
             ) from None
-        rows.append((n_d, n_j, n_p))
+        rows.append((n_j, n_d, n_p))
     return rows
 
 
@@ -122,21 +125,58 @@ _CONFIG_FORMS = {
 }
 
 
-def _read_config(path, parser: argparse.ArgumentParser) -> dict:
-    """The --config JSON object keyed by flag destination; null means unset.
+#: the least value of each numeric flag, checked by :func:`main` for every
+#: subcommand that has it as a number (``identify`` takes lists of orders)
+_LEAST = {"n": 2, "seed": 0, "gen_seed": 0, "na": 0, "nb": 1, "nk": 0, "n_inputs": 1, "n_outputs": 1,
+          "process_noise": 0, "measurement_noise": 0, "seeds": 1}
 
-    A key that names no flag of ``parser``, or a value of a type its flag
-    would not accept, is an error naming the file and the key.  A list of
-    rows reads its columns in the flag's order.
+
+def _from_version_1(doc: dict, path) -> dict:
+    """A version-1 sweep config in the flag form of ``sweep``: its
+    ``conditions`` rows [delay_ms, jitter_ms, loss] become ``rows`` and its
+    list of consecutive seeds becomes ``seeds`` and ``seed0``."""
+    doc = dict(doc)
+    conditions, seeds = doc.pop("conditions"), doc.pop("seeds", None)
+    if not is_list_of(conditions, _is_row):
+        raise ContractViolationError(
+            f"{path}: conditions: expected a list of [delay_ms, jitter_ms, loss] rows, "
+            f"got {json.dumps(conditions)}"
+        )
+    if not (is_list_of(seeds, is_int) and seeds and seeds == list(range(seeds[0], seeds[0] + len(seeds)))):
+        raise ContractViolationError(
+            f"{path}: seeds: expected a list of consecutive integers, got {json.dumps(seeds)}"
+        )
+    doc.update(rows=[[n_j, n_d, n_p] for n_d, n_j, n_p in conditions], seeds=len(seeds), seed0=seeds[0])
+    return doc
+
+
+def _read_config(path, command: str, parser: argparse.ArgumentParser, embedded: bool) -> dict:
+    """The config object of ``path`` keyed by flag destination; null means unset.
+
+    ``path`` is a JSON file, or with ``embedded`` a report whose ``# config=``
+    line holds the object.  A key that names no flag of ``parser``, a
+    ``command`` other than ``command``, or a value of a type its flag would
+    not accept, is an error naming the file and the key.
     """
     with _reading(path):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if embedded:
+            doc = simrunner.read_embedded_config(path)
+        else:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
-        raise ContractViolationError(f"config file {path} must hold a JSON object")
+        raise ContractViolationError(f"{path}: the config must be a JSON object")
+    if "conditions" in doc:
+        doc = _from_version_1(doc, path)
     flag_types = {action.dest: action.type for action in parser._actions}
     config = {}
     for name, value in doc.items():
         key = name.replace("-", "_")
+        if key == "command":
+            if value != command:
+                raise ContractViolationError(
+                    f"{path}: command: expected {json.dumps(command)}, got {json.dumps(value)}"
+                )
+            continue
         if key not in flag_types:
             raise ContractViolationError(f"{path}: unknown key {name!r}")
         if value is None:
@@ -145,10 +185,15 @@ def _read_config(path, parser: argparse.ArgumentParser) -> dict:
             form, check = _CONFIG_FORMS[flag_types[key]]
             if not check(value):
                 raise ContractViolationError(f"{path}: {key}: expected {form}, got {json.dumps(value)}")
-            if flag_types[key] is _parse_rows:
-                value = [(n_d, n_j, n_p) for n_j, n_d, n_p in value]  # as _parse_rows orders them
         config[key] = value
     return config
+
+
+def _report_config(args, **values) -> dict:
+    """The ``# config=`` object of a report: the input flags of
+    ``args.command`` in ``--config`` form, then ``values``."""
+    keys = ("command", "model", "data", "inputs", "outputs", "preset", "arm")
+    return {**{key: getattr(args, key) for key in keys}, "dt": float(args.dt), **values}
 
 
 def _sidecar_names(data_path) -> tuple[list[str], list[str]] | None:
@@ -221,6 +266,9 @@ def _load_system(model_path):
 
 
 def cmd_identify(args) -> int:
+    for key in ("na", "nb", "nk"):
+        if not getattr(args, key):
+            raise ContractViolationError(f"--{key} lists no order")
     train_path = Path(args.train)
     holdout_path = Path(args.holdout)
     if train_path.resolve() == holdout_path.resolve():
@@ -263,6 +311,7 @@ def cmd_identify(args) -> int:
     model = best["model"]
     q_mat, r_mat = sysid.residual_covariances(model, train)
     out_path = Path(args.out) if args.out else out_dir / "model.json"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     sysid.save_model(
         model,
         out_path,
@@ -294,20 +343,7 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = {
-        "command": "run",
-        "model": str(args.model),
-        "data": str(args.data),
-        "inputs": args.inputs,
-        "outputs": args.outputs,
-        "preset": args.preset,
-        "arm": args.arm,
-        "dt": data.dt,
-        "n_d": network.n_d,
-        "n_j": network.n_j,
-        "n_p": network.n_p,
-        "seeds": [network.seed],
-    }
+    config = _report_config(args, nd=network.n_d, nj=network.n_j, np=network.n_p, seed=network.seed)
     trace_path = out_dir / "trace.csv"
     simrunner.write_trace_csv(
         trace_path, data, result.delivered, result.z_est, config, __version__
@@ -325,11 +361,13 @@ def cmd_run(args) -> int:
 # sweep
 
 
-def _sweep_conditions(args) -> list[tuple[float, float, float]]:
+def _sweep_rows(args) -> list[tuple[float, float, float]]:
+    """The sweep's conditions as (jitter_ms, delay_ms, loss) rows."""
     if args.rows:
         rows = args.rows
     elif args.nd_list and args.nj_list and args.np_list:
-        rows = itertools.product(args.nd_list, args.nj_list, args.np_list)
+        grid = itertools.product(args.nd_list, args.nj_list, args.np_list)
+        rows = [(n_j, n_d, n_p) for n_d, n_j, n_p in grid]
     else:
         raise ContractViolationError(
             "sweep needs --rows or non-empty --nd-list, --nj-list, and --np-list"
@@ -337,44 +375,24 @@ def _sweep_conditions(args) -> list[tuple[float, float, float]]:
     return [tuple(float(v) for v in row) for row in rows]
 
 
-def _is_str_or_null(value) -> bool:
-    return value is None or isinstance(value, str)
-
-
-#: what each key of a sweep config that :func:`_run_sweep_from_config` reads
-#: must hold; a row lists the condition as [delay_ms, jitter_ms, loss]
-_SWEEP_CONFIG_FORMS = {
-    "model": ("a string", lambda value: isinstance(value, str)),
-    "data": ("a string", lambda value: isinstance(value, str)),
-    "inputs": ("a string or null", _is_str_or_null),
-    "outputs": ("a string or null", _is_str_or_null),
-    "preset": ("a string or null", _is_str_or_null),
-    "arm": ("a string or null", _is_str_or_null),
-    "dt": ("a number", is_number),
-    "conditions": ("a list of [delay_ms, jitter_ms, loss] rows", lambda value: is_list_of(value, _is_row)),
-    "seeds": ("a list of integers", lambda value: is_list_of(value, is_int)),
-}
-
-
-def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
-    conditions = [tuple(c) for c in config["conditions"]]
-    seeds = config["seeds"]
+def cmd_sweep(args) -> int:
+    rows = _sweep_rows(args)
+    seeds = range(args.seed0, args.seed0 + args.seeds)
     # run_sweep records a failing scenario and moves on; a grid entry that no
     # channel accepts is a usage error, reported before any scenario runs
-    for (n_d, n_j, n_p), seed in itertools.product(conditions, seeds):
+    for (n_j, n_d, n_p), seed in itertools.product(rows, seeds):
         NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p, seed=seed)
-    data = _load_trajectory(
-        Path(config["data"]), config["dt"], config["inputs"], config["outputs"],
-        config["preset"], config["arm"],
-    )
-    system = _load_system(config["model"])
+    data = _load_trajectory(Path(args.data), args.dt, args.inputs, args.outputs, args.preset, args.arm)
+    system = _load_system(args.model)
     # a model that does not fit the data would fail every scenario alike
     simrunner.Scenario(model=system, network=NetworkConfig(), data=data)
 
-    runs = simrunner.run_sweep(system, data, conditions, seeds)
+    runs = simrunner.run_sweep(system, data, [(n_d, n_j, n_p) for n_j, n_d, n_p in rows], seeds)
     aggregates = simrunner.aggregate_sweep(runs)
 
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    config = _report_config(args, rows=rows, seeds=args.seeds, seed0=args.seed0)
     names = data.output_names
     simrunner.write_runs_csv(out_dir / "sweep_runs.csv", runs, names, config, __version__)
     simrunner.write_aggregate_csv(
@@ -398,54 +416,8 @@ def _run_sweep_from_config(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    out_dir = Path(args.out_dir)
-    if args.replay:
-        with _reading(args.replay):
-            config = simrunner.read_embedded_config(args.replay)
-        if not isinstance(config, dict) or config.get("command") != "sweep":
-            raise ContractViolationError(
-                f"{args.replay} does not embed a sweep config"
-            )
-        missing = [key for key in _SWEEP_CONFIG_FORMS if key not in config]
-        if missing:
-            raise ContractViolationError(
-                f"{args.replay}: embedded sweep config lacks {', '.join(missing)}"
-            )
-        for key, (form, check) in _SWEEP_CONFIG_FORMS.items():
-            if not check(config[key]):
-                raise ContractViolationError(
-                    f"{args.replay}: {key}: expected {form}, got {json.dumps(config[key])}"
-                )
-        return _run_sweep_from_config(config, out_dir)
-
-    if not args.model or not args.data:
-        raise ContractViolationError("sweep needs --model and --data (or --replay)")
-    conditions = _sweep_conditions(args)
-    if args.seeds < 1:
-        raise ContractViolationError(f"--seeds must be >= 1, got {args.seeds}")
-    config = {
-        "command": "sweep",
-        "model": str(args.model),
-        "data": str(args.data),
-        "inputs": args.inputs,
-        "outputs": args.outputs,
-        "preset": args.preset,
-        "arm": args.arm,
-        "dt": args.dt,
-        "conditions": [list(c) for c in conditions],
-        "seeds": list(range(args.seed0, args.seed0 + args.seeds)),
-    }
-    return _run_sweep_from_config(config, out_dir)
-
-
 # ---------------------------------------------------------------------------
 # synth
-
-
-#: the least value of each numeric flag of ``synth`` that the generator reads
-_SYNTH_LEAST = {"n": 2, "seed": 0, "gen_seed": 0, "na": 0, "nb": 1, "nk": 0, "n_inputs": 1, "n_outputs": 1,
-                "process_noise": 0, "measurement_noise": 0}
 
 
 def cmd_synth(args) -> int:
@@ -453,14 +425,9 @@ def cmd_synth(args) -> int:
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     # the file holds inputs in master columns and outputs in slave columns
-    most = {"n_inputs": (master.size, "master"), "n_outputs": (slave.size, "slave")}
-    for key, least in _SYNTH_LEAST.items():
-        flag = f"--{key.replace('_', '-')}"
-        value = getattr(args, key)
-        if not least <= value < np.inf:
-            raise ContractViolationError(f"{flag} must be in [{least}, inf), got {value}")
-        if key in most and value > most[key][0]:
-            size, block = most[key]
+    for flag, value, block, size in (("--n-inputs", args.n_inputs, "master", master.size),
+                                     ("--n-outputs", args.n_outputs, "slave", slave.size)):
+        if value > size:
             raise ContractViolationError(
                 f"{flag} must be at most {size} (the layout's {block} columns), got {value}"
             )
@@ -564,8 +531,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep = sub.add_parser("sweep", help="run a condition grid x seeds and write reports")
     add_common(p_sweep)
     add_channels(p_sweep)
-    p_sweep.add_argument("--model", help="model file from identify")
-    p_sweep.add_argument("--data", help="kinematics file")
+    p_sweep.add_argument("--model", required=True, help="model file from identify")
+    p_sweep.add_argument("--data", required=True, help="kinematics file")
     p_sweep.add_argument(
         "--nd-list", dest="nd_list", type=_parse_float_list,
         help="comma list of delays (ms) for a cartesian grid",
@@ -581,7 +548,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep.add_argument("--seeds", type=int, default=30, help="number of seeds per condition (default 30)")
     p_sweep.add_argument("--seed0", type=int, default=0, help="first seed (default 0)")
     p_sweep.add_argument(
-        "--replay", help="re-run the sweep embedded in an existing report CSV"
+        "--replay", help="read the config embedded in a sweep report like --config; flags override it"
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -618,14 +585,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    # a config may set a required flag, so only the last parse, made once
+    # the configs are read, checks the required flags
+    required = [action for command in commands.values() for action in command._actions if action.required]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            # defaults set on the top-level parser do not reach subcommand
-            # arguments, so the config becomes the subcommand's defaults
-            command = commands[args.command]
-            command.set_defaults(**_read_config(args.config, command))
-            args = parser.parse_args(argv)
+        command = commands[args.command]
+        for flag in ("config", "replay"):
+            path = getattr(args, flag, None)
+            if path:
+                # defaults set on the top-level parser do not reach subcommand
+                # arguments, so the config becomes the subcommand's defaults
+                command.set_defaults(**_read_config(path, args.command, command, embedded=flag == "replay"))
+                args = parser.parse_args(argv)
+        for action in required:
+            action.required = command.get_default(action.dest) is None
+        args = parser.parse_args(argv)
+        for key, least in _LEAST.items():
+            value = getattr(args, key, None)
+            if isinstance(value, (int, float)) and not least <= value < np.inf:
+                flag = f"--{key.replace('_', '-')}"
+                raise ContractViolationError(f"{flag} must be in [{least}, inf), got {value}")
         return args.func(args)
     except (
         ContractViolationError,

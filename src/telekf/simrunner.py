@@ -11,6 +11,7 @@ embedded metadata to reproduce the aggregated report byte for byte.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 REPORT_FORMAT = "telekf-report"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 #: rows of ``trace.csv`` formatted and written at a time
 TRACE_BLOCK_ROWS = 1024
@@ -367,10 +368,14 @@ def _write_lines(path, lines: list[str]) -> None:
 
 
 def read_embedded_config(path) -> dict:
-    """Recover the config mapping embedded in a report's comment lines."""
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    """Recover the config mapping embedded in a report's comment lines.
+
+    Only the leading ``#`` lines are read and decoded, so the size and bytes
+    of the data rows do not matter.
+    """
+    with open(path, "rb") as report:
+        head = b"".join(itertools.takewhile(lambda line: line.startswith(b"#"), report))
+    for line in head.decode("utf-8").splitlines():
         if line.startswith("# config="):
             return json.loads(line[len("# config=") :])
-        if not line.startswith("#"):
-            break
     raise ContractViolationError(f"no embedded config found in {path}")

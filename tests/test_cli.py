@@ -97,6 +97,36 @@ def test_identify_same_holdout_warns_but_runs(tmp_path, dataset, capsys):
     assert err == ["warning: holdout equals the training file; fit figures are in-sample"]
 
 
+def test_identify_out_into_a_new_directory(tmp_path, dataset):
+    train, holdout = dataset
+    model_path = tmp_path / "new" / "sub" / "model.json"
+    rc = main([
+        "identify", "--train", str(train), "--holdout", str(holdout),
+        "--na", "1", "--nb", "1", "--nk", "1", "--out", str(model_path), "--out-dir", str(tmp_path / "fits"),
+    ])
+    assert rc == 0
+    assert json.loads(model_path.read_text())["na"] == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_identify_empty_order_list_exits_2_before_reading_the_data(source, tmp_path, capsys, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(telekf.dataio, "parse_kinematics", no_read)
+    missing = str(tmp_path / "nope.txt")
+    argv = ["identify", "--train", missing, "--holdout", missing, "--out-dir", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--na", "4:1"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"na": []}))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --na lists no order\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture()
 def model_file(tmp_path, dataset):
     train, holdout = dataset
@@ -297,32 +327,37 @@ def test_malformed_sidecar_exits_2(sidecar, message, tmp_path, dataset, model_fi
 def _sweep_config(**changes):
     """An embedded sweep config with every key, as JSON text, with ``changes`` applied."""
     config = {"command": "sweep", "model": "m.json", "data": "d.txt", "inputs": None, "outputs": None,
-              "preset": None, "arm": None, "dt": 0.05, "conditions": [[0, 0, 0]], "seeds": [0]}
+              "preset": None, "arm": None, "dt": 0.05, "rows": [[0, 0, 0]], "seeds": 1, "seed0": 0}
     return json.dumps({**config, **changes})
 
 
 @pytest.mark.parametrize(
     "config, message",
     [
-        ("1", "does not embed a sweep config"),
-        ('{"command": "sweep"}', "embedded sweep config lacks model, data, "),
-        ('{"command": "sweep", "model": "m.json", "data": "d.txt"}', "lacks inputs, outputs, preset, arm, dt, conditions, seeds"),
+        ("1", "{report}: the config must be a JSON object"),
+        ('{"command": "sweep"}', "the following arguments are required: --model, --data"),
+        ('{"command": "sweep", "model": "m.json", "data": "d.txt"}',
+         "sweep needs --rows or non-empty --nd-list, --nj-list, and --np-list"),
         # the model and data files do not exist: the types are checked first
-        (_sweep_config(conditions=[[1, 2]]), ": conditions: expected a list of [delay_ms, jitter_ms, loss] rows, got [[1, 2]]"),
-        (_sweep_config(conditions=5), ": conditions: expected a list of [delay_ms, jitter_ms, loss] rows, got 5"),
-        (_sweep_config(dt="x"), ': dt: expected a number, got "x"'),
-        (_sweep_config(seeds="ab"), ': seeds: expected a list of integers, got "ab"'),
+        (_sweep_config(rows=[[1, 2]]), "{report}: rows: expected a list of [jitter_ms, delay_ms, loss] rows, got [[1, 2]]"),
+        ('{"conditions": 5, "seeds": [0]}',
+         "{report}: conditions: expected a list of [delay_ms, jitter_ms, loss] rows, got 5"),
+        (_sweep_config(dt="x"), "argument --dt: invalid float value: 'x'"),
+        (_sweep_config(seeds="ab"), "argument --seeds: invalid int value: 'ab'"),
+        (_sweep_config(seeds=[0, 1]), "{report}: seeds: expected an integer, got [0, 1]"),
+        (_sweep_config(seeds=0), "--seeds must be in [1, inf), got 0"),
+        (_sweep_config(command="run"), '{report}: command: expected "sweep", got "run"'),
     ],
     ids=["not-an-object", "command-only", "keys-missing", "short-row", "conditions-a-number", "dt-a-string",
-         "seeds-a-string"],
+         "seeds-a-string", "seeds-a-list", "no-seeds", "command-of-run"],
 )
 def test_replay_of_a_malformed_config_exits_2(config, message, tmp_path, capsys):
     report = tmp_path / "report.csv"
     report.write_text(f"# config={config}\nn_d,n_j\n")
     out_dir = tmp_path / "replayed"
-    assert main(["sweep", "--replay", str(report), "--out-dir", str(out_dir)]) == 2
+    assert exit_code(["sweep", "--replay", str(report), "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {report}") and message in err, err
+    assert err.endswith(f"error: {message.format(report=report)}\n"), err
     assert not out_dir.exists()
 
 
@@ -368,6 +403,66 @@ def test_sweep_grid_and_replay_byte_identical(tmp_path, dataset, model_file):
     assert (out_b / "sweep_aggregated.csv").read_bytes() == agg_a.read_bytes()
 
 
+def _config_line(path) -> str:
+    return next(line for line in path.read_text().splitlines() if line.startswith("# config="))
+
+
+def _without_runtime(path) -> list[str]:
+    """The lines of a runs report with the wall-clock runtime_ms column cut."""
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_sweep_config_line_as_config_file_gives_the_same_reports(tmp_path, dataset, model_file):
+    _, holdout = dataset
+    first = tmp_path / "first"
+    assert main([
+        "sweep", "--model", str(model_file), "--data", str(holdout),
+        "--nd-list", "0,5", "--nj-list", "2", "--np-list", "0,0.2", "--seeds", "2", "--seed0", "4",
+        "--out-dir", str(first),
+    ]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_config_line(first / "sweep_aggregated.csv")[len("# config="):])
+    again = tmp_path / "again"
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(again)]) == 0
+    assert (again / "sweep_aggregated.csv").read_bytes() == (first / "sweep_aggregated.csv").read_bytes()
+    assert _without_runtime(again / "sweep_runs.csv") == _without_runtime(first / "sweep_runs.csv")
+
+
+def test_run_config_line_as_config_file_gives_the_same_trace(tmp_path, dataset, model_file):
+    _, holdout = dataset
+    first = tmp_path / "first"
+    assert main([
+        "run", "--model", str(model_file), "--data", str(holdout),
+        "--nd", "7", "--nj", "5", "--np", "0.2", "--seed", "3", "--dt", "0.002", "--out-dir", str(first),
+    ]) == 0
+    config = read_embedded_config(first / "trace.csv")
+    assert {key: config[key] for key in ("nd", "nj", "np", "seed")} == {"nd": 7.0, "nj": 5.0, "np": 0.2, "seed": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_config_line(first / "trace.csv")[len("# config="):])
+    again = tmp_path / "again"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(again)]) == 0
+    assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+
+
+def test_a_flag_beside_replay_overrides_the_embedded_value(tmp_path, dataset, model_file):
+    _, holdout = dataset
+    first = tmp_path / "first"
+    assert main([
+        "sweep", "--model", str(model_file), "--data", str(holdout),
+        "--rows", "0,0,0;2,5,0.1", "--seeds", "3", "--out-dir", str(first),
+    ]) == 0
+    replayed = tmp_path / "replayed"
+    assert main([
+        "sweep", "--replay", str(first / "sweep_runs.csv"), "--seeds", "1", "--rows", "2,5,0.1",
+        "--out-dir", str(replayed),
+    ]) == 0
+    config = read_embedded_config(replayed / "sweep_aggregated.csv")
+    assert (config["rows"], config["seeds"], config["seed0"]) == ([[2.0, 5.0, 0.1]], 1, 0)
+    assert config["model"] == str(model_file)
+    runs = [line.split(",") for line in (replayed / "sweep_runs.csv").read_text().splitlines()[4:]]
+    assert [row[:4] for row in runs] == [["5.0", "2.0", "0.1", "0"]]
+
+
 def test_sweep_cartesian_grid(tmp_path, dataset, model_file):
     _, holdout = dataset
     out_dir = tmp_path / "grid"
@@ -378,8 +473,9 @@ def test_sweep_cartesian_grid(tmp_path, dataset, model_file):
     ])
     assert rc == 0
     config = read_embedded_config(out_dir / "sweep_aggregated.csv")
-    assert len(config["conditions"]) == 4
-    assert config["seeds"] == [0, 1]
+    # the grid's (delay, jitter, loss) products, as (jitter, delay, loss) rows
+    assert config["rows"] == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.2], [0.0, 5.0, 0.0], [0.0, 5.0, 0.2]]
+    assert (config["seeds"], config["seed0"]) == (2, 0)
 
 
 def test_sweep_empty_grid_exits_2(tmp_path, dataset, model_file, capsys):
@@ -412,13 +508,13 @@ def test_config_file_supplies_flags_and_cli_overrides(tmp_path, dataset, model_f
     rc = main(["sweep", "--config", str(cfg_path)])
     assert rc == 0
     config = read_embedded_config(tmp_path / "from_config" / "sweep_aggregated.csv")
-    assert config["seeds"] == [0, 1]
+    assert config["seeds"] == 2
 
     rc = main(["sweep", "--config", str(cfg_path), "--seeds", "3",
                "--out-dir", str(tmp_path / "override")])
     assert rc == 0
     config = read_embedded_config(tmp_path / "override" / "sweep_aggregated.csv")
-    assert config["seeds"] == [0, 1, 2]
+    assert config["seeds"] == 3
 
 
 @pytest.mark.parametrize("value", [[1], 1.5, True], ids=["list", "fraction", "bool"])
@@ -454,7 +550,9 @@ def test_config_rows_read_in_the_flag_column_order(tmp_path, dataset, model_file
     assert main([*base, "--rows", "2,5,0.1;0.5,7,0", "--out-dir", str(tmp_path / "flag")]) == 0
     from_config = read_embedded_config(tmp_path / "cfg" / "sweep_aggregated.csv")
     from_flag = read_embedded_config(tmp_path / "flag" / "sweep_aggregated.csv")
-    assert from_config["conditions"] == from_flag["conditions"] == [[5.0, 2.0, 0.1], [7.0, 0.5, 0.0]]
+    assert from_config["rows"] == from_flag["rows"] == [[2.0, 5.0, 0.1], [0.5, 7.0, 0.0]]
+    rows = (tmp_path / "cfg" / "sweep_aggregated.csv").read_text().splitlines()[4:]
+    assert [row.split(",")[:3] for row in rows] == [["5.0", "2.0", "0.1"], ["7.0", "0.5", "0.0"]]
 
 
 def test_cli_import_loads_no_scipy():

@@ -4,14 +4,19 @@ The golden set is made by ``tests/data/golden/make_golden.py``; this test
 runs the same pipeline in a temporary directory.  The synth hashes and the
 report comment lines must match exactly; in the other lines, every token
 that is not a float must match exactly and every float to ``REL_TOL``.
+A report of version 1, whose config names the pipeline's files, must
+replay there to the reports of the version that writes them now.
 """
 
 import importlib.util
+import json
 import math
 import re
 from pathlib import Path
 
 import pytest
+
+from telekf.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", GOLDEN_DIR / "make_golden.py")
@@ -66,12 +71,48 @@ def mismatch(name: str, golden: str, fresh: str):
     return None
 
 
+#: the config line of the golden ``sweep_aggregated.csv`` as report version 1
+#: wrote it: conditions as [delay_ms, jitter_ms, loss] rows, seeds as a list
+V1_CONFIG = (
+    '# config={"arm":null,"command":"sweep","conditions":[[0.0,0.0,0.0],[7.0,5.0,0.1],[20.0,10.0,0.3]],'
+    '"data":"holdout.txt","dt":0.03333333333333333,"inputs":null,"model":"identify/model.json",'
+    '"outputs":null,"preset":null,"seeds":[0,1,2]}'
+)
+
+
 @pytest.fixture(scope="module")
-def fresh(tmp_path_factory):
-    return make_golden.generate(tmp_path_factory.mktemp("golden"))
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def fresh(workdir):
+    return make_golden.generate(workdir)
 
 
 @pytest.mark.parametrize("name", ["synth.sha256", *make_golden.REPORTS])
 def test_pipeline_reports_match_golden(fresh, name):
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert mismatch(name, golden, fresh[name]) is None
+
+
+def test_version_1_report_replays_to_the_reports_of_its_flags(fresh, workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    Path("v1.csv").write_text(f"# telekf-report v1 telekf=0.1.0 rng=pcg64\n{V1_CONFIG}\nn_d,n_j\n")
+    assert main(["sweep", "--replay", "v1.csv", "--out-dir", "v1"]) == 0
+    # the sweep of make_golden.SWEEP, whose flags wrote the version-1 line
+    sweep, v1 = workdir / "sweep", workdir / "v1"
+    assert (v1 / "sweep_aggregated.csv").read_bytes() == (sweep / "sweep_aggregated.csv").read_bytes()
+    runs = [make_golden._blank_runtime((path / "sweep_runs.csv").read_text()) for path in (v1, sweep)]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seeds", ["[0,2,3]", "[2,1]", "[]", "3"])
+def test_version_1_report_without_consecutive_seeds_exits_2(seeds, tmp_path, capsys):
+    report = tmp_path / "v1.csv"
+    report.write_text(V1_CONFIG.replace('"seeds":[0,1,2]', f'"seeds":{seeds}') + "\n")
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--replay", str(report), "--out-dir", str(out_dir)]) == 2
+    message = f"{report}: seeds: expected a list of consecutive integers, got {json.dumps(json.loads(seeds))}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()

@@ -193,7 +193,7 @@ def test_csv_writers_schema_and_embedded_config(tmp_path):
     # one with neither a quote nor a comma
     for seed, message in ((2, 'SingularInnovationError: row "y1"'), (3, "ValueError: bad")):
         runs.append({"condition": (0.0, 0.0, 0.1), "seed": seed, "result": None, "error": message})
-    config = {"command": "sweep", "conditions": [[0, 0, 0.1], [0, 0, -0.5]], "seeds": [0, 1]}
+    config = {"command": "sweep", "rows": [[0, 0, 0.1], [0, 0, -0.5]], "seeds": 2, "seed0": 0}
     runs_path = tmp_path / "runs.csv"
     agg_path = tmp_path / "agg.csv"
     write_runs_csv(runs_path, runs, DATA.output_names, config, "0.1.0")
@@ -291,6 +291,12 @@ def test_config_hash_is_stable_and_order_free():
     h1 = config_hash({"a": 1, "b": [1, 2]})
     h2 = config_hash({"b": [1, 2], "a": 1})
     assert h1 == h2 and len(h1) == 12
+
+
+def test_read_embedded_config_reads_only_the_comment_lines(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b'# telekf-report v2\n# config={"seeds": 1}\nn_d,n_j\n0,\xff\n')
+    assert read_embedded_config(path) == {"seeds": 1}
 
 
 def test_read_embedded_config_missing(tmp_path):

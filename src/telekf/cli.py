@@ -5,16 +5,16 @@ Subcommands:
 * ``identify`` — fit ARX models over an order grid, print the comparison
   table, and save the best filter-compatible model.
 * ``run``      — one scenario; writes a truth/delivered/estimate trace CSV.
-* ``sweep``    — a grid of channel conditions x seeds; writes per-run and
+* ``sweep``    — a table of channel conditions x seeds; writes per-run and
   aggregated report CSVs plus a summary table.
 * ``synth``    — generate a synthetic dataset file with a ground-truth
   sidecar.
 
-Flags may also be supplied through ``--config FILE`` (a JSON object keyed
-by flag name); explicit command-line flags take precedence over config
-values, which take precedence over built-in defaults.  Every report embeds
-such an object for its subcommand in its ``# config=`` line, and
-``sweep --replay REPORT`` reads that line as ``--config`` would read a file.
+Settings may also be supplied through ``--config FILE`` (a JSON object
+keyed by flag name).  Every report embeds such an object for its subcommand
+in its ``# config=`` line, and ``sweep --replay REPORT`` reads that line as
+``--config`` would read a file.  Each setting is taken from the command-line
+flag, then ``--replay``, then ``--config``, then the built-in default.
 
 Exit codes: 0 on success, 1 when the scenario of ``run`` or one or more
 sweep scenarios failed, 2 on usage or validation errors.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -61,13 +60,6 @@ def _parse_int_values(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected LO:HI or a comma list of integers, got {text!r}"
         ) from None
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _parse_rows(text: str) -> list[tuple[float, float, float]]:
@@ -120,7 +112,6 @@ _CONFIG_FORMS = {
     int: ("an integer", is_int),
     float: ("a number", is_number),
     _parse_int_values: ("a list of integers", lambda value: is_list_of(value, is_int)),
-    _parse_float_list: ("a list of numbers", lambda value: is_list_of(value, is_number)),
     _parse_rows: ("a list of [jitter_ms, delay_ms, loss] rows", lambda value: is_list_of(value, _is_row)),
 }
 
@@ -128,7 +119,11 @@ _CONFIG_FORMS = {
 #: the least value of each numeric flag, checked by :func:`main` for every
 #: subcommand that has it as a number (``identify`` takes lists of orders)
 _LEAST = {"n": 2, "seed": 0, "gen_seed": 0, "na": 0, "nb": 1, "nk": 0, "n_inputs": 1, "n_outputs": 1,
-          "process_noise": 0, "measurement_noise": 0, "seeds": 1}
+          "process_noise": 0, "measurement_noise": 0, "seeds": 1, "seed0": 0, "nd": 0, "nj": 0, "np": 0}
+
+#: flags that say where settings come from rather than set one, so no
+#: config object may hold them
+_NOT_SETTINGS = ("help", "config", "replay")
 
 
 def _from_version_1(doc: dict, path) -> dict:
@@ -154,7 +149,7 @@ def _read_config(path, command: str, parser: argparse.ArgumentParser, embedded: 
     """The config object of ``path`` keyed by flag destination; null means unset.
 
     ``path`` is a JSON file, or with ``embedded`` a report whose ``# config=``
-    line holds the object.  A key that names no flag of ``parser``, a
+    line holds the object.  A key that names no setting of ``parser``, a
     ``command`` other than ``command``, or a value of a type its flag would
     not accept, is an error naming the file and the key.
     """
@@ -167,7 +162,7 @@ def _read_config(path, command: str, parser: argparse.ArgumentParser, embedded: 
         raise ContractViolationError(f"{path}: the config must be a JSON object")
     if "conditions" in doc:
         doc = _from_version_1(doc, path)
-    flag_types = {action.dest: action.type for action in parser._actions}
+    flag_types = {action.dest: action.type for action in parser._actions if action.dest not in _NOT_SETTINGS}
     config = {}
     for name, value in doc.items():
         key = name.replace("-", "_")
@@ -291,14 +286,14 @@ def cmd_identify(args) -> int:
         if rec["report"] is None:
             note = rec["error"] or "failed"
             print(f"{na:>3} {nb:>3} {nk:>3} {'-':>10} {'-':>12}  {note}")
-            table_lines.append(f"{na},{nb},{nk},,,{rec['filterable']},{note}")
+            table_lines.append(f"{na},{nb},{nk},,,{rec['filterable']},{simrunner._csv_field(note)}")
             continue
         agg = rec["report"].aggregate
         mse_mean = float(np.mean(rec["report"].mse))
         note = "" if rec["filterable"] else "not filterable (nk=0)"
         print(f"{na:>3} {nb:>3} {nk:>3} {agg:>10.4f} {mse_mean:>12.4e}  {note}")
         table_lines.append(
-            f"{na},{nb},{nk},{agg!r},{mse_mean!r},{rec['filterable']},{note}"
+            f"{na},{nb},{nk},{agg!r},{mse_mean!r},{rec['filterable']},{simrunner._csv_field(note)}"
         )
     (out_dir / "order_fits.csv").write_text("\n".join(table_lines) + "\n", encoding="utf-8")
 
@@ -361,27 +356,16 @@ def cmd_run(args) -> int:
 # sweep
 
 
-def _sweep_rows(args) -> list[tuple[float, float, float]]:
-    """The sweep's conditions as (jitter_ms, delay_ms, loss) rows."""
-    if args.rows:
-        rows = args.rows
-    elif args.nd_list and args.nj_list and args.np_list:
-        grid = itertools.product(args.nd_list, args.nj_list, args.np_list)
-        rows = [(n_j, n_d, n_p) for n_d, n_j, n_p in grid]
-    else:
-        raise ContractViolationError(
-            "sweep needs --rows or non-empty --nd-list, --nj-list, and --np-list"
-        )
-    return [tuple(float(v) for v in row) for row in rows]
-
-
 def cmd_sweep(args) -> int:
-    rows = _sweep_rows(args)
+    if not args.rows:
+        raise ContractViolationError("--rows lists no condition")
+    # (jitter_ms, delay_ms, loss) rows as floats, whatever JSON numbers a config gave
+    rows = [tuple(float(v) for v in row) for row in args.rows]
     seeds = range(args.seed0, args.seed0 + args.seeds)
-    # run_sweep records a failing scenario and moves on; a grid entry that no
+    # run_sweep records a failing scenario and moves on; a row that no
     # channel accepts is a usage error, reported before any scenario runs
-    for (n_j, n_d, n_p), seed in itertools.product(rows, seeds):
-        NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p, seed=seed)
+    for n_j, n_d, n_p in rows:
+        NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p)
     data = _load_trajectory(Path(args.data), args.dt, args.inputs, args.outputs, args.preset, args.arm)
     system = _load_system(args.model)
     # a model that does not fit the data would fail every scenario alike
@@ -528,22 +512,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_run.add_argument("--seed", type=int, default=0, help="channel RNG seed (default 0)")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a condition grid x seeds and write reports")
+    p_sweep = sub.add_parser("sweep", help="run a condition table x seeds and write reports")
     add_common(p_sweep)
     add_channels(p_sweep)
     p_sweep.add_argument("--model", required=True, help="model file from identify")
     p_sweep.add_argument("--data", required=True, help="kinematics file")
     p_sweep.add_argument(
-        "--nd-list", dest="nd_list", type=_parse_float_list,
-        help="comma list of delays (ms) for a cartesian grid",
-    )
-    p_sweep.add_argument("--nj-list", dest="nj_list", type=_parse_float_list, help="comma list of jitters (ms)")
-    p_sweep.add_argument(
-        "--np-list", dest="np_list", type=_parse_float_list, help="comma list of loss probabilities"
-    )
-    p_sweep.add_argument(
-        "--rows", type=_parse_rows,
-        help='explicit conditions "jitter_ms,delay_ms,loss;..." overriding the grid',
+        "--rows", type=_parse_rows, required=True, help='channel conditions "jitter_ms,delay_ms,loss;..."'
     )
     p_sweep.add_argument("--seeds", type=int, default=30, help="number of seeds per condition (default 30)")
     p_sweep.add_argument("--seed0", type=int, default=0, help="first seed (default 0)")
@@ -593,13 +568,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         command = commands[args.command]
+        # each config becomes the subcommand's defaults (defaults set on the
+        # top-level parser do not reach subcommand arguments); --replay is
+        # read last, so its values override --config's, and flags override both
         for flag in ("config", "replay"):
             path = getattr(args, flag, None)
             if path:
-                # defaults set on the top-level parser do not reach subcommand
-                # arguments, so the config becomes the subcommand's defaults
                 command.set_defaults(**_read_config(path, args.command, command, embedded=flag == "replay"))
-                args = parser.parse_args(argv)
         for action in required:
             action.required = command.get_default(action.dest) is None
         args = parser.parse_args(argv)

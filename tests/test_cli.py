@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,17 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def _no_read(*args, **kwargs):
+    raise AssertionError("an input file was read")
+
+
+@pytest.fixture()
+def no_input_read(monkeypatch):
+    """Fail the test if a kinematics or model file is read."""
+    monkeypatch.setattr(telekf.dataio, "parse_kinematics", _no_read)
+    monkeypatch.setattr(telekf.sysid, "load_model", _no_read)
 
 
 @pytest.fixture()
@@ -109,11 +122,7 @@ def test_identify_out_into_a_new_directory(tmp_path, dataset):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_identify_empty_order_list_exits_2_before_reading_the_data(source, tmp_path, capsys, monkeypatch):
-    def no_read(*args, **kwargs):
-        raise AssertionError("a data file was read")
-
-    monkeypatch.setattr(telekf.dataio, "parse_kinematics", no_read)
+def test_identify_empty_order_list_exits_2_before_reading_the_data(source, tmp_path, capsys, no_input_read):
     missing = str(tmp_path / "nope.txt")
     argv = ["identify", "--train", missing, "--holdout", missing, "--out-dir", str(tmp_path / "out")]
     if source == "flag":
@@ -335,9 +344,8 @@ def _sweep_config(**changes):
     "config, message",
     [
         ("1", "{report}: the config must be a JSON object"),
-        ('{"command": "sweep"}', "the following arguments are required: --model, --data"),
-        ('{"command": "sweep", "model": "m.json", "data": "d.txt"}',
-         "sweep needs --rows or non-empty --nd-list, --nj-list, and --np-list"),
+        ('{"command": "sweep"}', "the following arguments are required: --model, --data, --rows"),
+        ('{"command": "sweep", "model": "m.json", "data": "d.txt"}', "the following arguments are required: --rows"),
         # the model and data files do not exist: the types are checked first
         (_sweep_config(rows=[[1, 2]]), "{report}: rows: expected a list of [jitter_ms, delay_ms, loss] rows, got [[1, 2]]"),
         ('{"conditions": 5, "seeds": [0]}',
@@ -417,7 +425,7 @@ def test_sweep_config_line_as_config_file_gives_the_same_reports(tmp_path, datas
     first = tmp_path / "first"
     assert main([
         "sweep", "--model", str(model_file), "--data", str(holdout),
-        "--nd-list", "0,5", "--nj-list", "2", "--np-list", "0,0.2", "--seeds", "2", "--seed0", "4",
+        "--rows", "2,0,0;2,0,0.2;2,5,0;2,5,0.2", "--seeds", "2", "--seed0", "4",
         "--out-dir", str(first),
     ]) == 0
     cfg_path = tmp_path / "cfg.json"
@@ -463,36 +471,45 @@ def test_a_flag_beside_replay_overrides_the_embedded_value(tmp_path, dataset, mo
     assert [row[:4] for row in runs] == [["5.0", "2.0", "0.1", "0"]]
 
 
-def test_sweep_cartesian_grid(tmp_path, dataset, model_file):
-    _, holdout = dataset
-    out_dir = tmp_path / "grid"
-    rc = main([
-        "sweep", "--model", str(model_file), "--data", str(holdout),
-        "--nd-list", "0,5", "--nj-list", "0", "--np-list", "0,0.2",
-        "--seeds", "2", "--out-dir", str(out_dir),
-    ])
-    assert rc == 0
-    config = read_embedded_config(out_dir / "sweep_aggregated.csv")
-    # the grid's (delay, jitter, loss) products, as (jitter, delay, loss) rows
-    assert config["rows"] == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.2], [0.0, 5.0, 0.0], [0.0, 5.0, 0.2]]
-    assert (config["seeds"], config["seed0"]) == (2, 0)
-
-
-def test_sweep_empty_grid_exits_2(tmp_path, dataset, model_file, capsys):
-    _, holdout = dataset
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([], "the following arguments are required: --rows"),
+        (["--rows", ""], "error: --rows lists no condition"),
+        (["--config", "{config}"], "error: --rows lists no condition"),
+        (["--rows", "a,b,c"], "argument --rows: each row needs three numbers"),
+        (["--rows", "0,0,1.5"], "error: n_p must be in [0, 1], got 1.5"),
+        (["--rows", "0,0,0", "--nj-list", "0", "--np-list", "0"], "unrecognized arguments: --nj-list 0 --np-list 0"),
+    ],
+    ids=["no-rows", "empty-rows", "empty-config-rows", "not-numbers", "loss-above-1", "grid-flags"],
+)
+def test_sweep_without_usable_rows_exits_2_before_reading_files(extra, message, tmp_path, capsys, no_input_read):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rows": []}))
     out_dir = tmp_path / "sweep_out"
-    base = ["sweep", "--model", str(model_file), "--data", str(holdout), "--out-dir", str(out_dir)]
-    cases = [
-        ([], "sweep needs"),
-        (["--rows", "a,b,c"], "--rows"),
-        (["--rows", "0,0,1.5"], "n_p must be in [0, 1]"),
-        (["--rows", "0,0,0", "--seed0", "-1"], "seed must be >= 0"),
-        (["--nd-list", "0,x", "--nj-list", "0", "--np-list", "0"], "--nd-list"),
-    ]
-    for extra, message in cases:
-        assert exit_code(base + extra) == 2, extra
-        assert message in capsys.readouterr().err
-        assert not out_dir.exists(), extra
+    missing = str(tmp_path / "nope")
+    argv = ["sweep", "--model", missing, "--data", missing, "--out-dir", str(out_dir)]
+    assert exit_code(argv + [arg.format(config=cfg_path) for arg in extra]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--nd", "-1"], "--nd must be in [0, inf), got -1.0"),
+        (["run", "--nj", "nan"], "--nj must be in [0, inf), got nan"),
+        (["run", "--np", "-0.5"], "--np must be in [0, inf), got -0.5"),
+        (["sweep", "--rows", "0,0,0", "--seed0", "-1"], "--seed0 must be in [0, inf), got -1"),
+    ],
+    ids=["nd", "nj", "np", "seed0"],
+)
+def test_channel_flag_below_its_least_value_is_named(argv, message, tmp_path, capsys, no_input_read):
+    out_dir = tmp_path / "out"
+    missing = str(tmp_path / "nope")
+    assert main([*argv, "--model", missing, "--data", missing, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_config_file_supplies_flags_and_cli_overrides(tmp_path, dataset, model_file):
@@ -541,6 +558,36 @@ def test_config_key_naming_no_flag_exits_2(tmp_path, dataset, model_file, capsys
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key", ["config", "replay", "help"])
+def test_config_key_naming_no_setting_exits_2_before_reading_files(key, tmp_path, capsys, no_input_read):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: str(tmp_path / "other.json"), "seeds": 1}))
+    out_dir = tmp_path / "sweep_out"
+    missing = str(tmp_path / "nope")
+    argv = ["sweep", "--config", str(cfg_path), "--model", missing, "--data", missing, "--rows", "0,0,0"]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: unknown key {key!r}\n"
+    assert not out_dir.exists()
+
+
+def test_replay_overrides_config_and_flags_override_both(tmp_path, dataset, model_file):
+    _, holdout = dataset
+    first = tmp_path / "first"
+    assert main([
+        "sweep", "--model", str(model_file), "--data", str(holdout),
+        "--rows", "2,5,0.1", "--seeds", "1", "--seed0", "3", "--out-dir", str(first),
+    ]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rows": [[0, 0, 0]], "seeds": 4, "seed0": 7}))
+    again = tmp_path / "again"
+    assert main([
+        "sweep", "--config", str(cfg_path), "--replay", str(first / "sweep_aggregated.csv"), "--seeds", "2",
+        "--out-dir", str(again),
+    ]) == 0
+    config = read_embedded_config(again / "sweep_aggregated.csv")
+    assert (config["rows"], config["seed0"], config["seeds"]) == ([[2.0, 5.0, 0.1]], 3, 2)
+
+
 def test_config_rows_read_in_the_flag_column_order(tmp_path, dataset, model_file):
     _, holdout = dataset
     base = ["sweep", "--model", str(model_file), "--data", str(holdout), "--seeds", "1"]
@@ -553,6 +600,30 @@ def test_config_rows_read_in_the_flag_column_order(tmp_path, dataset, model_file
     assert from_config["rows"] == from_flag["rows"] == [[2.0, 5.0, 0.1], [0.5, 7.0, 0.0]]
     rows = (tmp_path / "cfg" / "sweep_aggregated.csv").read_text().splitlines()[4:]
     assert [row.split(",")[:3] for row in rows] == [["5.0", "2.0", "0.1"], ["7.0", "0.5", "0.0"]]
+
+
+def test_identify_order_fits_quotes_a_note_with_a_comma(tmp_path, dataset):
+    train, _ = dataset
+    short = tmp_path / "short.txt"
+    assert main(synth_args(short, seed=2, n=4)) == 0
+    fits = tmp_path / "fits"
+    argv = ["identify", "--train", str(train), "--holdout", str(short), "--na", "1:4", "--nb", "1:2", "--nk", "1"]
+    assert main([*argv, "--out-dir", str(fits)]) == 0
+    with open(fits / "order_fits.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows)
+    assert "holdout needs more than 4 samples, got 4" in [row[-1] for row in rows]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line for line in lines if line.strip() and not line.startswith("#")]
+    assert len(commands) >= 5 and all(line.startswith("telekf ") for line in commands), commands
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert exit_code(shlex.split(line)[1:]) == 0, line
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,13 +8,7 @@ filter it (`filtering`), and score scenario sweeps (`simrunner`, `cli`).
 
 from .channel import NetworkConfig, apply_channel
 from .dataio import SyntheticSpec, TrajectorySet, gen_synthetic, parse_kinematics
-from .filtering import (
-    StateEstimate,
-    SystemModel,
-    predict,
-    update_joint,
-    update_sequential,
-)
+from .filtering import StateEstimate, SystemModel
 from .metrics import fit_percent, mse
 from .simrunner import Scenario, ScenarioResult, run_scenario
 from .sysid import ArxModel, arx_fit, arx_to_ss, simulate_arx
@@ -38,9 +32,6 @@ __all__ = [
     "gen_synthetic",
     "mse",
     "parse_kinematics",
-    "predict",
     "run_scenario",
     "simulate_arx",
-    "update_joint",
-    "update_sequential",
 ]

@@ -5,9 +5,8 @@ only the model, the initial covariance and which steps carry a measurement,
 so it runs apart from the state: ``covariance_loop`` computes each distinct
 step once, its covariances and its row updates folded into one matrix, and
 indexes every step's row; ``state_loop`` applies each step's fold to the
-state.  The public functions in :mod:`telekf.filtering` validate
-their arguments and call both, so a single step and a batch perform the
-same operations.
+state.  :func:`telekf.filtering.run_filter_trace` validates its arguments
+and calls both; it is the filter's only entry point.
 """
 
 import numpy as np

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import json
 import sys
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -116,10 +117,24 @@ _CONFIG_FORMS = {
 }
 
 
-#: the least value of each numeric flag, checked by :func:`main` for every
-#: subcommand that has it as a number (``identify`` takes lists of orders)
-_LEAST = {"n": 2, "seed": 0, "gen_seed": 0, "na": 0, "nb": 1, "nk": 0, "n_inputs": 1, "n_outputs": 1,
-          "process_noise": 0, "measurement_noise": 0, "seeds": 1, "seed0": 0, "nd": 0, "nj": 0, "np": 0}
+#: the (least, most) value of each numeric flag, checked by :func:`main` for
+#: every subcommand that has it as a number (``identify`` takes lists of
+#: orders), and by ``sweep`` for the columns of each ``--rows`` row
+_BOUNDS = {
+    "n": (2, inf), "seed": (0, inf), "gen_seed": (0, inf), "na": (0, inf), "nb": (1, inf), "nk": (0, inf),
+    "n_inputs": (1, inf), "n_outputs": (1, inf), "process_noise": (0, inf), "measurement_noise": (0, inf),
+    "seeds": (1, inf), "seed0": (0, inf), "nd": (0, inf), "nj": (0, inf), "np": (0, 1),
+}
+
+
+def _check_bounds(name: str, key: str, value) -> None:
+    """Raise naming ``name`` unless ``value`` is within ``_BOUNDS[key]``
+    (an infinite bound is open)."""
+    least, most = _BOUNDS[key]
+    if not (least <= value <= most and value < inf):
+        closing = ")" if most == inf else "]"
+        raise ContractViolationError(f"{name} must be in [{least}, {most}{closing}, got {value}")
+
 
 #: flags that say where settings come from rather than set one, so no
 #: config object may hold them
@@ -363,9 +378,15 @@ def cmd_sweep(args) -> int:
     rows = [tuple(float(v) for v in row) for row in args.rows]
     seeds = range(args.seed0, args.seed0 + args.seeds)
     # run_sweep records a failing scenario and moves on; a row that no
-    # channel accepts is a usage error, reported before any scenario runs
-    for n_j, n_d, n_p in rows:
-        NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p)
+    # channel accepts, or that repeats an earlier row, is a usage error,
+    # reported before any file is read
+    first = {}
+    for i, row in enumerate(rows, 1):
+        for column, key, value in zip(("jitter_ms", "delay_ms", "loss"), ("nj", "nd", "np"), row):
+            _check_bounds(f"--rows row {i}: {column}", key, value)
+        if first.setdefault(row, i) != i:
+            text = ",".join(f"{value:g}" for value in row)
+            raise ContractViolationError(f"--rows row {i} repeats row {first[row]} ({text})")
     data = _load_trajectory(Path(args.data), args.dt, args.inputs, args.outputs, args.preset, args.arm)
     system = _load_system(args.model)
     # a model that does not fit the data would fail every scenario alike
@@ -578,11 +599,10 @@ def main(argv=None) -> int:
         for action in required:
             action.required = command.get_default(action.dest) is None
         args = parser.parse_args(argv)
-        for key, least in _LEAST.items():
+        for key in _BOUNDS:
             value = getattr(args, key, None)
-            if isinstance(value, (int, float)) and not least <= value < np.inf:
-                flag = f"--{key.replace('_', '-')}"
-                raise ContractViolationError(f"{flag} must be in [{least}, inf), got {value}")
+            if isinstance(value, (int, float)):
+                _check_bounds(f"--{key.replace('_', '-')}", key, value)
         return args.func(args)
     except (
         ContractViolationError,

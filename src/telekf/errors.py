@@ -7,16 +7,8 @@ class ContractViolationError(ValueError):
 
 
 class SingularInnovationError(ArithmeticError):
-    """Innovation covariance is not positive definite.
-
-    Carries ``condition`` — an estimate of the condition number of the
-    innovation covariance at the point of failure (``inf`` when it is
-    exactly singular).
-    """
-
-    def __init__(self, message, condition=float("inf")):
-        super().__init__(message)
-        self.condition = condition
+    """An innovation variance of the filter is not positive and finite;
+    the message names its step and measurement row."""
 
 
 class IllConditionedDataError(ValueError):

@@ -1,10 +1,10 @@
 """Linear Kalman filtering over a discrete LTI model.
 
-Implements the prediction step, the joint-vector measurement update, and the
-sequential-scalar measurement update (valid for diagonal measurement noise),
-and runs the filter over a whole trajectory with a per-step arrival mask.
-All functions are pure: they return new estimates and never mutate their
-inputs.
+:func:`run_filter_trace` is the filter: it validates its arguments and runs
+the prediction and the sequential-scalar measurement update (valid for
+diagonal measurement noise) of :mod:`telekf._kernels` over a whole
+trajectory with a per-step arrival mask.  A one-step filter is a one-step
+run.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -15,20 +15,17 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import ContractViolationError, SingularInnovationError
+from .errors import ContractViolationError
 
 __all__ = [
     "SystemModel",
     "StateEstimate",
     "FilterTrace",
-    "predict",
-    "update_joint",
-    "update_sequential",
     "run_filter_trace",
     "initial_estimate",
 ]
 
-#: eigenvalues of a covariance in [-PSD_FLOOR, 0) are clipped to zero
+#: a noise covariance passes as positive semidefinite down to this negative eigenvalue
 PSD_FLOOR = 1e-9
 
 
@@ -139,110 +136,6 @@ class StateEstimate:
         return self.x_hat.shape[0]
 
 
-def _finalize_cov(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize; clip a barely-negative spectrum (>= -PSD_FLOOR) at zero."""
-    cov = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(cov)
-    wmin = w.min() if w.size else 0.0
-    if -PSD_FLOOR <= wmin < 0.0:
-        cov = (v * np.clip(w, 0.0, None)) @ v.T
-        cov = 0.5 * (cov + cov.T)
-    return cov
-
-
-def _check_est(est: StateEstimate, model: SystemModel) -> None:
-    if est.n_states != model.n_states:
-        raise ContractViolationError(
-            f"estimate has {est.n_states} states but the model expects {model.n_states}"
-        )
-
-
-def _measurement(z, model: SystemModel) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != model.n_outputs:
-        raise ContractViolationError(
-            f"measurement has length {z.shape[0]} but the model expects {model.n_outputs}"
-        )
-    if not np.isfinite(z).all():
-        raise ContractViolationError("measurement must be finite")
-    return z
-
-
-def predict(est: StateEstimate, model: SystemModel, u) -> StateEstimate:
-    """Propagate one step: x = a x + b u,  p = a p a' + q.
-
-    Returns the a-priori estimate for the next time index with the
-    covariance re-symmetrized.
-    """
-    _check_est(est, model)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != model.n_inputs:
-        raise ContractViolationError(
-            f"control vector has length {u.shape[0]} but the model expects {model.n_inputs}"
-        )
-    if not np.isfinite(u).all():
-        raise ContractViolationError("control vector must be finite")
-    has_z = np.zeros(1, dtype=bool)
-    p_pri, _, mk, step = _kernels.covariance_loop(
-        model.a, model.h, model.q, np.diag(model.r), est.p, has_z
-    )
-    x_pri, _ = _kernels.state_loop(
-        model.a, model.b, mk, step, has_z, est.x_hat, u[None], np.zeros((1, model.n_outputs))
-    )
-    return StateEstimate(x_pri[0], p_pri[0])
-
-
-def update_joint(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
-    """Fuse a full measurement vector through the joint-gain update.
-
-    The gain solve goes through a Cholesky factorization of the innovation
-    covariance s = h p h' + r rather than an explicit inverse; a non-finite
-    s or a factorization failure raises :class:`SingularInnovationError`
-    carrying the condition estimate of s (``inf`` when s is not finite).
-    """
-    _check_est(est, model)
-    z = _measurement(z, model)
-    h = model.h
-    s = h @ est.p @ h.T + model.r
-    s = 0.5 * (s + s.T)
-    if not np.isfinite(s).all():
-        raise SingularInnovationError("innovation covariance is not finite", condition=float("inf"))
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationError(
-            f"innovation covariance is not positive definite: {exc}",
-            condition=float(np.linalg.cond(s)),
-        ) from exc
-    gain = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ est.p)).T
-    x = est.x_hat + gain @ (z - h @ est.x_hat)
-    cov = (np.eye(model.n_states) - gain @ h) @ est.p
-    return StateEstimate(x, _finalize_cov(cov))
-
-
-def update_sequential(est: StateEstimate, model: SystemModel, z) -> StateEstimate:
-    """Fuse a measurement one scalar row at a time (requires diagonal r).
-
-    Row d's correction starts from the state and covariance produced by row
-    d-1, so the final result matches :func:`update_joint` up to rounding.
-    The update runs as one step of the batch kernels with identity dynamics
-    and no noise or input, whose time update leaves a symmetric covariance
-    and the state as they are.
-    """
-    _check_est(est, model)
-    z = _measurement(z, model)
-    n = model.n_states
-    eye = np.eye(n)
-    has_z = np.ones(1, dtype=bool)
-    _, p_post, mk, step = _kernels.covariance_loop(
-        eye, model.h, np.zeros((n, n)), model.r_diagonal(), est.p, has_z
-    )
-    _, x_post = _kernels.state_loop(
-        eye, np.zeros((n, 1)), mk, step, has_z, est.x_hat, np.zeros((1, 1)), z[None]
-    )
-    return StateEstimate(x_post[0], _finalize_cov(p_post[0]))
-
-
 @dataclass
 class FilterTrace:
     """Per-step output of :func:`run_filter_trace`.
@@ -304,7 +197,10 @@ def run_filter_trace(
     the last one is kept, so calls that share those (the scenarios of a
     sweep) compute it once and share its arrays read-only.
     """
-    _check_est(init, model)
+    if init.n_states != model.n_states:
+        raise ContractViolationError(
+            f"estimate has {init.n_states} states but the model expects {model.n_states}"
+        )
     u = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)))
     if u.ndim != 2 or u.shape[1] != model.n_inputs:
         raise ContractViolationError(

@@ -57,6 +57,15 @@ def exact_lti(seed=0, n=4, m=2, p=2):
     return SystemModel(a=a, b=b, h=h, q=q, r=r)
 
 
+def joint_gain_update(x, p, h, r, z):
+    """Textbook joint-gain measurement update, the reference for the filter's
+    sequential-scalar one: ``K = P H' (H P H' + R)^-1``, then
+    ``x + K (z - H x)`` and ``(I - K H) P``."""
+    s = h @ p @ h.T + r
+    gain = np.linalg.solve(s, h @ p).T  # s and p are symmetric
+    return x + gain @ (z - h @ x), p - gain @ h @ p
+
+
 def max_rel_diff(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -17,6 +17,7 @@ from conftest import (
     exact_lti,
     hygiene_of_covs,
     identified_system,
+    joint_gain_update,
     max_rel_diff,
     random_spd,
     reference_dataset,
@@ -28,10 +29,7 @@ from telekf.filtering import (
     StateEstimate,
     SystemModel,
     initial_estimate,
-    predict,
     run_filter_trace,
-    update_joint,
-    update_sequential,
 )
 from telekf.metrics import fit_percent
 from telekf.simrunner import Scenario, aggregate_sweep, run_scenario
@@ -102,6 +100,9 @@ def _run_conditions(label, conditions, seeds):
 
 
 def _criterion3_instances(count):
+    """One observed step with identity dynamics and no noise, so the step's
+    update is the filter's sequential one alone, against the joint-gain
+    reference."""
     rng = np.random.default_rng(313)
     worst_x = 0.0
     worst_p = 0.0
@@ -117,40 +118,37 @@ def _criterion3_instances(count):
         )
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         z = rng.standard_normal(p)
-        joint = update_joint(est, model, z)
-        seq = update_sequential(est, model, z)
-        worst_x = max(worst_x, max_rel_diff(seq.x_hat, joint.x_hat))
-        worst_p = max(worst_p, max_rel_diff(seq.p, joint.p))
-        _record_hygiene("c3", joint.p)
-        _record_hygiene("c3", seq.p)
+        trace = run_filter_trace(model, est, np.zeros((1, 1)), (z[None], np.ones(1, dtype=bool)))
+        x, cov = joint_gain_update(est.x_hat, est.p, model.h, model.r, z)
+        worst_x = max(worst_x, max_rel_diff(trace.x_post[0], x))
+        worst_p = max(worst_p, max_rel_diff(trace.p_post[0], cov))
+        _record_hygiene("c3", trace.p_prior)
+        _record_hygiene("c3", trace.p_post)
     return worst_x, worst_p
 
 
-def _criterion4_pairs(count):
+def _criterion4_pairs(count, steps=1000):
+    """Full-mask scalar random-walk runs; returns the worst distances of the
+    last posterior and prior from the Riccati roots, and how many runs
+    reached a fixed point or cycle (fewer distinct covariances than steps)."""
     rng = np.random.default_rng(414)
     worst_post = 0.0
     worst_prior = 0.0
+    settled = 0
     for _ in range(count):
         q = float(rng.uniform(0.0, 1.0)) or 1e-6
         r = float(rng.uniform(0.0, 1.0)) or 1e-6
         model = SystemModel(a=[[1.0]], b=[[0.0]], h=[[1.0]], q=[[q]], r=[[r]])
-        est = StateEstimate([0.0], [[1.0]])
-        prior_p = post_p = None
-        min_p = np.inf
-        for _ in range(200000):
-            pri = predict(est, model, [0.0])
-            prior_p = pri.p[0, 0]
-            est = update_joint(pri, model, [0.0])
-            min_p = min(min_p, est.p[0, 0])
-            if post_p is not None and abs(est.p[0, 0] - post_p) < 1e-16:
-                post_p = est.p[0, 0]
-                break
-            post_p = est.p[0, 0]
+        trace = run_filter_trace(
+            model, StateEstimate([0.0], [[1.0]]), np.zeros((steps, 1)), (np.zeros((steps, 1)), np.ones(steps, dtype=bool))
+        )
         root_post = (-q + np.sqrt(q * q + 4 * q * r)) / 2.0
-        worst_post = max(worst_post, abs(post_p - root_post))
-        worst_prior = max(worst_prior, abs(prior_p - (root_post + q)))
-        HYGIENE.append(("c4", 0.0, float(min_p), 1))
-    return worst_post, worst_prior
+        worst_post = max(worst_post, abs(trace.p_post[-1, 0, 0] - root_post))
+        worst_prior = max(worst_prior, abs(trace.p_prior[-1, 0, 0] - (root_post + q)))
+        settled += len(trace.cov_post) < steps
+        _record_hygiene("c4", trace.p_prior)
+        _record_hygiene("c4", trace.p_post)
+    return worst_post, worst_prior, settled
 
 
 def test_criterion_01_unimpaired_ceiling():
@@ -204,14 +202,15 @@ def test_criterion_03_sequential_equals_joint():
 
 
 def test_criterion_04_scalar_riccati_fixed_point():
-    worst_post, worst_prior = _criterion4_pairs(20)
-    ok = worst_post <= 1e-9 and worst_prior <= 1e-9
+    worst_post, worst_prior, settled = _criterion4_pairs(20)
+    ok = worst_post <= 1e-9 and worst_prior <= 1e-9 and settled == 20
     _report(
         4,
         "scalar Riccati fixed point",
         ok,
         f"20 (q,r) pairs: |P - root(P^2+qP-qr)|={worst_post:.2e}, "
-        f"|P_prior - (root+q)|={worst_prior:.2e} (<= 1e-9)",
+        f"|P_prior - (root+q)|={worst_prior:.2e} (<= 1e-9), "
+        f"{settled}/20 reached a fixed point or cycle within 1000 steps",
     )
 
 

@@ -478,7 +478,7 @@ def test_a_flag_beside_replay_overrides_the_embedded_value(tmp_path, dataset, mo
         (["--rows", ""], "error: --rows lists no condition"),
         (["--config", "{config}"], "error: --rows lists no condition"),
         (["--rows", "a,b,c"], "argument --rows: each row needs three numbers"),
-        (["--rows", "0,0,1.5"], "error: n_p must be in [0, 1], got 1.5"),
+        (["--rows", "0,0,1.5"], "error: --rows row 1: loss must be in [0, 1], got 1.5"),
         (["--rows", "0,0,0", "--nj-list", "0", "--np-list", "0"], "unrecognized arguments: --nj-list 0 --np-list 0"),
     ],
     ids=["no-rows", "empty-rows", "empty-config-rows", "not-numbers", "loss-above-1", "grid-flags"],
@@ -499,7 +499,7 @@ def test_sweep_without_usable_rows_exits_2_before_reading_files(extra, message, 
     [
         (["run", "--nd", "-1"], "--nd must be in [0, inf), got -1.0"),
         (["run", "--nj", "nan"], "--nj must be in [0, inf), got nan"),
-        (["run", "--np", "-0.5"], "--np must be in [0, inf), got -0.5"),
+        (["run", "--np", "-0.5"], "--np must be in [0, 1], got -0.5"),
         (["sweep", "--rows", "0,0,0", "--seed0", "-1"], "--seed0 must be in [0, inf), got -1"),
     ],
     ids=["nd", "nj", "np", "seed0"],
@@ -507,6 +507,35 @@ def test_sweep_without_usable_rows_exits_2_before_reading_files(extra, message, 
 def test_channel_flag_below_its_least_value_is_named(argv, message, tmp_path, capsys, no_input_read):
     out_dir = tmp_path / "out"
     missing = str(tmp_path / "nope")
+    assert main([*argv, "--model", missing, "--data", missing, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config_rows, message",
+    [
+        (["run", "--np", "1.5"], None, "--np must be in [0, 1], got 1.5"),
+        (["run", "--np", "nan"], None, "--np must be in [0, 1], got nan"),
+        (["sweep", "--rows", "0,-1,0"], None, "--rows row 1: delay_ms must be in [0, inf), got -1.0"),
+        (["sweep", "--rows", "0,0,0;inf,0,0"], None, "--rows row 2: jitter_ms must be in [0, inf), got inf"),
+        (["sweep", "--rows", "0,0,0;1,2,0.1;0,0,nan"], None, "--rows row 3: loss must be in [0, 1], got nan"),
+        (["sweep"], [[0, 0, 0], [0, -1, 0]], "--rows row 2: delay_ms must be in [0, inf), got -1.0"),
+        (["sweep", "--rows", "0,0,0.1;0,0,0.1"], None, "--rows row 2 repeats row 1 (0,0,0.1)"),
+        (["sweep", "--rows", "0,0,0;5,7,0.2;5,7.0,0.20"], None, "--rows row 3 repeats row 2 (5,7,0.2)"),
+        (["sweep"], [[1, 2, 0.1], [0, 0, 0], [1.0, 2.0, 0.1]], "--rows row 3 repeats row 1 (1,2,0.1)"),
+    ],
+    ids=["np-above-1", "np-nan", "rows-delay", "rows-jitter", "rows-loss", "config-rows-delay",
+         "rows-repeated", "rows-repeated-spelled-apart", "config-rows-repeated"],
+)
+def test_channel_value_out_of_range_or_repeated_row_is_named(argv, config_rows, message, tmp_path, capsys,
+                                                             no_input_read):
+    out_dir = tmp_path / "out"
+    missing = str(tmp_path / "nope")
+    if config_rows is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rows": config_rows}))
+        argv = [*argv, "--config", str(cfg_path)]
     assert main([*argv, "--model", missing, "--data", missing, "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()

@@ -4,10 +4,9 @@ import pytest
 from conftest import (
     exact_lti,
     hygiene_of_covs,
-    identified_system,
+    joint_gain_update,
     max_rel_diff,
     random_spd,
-    reference_dataset,
 )
 from telekf import filtering
 from telekf.errors import ContractViolationError, SingularInnovationError
@@ -15,10 +14,7 @@ from telekf.filtering import (
     StateEstimate,
     SystemModel,
     initial_estimate,
-    predict,
     run_filter_trace,
-    update_joint,
-    update_sequential,
 )
 
 
@@ -26,18 +22,33 @@ def scalar_model(a=1.0, b=0.0, h=1.0, q=0.0, r=1.0):
     return SystemModel(a=[[a]], b=[[b]], h=[[h]], q=[[q]], r=[[r]])
 
 
+def static_model(h, r):
+    """Identity dynamics with no noise or input: a step's prediction leaves
+    the state and a symmetric covariance as they are, so a one-step run is
+    the measurement update alone."""
+    n = h.shape[1]
+    return SystemModel(a=np.eye(n), b=np.zeros((n, 1)), h=h, q=np.zeros((n, n)), r=r)
+
+
+def one_step(model, est, u=None, z=None):
+    """A one-step :func:`run_filter_trace` from ``est``, observed when ``z`` is given."""
+    u = np.zeros(model.n_inputs) if u is None else u
+    observed = z is not None
+    z = np.zeros(model.n_outputs) if z is None else z
+    return run_filter_trace(model, est, np.reshape(u, (1, -1)), (np.reshape(z, (1, -1)), np.array([observed])))
+
+
 # ---------------------------------------------------------------------------
-# predict
+# prediction: one unobserved step
 
 
 def test_predict_identity_dynamics():
     model = SystemModel(
         a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=np.zeros((2, 2)), r=np.eye(2)
     )
-    est = StateEstimate([1.0, 2.0], np.eye(2))
-    out = predict(est, model, [0.0])
-    np.testing.assert_array_equal(out.x_hat, [1.0, 2.0])
-    np.testing.assert_array_equal(out.p, np.eye(2))
+    trace = one_step(model, StateEstimate([1.0, 2.0], np.eye(2)), u=[0.0])
+    np.testing.assert_array_equal(trace.x_prior[0], [1.0, 2.0])
+    np.testing.assert_array_equal(trace.p_prior[0], np.eye(2))
 
 
 def test_predict_constant_velocity_exact():
@@ -49,52 +60,46 @@ def test_predict_constant_velocity_exact():
         q=np.zeros((2, 2)),
         r=np.eye(2),
     )
-    est = StateEstimate([0.0, 1.0], np.zeros((2, 2)))
-    out = predict(est, model, [0.0])
-    np.testing.assert_allclose(out.x_hat, [0.1, 1.0], rtol=0, atol=0)
-    np.testing.assert_array_equal(out.p, np.zeros((2, 2)))
+    trace = one_step(model, StateEstimate([0.0, 1.0], np.zeros((2, 2))), u=[0.0])
+    np.testing.assert_allclose(trace.x_prior[0], [0.1, 1.0], rtol=0, atol=0)
+    np.testing.assert_array_equal(trace.p_prior[0], np.zeros((2, 2)))
 
 
 def test_predict_scalar_hand_arithmetic():
     # independent scalar oracle: x = 0.9*2 + 0.5*1 = 2.3, p = 0.81 + 0.04 = 0.85
     model = scalar_model(a=0.9, b=0.5, q=0.04)
-    out = predict(StateEstimate([2.0], [[1.0]]), model, [1.0])
-    np.testing.assert_allclose(out.x_hat, [2.3], atol=1e-15)
-    np.testing.assert_allclose(out.p, [[0.85]], atol=1e-15)
+    trace = one_step(model, StateEstimate([2.0], [[1.0]]), u=[1.0])
+    np.testing.assert_allclose(trace.x_prior[0], [2.3], atol=1e-15)
+    np.testing.assert_allclose(trace.p_prior[0], [[0.85]], atol=1e-15)
 
 
 def test_predict_dimension_errors_name_offender():
     model = scalar_model()
-    with pytest.raises(ContractViolationError, match="control vector has length 2"):
-        predict(StateEstimate([0.0], [[1.0]]), model, [0.0, 1.0])
+    with pytest.raises(ContractViolationError, match=r"inputs must be \(N, 1\), got \(1, 2\)"):
+        one_step(model, StateEstimate([0.0], [[1.0]]), u=[0.0, 1.0])
     with pytest.raises(ContractViolationError, match="2 states"):
-        predict(StateEstimate([0.0, 0.0], np.eye(2)), model, [0.0])
+        one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), u=[0.0])
 
 
 # ---------------------------------------------------------------------------
-# update_joint
+# the measurement update: one observed step, against hand values and the
+# joint-gain reference
 
 
 def test_update_joint_perfect_sensor_limit():
     rng = np.random.default_rng(0)
-    model = SystemModel(
-        a=np.eye(3),
-        b=np.zeros((3, 1)),
-        h=np.eye(3),
-        q=np.zeros((3, 3)),
-        r=1e-12 * np.eye(3),
-    )
+    model = static_model(np.eye(3), 1e-12 * np.eye(3))
     est = StateEstimate(rng.standard_normal(3), np.eye(3))
     z = rng.standard_normal(3)
-    out = update_joint(est, model, z)
-    np.testing.assert_allclose(out.x_hat, z, atol=1e-6)
+    trace = one_step(model, est, z=z)
+    np.testing.assert_allclose(trace.x_post[0], z, atol=1e-6)
 
 
 def test_update_joint_equal_weight_fusion():
     model = scalar_model(q=0.0, r=1.0)
-    out = update_joint(StateEstimate([0.0], [[1.0]]), model, [2.0])
-    np.testing.assert_allclose(out.x_hat, [1.0], atol=1e-15)
-    np.testing.assert_allclose(out.p, [[0.5]], atol=1e-15)
+    trace = one_step(model, StateEstimate([0.0], [[1.0]]), z=[2.0])
+    np.testing.assert_allclose(trace.x_post[0], [1.0], atol=1e-15)
+    np.testing.assert_allclose(trace.p_post[0], [[0.5]], atol=1e-15)
 
 
 def singular_cases():
@@ -111,54 +116,48 @@ def singular_cases():
 
 
 def test_update_joint_singular_innovation():
+    # the covariance of each case survives unobserved steps, so the first
+    # observed step is the one named
     for est, model in singular_cases():
-        with pytest.raises(SingularInnovationError) as info, np.errstate(over="ignore", invalid="ignore"):
-            update_joint(est, model, [1.0])
-        assert info.value.condition == pytest.approx(float("inf"), nan_ok=True) or info.value.condition > 1e12
+        with pytest.raises(SingularInnovationError, match="step 2, measurement row 0$"), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            run_filter_trace(model, est, np.zeros((4, 1)), (np.ones((4, 1)), np.array([False, False, True, True])))
 
 
 def test_update_joint_measurement_length_error():
     model = scalar_model()
-    with pytest.raises(ContractViolationError, match="measurement has length 2"):
-        update_joint(StateEstimate([0.0], [[1.0]]), model, [1.0, 2.0])
+    with pytest.raises(ContractViolationError, match="equal length, got 1, 2 and 1"):
+        one_step(model, StateEstimate([0.0], [[1.0]]), z=[1.0, 2.0])
 
 
 def test_scalar_riccati_steady_state():
     # analytic prior fixed point: (q + sqrt(q^2 + 4 q r)) / 2 ~= 0.10512 for q=0.01, r=1
     q, r = 0.01, 1.0
     model = scalar_model(q=q, r=r)
-    est = StateEstimate([0.0], [[1.0]])
-    prior_p = None
-    for _ in range(2000):
-        pri = predict(est, model, [0.0])
-        prior_p = pri.p[0, 0]
-        est = update_joint(pri, model, [0.0])
+    steps = 2000
+    trace = run_filter_trace(
+        model, StateEstimate([0.0], [[1.0]]), np.zeros((steps, 1)), (np.zeros((steps, 1)), np.ones(steps, dtype=bool))
+    )
+    prior_p = trace.p_prior[-1, 0, 0]
     expected_prior = (q + np.sqrt(q * q + 4 * q * r)) / 2
     assert abs(prior_p - expected_prior) < 1e-12
     assert abs(prior_p - 0.105124921973) < 1e-9
 
 
-# ---------------------------------------------------------------------------
-# update_sequential
-
-
 def test_sequential_single_row_equals_joint():
     model = scalar_model(q=0.02, r=0.5)
-    est = StateEstimate([1.5], [[2.0]])
-    joint = update_joint(est, model, [0.3])
-    seq = update_sequential(est, model, [0.3])
-    np.testing.assert_allclose(seq.x_hat, joint.x_hat, rtol=1e-12)
-    np.testing.assert_allclose(seq.p, joint.p, rtol=1e-12)
+    trace = one_step(model, StateEstimate([1.5], [[2.0]]), z=[0.3])
+    x, p = joint_gain_update(trace.x_prior[0], trace.p_prior[0], model.h, model.r, np.array([0.3]))
+    np.testing.assert_allclose(trace.x_post[0], x, rtol=1e-12)
+    np.testing.assert_allclose(trace.p_post[0], p, rtol=1e-12)
 
 
 def test_sequential_two_rows_hand_case():
-    model = SystemModel(
-        a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=np.zeros((2, 2)), r=np.eye(2)
-    )
-    est = StateEstimate([0.0, 0.0], np.eye(2))
-    out = update_sequential(est, model, [2.0, 4.0])
-    np.testing.assert_allclose(out.x_hat, [1.0, 2.0], atol=1e-15)
-    np.testing.assert_allclose(out.p, 0.5 * np.eye(2), atol=1e-15)
+    model = static_model(np.eye(2), np.eye(2))
+    trace = one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), z=[2.0, 4.0])
+    np.testing.assert_allclose(trace.x_post[0], [1.0, 2.0], atol=1e-15)
+    np.testing.assert_allclose(trace.p_post[0], 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_sequential_matches_joint_on_random_instances():
@@ -166,41 +165,27 @@ def test_sequential_matches_joint_on_random_instances():
     for _ in range(200):
         n = int(rng.integers(1, 9))
         p = int(rng.integers(1, 7))
-        model = SystemModel(
-            a=np.eye(n),
-            b=np.zeros((n, 1)),
-            h=rng.standard_normal((p, n)),
-            q=np.zeros((n, n)),
-            r=np.diag(rng.uniform(0.1, 2.0, p)),
-        )
+        model = static_model(rng.standard_normal((p, n)), np.diag(rng.uniform(0.1, 2.0, p)))
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         z = rng.standard_normal(p)
-        joint = update_joint(est, model, z)
-        seq = update_sequential(est, model, z)
-        assert max_rel_diff(seq.x_hat, joint.x_hat) <= 1e-8
-        assert max_rel_diff(seq.p, joint.p) <= 1e-8
+        trace = one_step(model, est, z=z)
+        x, cov = joint_gain_update(est.x_hat, est.p, model.h, model.r, z)
+        assert max_rel_diff(trace.x_post[0], x) <= 1e-8
+        assert max_rel_diff(trace.p_post[0], cov) <= 1e-8
 
 
 def test_sequential_rejects_nondiagonal_r():
-    model = SystemModel(
-        a=np.eye(2),
-        b=np.zeros((2, 1)),
-        h=np.eye(2),
-        q=np.zeros((2, 2)),
-        r=[[1.0, 0.1], [0.1, 1.0]],
-    )
+    model = static_model(np.eye(2), np.array([[1.0, 0.1], [0.1, 1.0]]))
     with pytest.raises(ContractViolationError, match="diagonal"):
-        update_sequential(StateEstimate([0.0, 0.0], np.eye(2)), model, [1.0, 1.0])
+        one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), z=[1.0, 1.0])
 
 
 def test_sequential_zero_innovation_variance():
     for est, model in singular_cases():
-        with pytest.raises(SingularInnovationError, match="row 0"), np.errstate(over="ignore", invalid="ignore"):
-            update_sequential(est, model, [1.0])
-        with pytest.raises(SingularInnovationError, match="step 0, measurement row 0"), np.errstate(
+        with pytest.raises(SingularInnovationError, match="step 0, measurement row 0$"), np.errstate(
             over="ignore", invalid="ignore"
         ):
-            run_filter_trace(model, est, [[0.0]], ([[1.0]], [True]))
+            one_step(model, est, z=[1.0])
 
 
 def test_update_never_increases_trace():
@@ -208,16 +193,10 @@ def test_update_never_increases_trace():
     for _ in range(100):
         n = int(rng.integers(1, 7))
         p = int(rng.integers(1, 5))
-        model = SystemModel(
-            a=np.eye(n),
-            b=np.zeros((n, 1)),
-            h=rng.standard_normal((p, n)),
-            q=np.zeros((n, n)),
-            r=np.diag(rng.uniform(0.05, 1.0, p)),
-        )
+        model = static_model(rng.standard_normal((p, n)), np.diag(rng.uniform(0.05, 1.0, p)))
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
-        out = update_joint(est, model, rng.standard_normal(p))
-        assert np.trace(out.p) <= np.trace(est.p) + 1e-12
+        trace = one_step(model, est, z=rng.standard_normal(p))
+        assert np.trace(trace.p_post[0]) <= np.trace(est.p) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +205,12 @@ def test_update_never_increases_trace():
 
 def test_run_filter_single_step_without_observation_is_predict():
     model = scalar_model(a=0.9, b=0.5, q=0.04)
-    init = StateEstimate([2.0], [[1.0]])
-    trace = run_filter_trace(model, init, [[1.0]], ([[0.0]], [False]))
-    expected = predict(init, model, [1.0])
+    trace = one_step(model, StateEstimate([2.0], [[1.0]]), u=[1.0])
     assert trace.x_post.shape == (1, 1)
-    np.testing.assert_allclose(trace.x_post[0], expected.x_hat, rtol=1e-15)
-    np.testing.assert_allclose(trace.p_post[0], expected.p, rtol=1e-15)
+    # an unobserved step's posterior is its prediction, bit for bit
+    np.testing.assert_array_equal(trace.x_post, trace.x_prior)
+    np.testing.assert_array_equal(trace.p_post, trace.p_prior)
+    np.testing.assert_allclose(trace.x_post[0], [2.3], atol=1e-15)
 
 
 def test_run_filter_tracks_perfect_sensor():
@@ -253,18 +232,6 @@ def test_run_filter_tracks_perfect_sensor():
         (z, np.ones(50, dtype=bool)),
     )
     np.testing.assert_allclose(trace.x_post[1:], z[1:], atol=1e-6)
-
-
-def test_step_api_matches_batch_trace_bit_for_bit():
-    data = reference_dataset(600)
-    model = identified_system(data)
-    est = initial_estimate(model, first_obs=data.outputs[0])
-    u, z = data.inputs[:-1], data.outputs[1:]
-    trace = run_filter_trace(model, est, u, (z, np.ones(len(z), dtype=bool)))
-    for t in range(len(z)):
-        est = update_sequential(predict(est, model, u[t]), model, z[t])
-        np.testing.assert_array_equal(est.x_hat, trace.x_post[t])
-        np.testing.assert_array_equal(est.p, trace.p_post[t])
 
 
 def test_run_filter_length_mismatch():
@@ -349,11 +316,6 @@ def test_non_finite_controls_and_measurements_rejected():
     model = scalar_model(a=0.9, b=0.5, q=0.04)
     est = StateEstimate([0.0], [[1.0]])
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ContractViolationError, match="control vector must be finite"):
-            predict(est, model, [bad])
-        for update in (update_sequential, update_joint):
-            with pytest.raises(ContractViolationError, match="measurement must be finite"):
-                update(est, model, [bad])
         with pytest.raises(ContractViolationError, match="inputs must be finite"):
             run_filter_trace(model, est, [[0.0], [bad]], ([[1.0], [1.0]], [True, True]))
         with pytest.raises(ContractViolationError, match="observations must be finite"):

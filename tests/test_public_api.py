@@ -25,11 +25,8 @@ def test_package_exports_the_documented_surface():
         "gen_synthetic",
         "mse",
         "parse_kinematics",
-        "predict",
         "run_scenario",
         "simulate_arx",
-        "update_joint",
-        "update_sequential",
     }
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, check_dt
+from .errors import ContractViolationError, check_dt, check_range
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -36,9 +36,12 @@ class NetworkConfig:
     """Channel impairment parameters.
 
     ``n_d``: mean delay in milliseconds; ``n_j``: jitter standard deviation
-    in milliseconds; ``n_p``: packet-loss probability in [0, 1]; ``seed``:
-    RNG seed for the jitter and loss streams.
+    in milliseconds; ``n_p``: packet-loss probability; ``seed``: RNG seed
+    for the jitter and loss streams.
     """
+
+    #: the (least, most) value of each field, as :func:`~telekf.errors.check_range` reads it
+    RANGES = {"n_d": (0, np.inf), "n_j": (0, np.inf), "n_p": (0, 1), "seed": (0, np.inf)}
 
     n_d: float = 0.0
     n_j: float = 0.0
@@ -46,18 +49,9 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_d", float(self.n_d))
-        object.__setattr__(self, "n_j", float(self.n_j))
-        object.__setattr__(self, "n_p", float(self.n_p))
-        object.__setattr__(self, "seed", int(self.seed))
-        if not 0.0 <= self.n_d < np.inf:
-            raise ContractViolationError(f"n_d must be finite and >= 0, got {self.n_d}")
-        if not 0.0 <= self.n_j < np.inf:
-            raise ContractViolationError(f"n_j must be finite and >= 0, got {self.n_j}")
-        if not 0.0 <= self.n_p <= 1.0:
-            raise ContractViolationError(f"n_p must be in [0, 1], got {self.n_p}")
-        if self.seed < 0:
-            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
+        for name, kind in (("n_d", float), ("n_j", float), ("n_p", float), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+            check_range(name, getattr(self, name), self.RANGES[name])
 
     def spawn_streams(self) -> tuple[np.random.Generator, np.random.Generator]:
         """Independent (jitter, loss) generators derived from the seed."""

@@ -35,11 +35,12 @@ from . import __version__, dataio, simrunner, sysid
 from .channel import NetworkConfig
 from .errors import (
     ContractViolationError,
-    IllConditionedDataError,
     KinematicsFormatError,
     SingularInnovationError,
     UnknownChannelNameError,
     UnsupportedStructureError,
+    check_dt,
+    check_range,
     is_int,
     is_list_of,
     is_number,
@@ -117,23 +118,20 @@ _CONFIG_FORMS = {
 }
 
 
-#: the (least, most) value of each numeric flag, checked by :func:`main` for
-#: every subcommand that has it as a number (``identify`` takes lists of
-#: orders), and by ``sweep`` for the columns of each ``--rows`` row
+_CHANNEL, _ORDERS, _SPEC = NetworkConfig.RANGES, sysid.ArxModel.RANGES, dataio.SyntheticSpec.RANGES
+
+#: the (least, most) value of each numeric flag of each subcommand, checked by
+#: :func:`main` (for ``identify``, each order of its lists): the entry of the
+#: library type that consumes the value, or the CLI's own where none checks it
 _BOUNDS = {
-    "n": (2, inf), "seed": (0, inf), "gen_seed": (0, inf), "na": (0, inf), "nb": (1, inf), "nk": (0, inf),
-    "n_inputs": (1, inf), "n_outputs": (1, inf), "process_noise": (0, inf), "measurement_noise": (0, inf),
-    "seeds": (1, inf), "seed0": (0, inf), "nd": (0, inf), "nj": (0, inf), "np": (0, 1),
+    "identify": _ORDERS,
+    "run": {"nd": _CHANNEL["n_d"], "nj": _CHANNEL["n_j"], "np": _CHANNEL["n_p"], "seed": _CHANNEL["seed"]},
+    "sweep": {"seeds": (1, inf), "seed0": _CHANNEL["seed"]},
+    "synth": {
+        "n": _SPEC["n_samples"], **_ORDERS, "gen_seed": (0, inf), "n_inputs": (1, inf), "n_outputs": (1, inf),
+        **{key: _SPEC[key] for key in ("seed", "input_scale", "process_noise", "measurement_noise")},
+    },
 }
-
-
-def _check_bounds(name: str, key: str, value) -> None:
-    """Raise naming ``name`` unless ``value`` is within ``_BOUNDS[key]``
-    (an infinite bound is open)."""
-    least, most = _BOUNDS[key]
-    if not (least <= value <= most and value < inf):
-        closing = ")" if most == inf else "]"
-        raise ContractViolationError(f"{name} must be in [{least}, {most}{closing}, got {value}")
 
 
 #: flags that say where settings come from rather than set one, so no
@@ -276,9 +274,6 @@ def _load_system(model_path):
 
 
 def cmd_identify(args) -> int:
-    for key in ("na", "nb", "nk"):
-        if not getattr(args, key):
-            raise ContractViolationError(f"--{key} lists no order")
     train_path = Path(args.train)
     holdout_path = Path(args.holdout)
     if train_path.resolve() == holdout_path.resolve():
@@ -305,7 +300,7 @@ def cmd_identify(args) -> int:
             continue
         agg = rec["report"].aggregate
         mse_mean = float(np.mean(rec["report"].mse))
-        note = "" if rec["filterable"] else "not filterable (nk=0)"
+        note = "" if rec["filterable"] else f"not filterable ({sysid.filter_obstacle(na, nk).split()[0]})"
         print(f"{na:>3} {nb:>3} {nk:>3} {agg:>10.4f} {mse_mean:>12.4e}  {note}")
         table_lines.append(
             f"{na},{nb},{nk},{agg!r},{mse_mean!r},{rec['filterable']},{simrunner._csv_field(note)}"
@@ -382,8 +377,8 @@ def cmd_sweep(args) -> int:
     # reported before any file is read
     first = {}
     for i, row in enumerate(rows, 1):
-        for column, key, value in zip(("jitter_ms", "delay_ms", "loss"), ("nj", "nd", "np"), row):
-            _check_bounds(f"--rows row {i}: {column}", key, value)
+        for column, key, value in zip(("jitter_ms", "delay_ms", "loss"), ("n_j", "n_d", "n_p"), row):
+            check_range(f"--rows row {i}: {column}", value, _CHANNEL[key])
         if first.setdefault(row, i) != i:
             text = ",".join(f"{value:g}" for value in row)
             raise ContractViolationError(f"--rows row {i} repeats row {first[row]} ({text})")
@@ -427,17 +422,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_synth(args) -> int:
     layout = dataio.default_layout()
-    master = layout.block_indices("master")
-    slave = layout.block_indices("slave")
-    # the file holds inputs in master columns and outputs in slave columns
-    for flag, value, block, size in (("--n-inputs", args.n_inputs, "master", master.size),
-                                     ("--n-outputs", args.n_outputs, "slave", slave.size)):
-        if value > size:
-            raise ContractViolationError(
-                f"{flag} must be at most {size} (the layout's {block} columns), got {value}"
-            )
-    if not np.isfinite(args.input_scale):
-        raise ContractViolationError(f"--input-scale must be finite, got {args.input_scale}")
+    layout.check_capacity(args.n_inputs, args.n_outputs, names=("--n-inputs", "--n-outputs"))
     generator = dataio.random_stable_arx(
         args.na, args.nb, args.nk, n_outputs=args.n_outputs, n_inputs=args.n_inputs,
         seed=args.gen_seed, dt=args.dt,
@@ -461,8 +446,8 @@ def cmd_synth(args) -> int:
     sidecar = {
         "format": "telekf-synth-truth",
         "version": 1,
-        "input_names": [str(n) for n in names[master[: args.n_inputs]]],
-        "output_names": [str(n) for n in names[slave[: args.n_outputs]]],
+        "input_names": [str(n) for n in names[layout.block_indices("master")[: args.n_inputs]]],
+        "output_names": [str(n) for n in names[layout.block_indices("slave")[: args.n_outputs]]],
         "model": sysid.model_to_doc(generator),
         "spec": {
             "n_samples": spec.n_samples,
@@ -599,20 +584,15 @@ def main(argv=None) -> int:
         for action in required:
             action.required = command.get_default(action.dest) is None
         args = parser.parse_args(argv)
-        for key in _BOUNDS:
-            value = getattr(args, key, None)
-            if isinstance(value, (int, float)):
-                _check_bounds(f"--{key.replace('_', '-')}", key, value)
+        check_dt(args.dt, "--dt")
+        for key, bounds in _BOUNDS[args.command].items():
+            value = getattr(args, key)
+            if value == []:
+                raise ContractViolationError(f"--{key} lists no order")
+            for v in value if isinstance(value, list) else [value]:
+                check_range(f"--{key.replace('_', '-')}", v, bounds)
         return args.func(args)
-    except (
-        ContractViolationError,
-        IllConditionedDataError,
-        KinematicsFormatError,
-        UnknownChannelNameError,
-        UnsupportedStructureError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ContractViolationError, KinematicsFormatError, UnknownChannelNameError, UnsupportedStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SingularInnovationError as exc:  # the filter of ``run`` broke down

@@ -21,6 +21,7 @@ from .errors import (
     KinematicsFormatError,
     UnknownChannelNameError,
     check_dt,
+    check_range,
 )
 from .sysid import ArxModel, simulate_arx
 
@@ -54,6 +55,14 @@ class ColumnLayout:
 
     def block_indices(self, block: str) -> np.ndarray:
         return np.array([i for i, b in enumerate(self.blocks) if b == block], dtype=int)
+
+    def check_capacity(self, n_inputs: int, n_outputs: int, names=("input channels", "output channels")) -> None:
+        """Raise unless the master block holds ``n_inputs`` columns and the
+        slave block ``n_outputs``; the error calls the two counts ``names``."""
+        for name, value, block in zip(names, (n_inputs, n_outputs), ("master", "slave")):
+            size = self.block_indices(block).size
+            if value > size:
+                raise ContractViolationError(f"{name} must be at most {size} (the layout's {block} columns), got {value}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ColumnLayout":
@@ -359,6 +368,10 @@ class SyntheticSpec:
     period is the generator's.
     """
 
+    #: the (least, most) value of each numeric field, as :func:`~telekf.errors.check_range` reads it
+    RANGES = {"n_samples": (2, np.inf), "seed": (0, np.inf), "input_scale": (-np.inf, np.inf),
+              "process_noise": (0, np.inf), "measurement_noise": (0, np.inf)}
+
     generator: ArxModel
     n_samples: int
     seed: int
@@ -372,10 +385,8 @@ class SyntheticSpec:
             raise ContractViolationError(
                 f"excitation must be 'white' or 'sines', got {self.excitation!r}"
             )
-        if self.n_samples < 2:
-            raise ContractViolationError("n_samples must be at least 2")
-        if not (0.0 <= self.process_noise < np.inf and 0.0 <= self.measurement_noise < np.inf):
-            raise ContractViolationError("noise levels must be finite and >= 0")
+        for name, bounds in self.RANGES.items():
+            check_range(name, getattr(self, name), bounds)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
@@ -426,14 +437,10 @@ def write_kinematics(ts: TrajectorySet, path, layout: ColumnLayout | None = None
     values exactly (floats are written with full precision).
     """
     layout = layout or default_layout()
+    m, p = ts.inputs.shape[1], ts.outputs.shape[1]
+    layout.check_capacity(m, p)
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
-    m, p = ts.inputs.shape[1], ts.outputs.shape[1]
-    if m > master.size or p > slave.size:
-        raise ContractViolationError(
-            f"layout holds {master.size} master / {slave.size} slave columns; "
-            f"trajectory has {m} / {p}"
-        )
     used = np.concatenate([master[:m], slave[:p]])
     order = np.argsort(used)
     values = np.hstack([ts.inputs, ts.outputs])[:, order].tolist()

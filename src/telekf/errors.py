@@ -1,5 +1,7 @@
 """Exception types shared across the package, the JSON value checks of the
-input readers that raise them, and the sample-period check."""
+input readers that raise them, and the range and sample-period checks."""
+
+from math import inf
 
 
 class ContractViolationError(ValueError):
@@ -34,6 +36,8 @@ class KinematicsFormatError(ValueError):
 class UnknownChannelNameError(KeyError):
     """A requested channel label does not exist; message lists available names."""
 
+    __str__ = Exception.__str__  # the message, without the quotes of KeyError
+
 
 def is_int(value) -> bool:
     """A JSON integer (``true`` and ``false`` are not)."""
@@ -48,8 +52,19 @@ def is_list_of(value, check) -> bool:
     return isinstance(value, list) and all(map(check, value))
 
 
-def check_dt(dt) -> float:
-    """The sample period ``dt`` as a float, if it is positive and finite."""
-    if not 0.0 < float(dt) < float("inf"):
-        raise ContractViolationError(f"dt must be positive and finite, got {float(dt)}")
+def check_range(name: str, value, bounds: tuple) -> None:
+    """Raise ``<name> must be in [least, most), got <value>`` unless ``value`` is finite and
+    within ``bounds``, a (least, most) pair whose infinite bounds are open (both: ``must be finite``)."""
+    least, most = bounds
+    if not (least <= value <= most and abs(value) < inf):
+        if least == -inf and most == inf:
+            raise ContractViolationError(f"{name} must be finite, got {value}")
+        closing = ")" if most == inf else "]"
+        raise ContractViolationError(f"{name} must be in [{least}, {most}{closing}, got {value}")
+
+
+def check_dt(dt, name: str = "dt") -> float:
+    """The sample period ``dt``, called ``name``, as a float if it is positive and finite."""
+    if not 0.0 < float(dt) < inf:
+        raise ContractViolationError(f"{name} must be positive and finite, got {float(dt)}")
     return float(dt)

@@ -23,6 +23,7 @@ from .errors import (
     IllConditionedDataError,
     UnsupportedStructureError,
     check_dt,
+    check_range,
     is_int,
     is_list_of,
     is_number,
@@ -37,6 +38,7 @@ __all__ = [
     "simulate_arx",
     "predict_one_step",
     "arx_to_ss",
+    "filter_obstacle",
     "residual_covariances",
     "order_sweep",
     "save_model",
@@ -64,6 +66,9 @@ class ArxModel:
     coefficients per (output, input) pair, offset by the dead time ``nk``.
     """
 
+    #: the (least, most) value of each order, as :func:`~telekf.errors.check_range` reads it
+    RANGES = {"na": (0, np.inf), "nb": (1, np.inf), "nk": (0, np.inf)}
+
     na: int
     nb: int
     nk: int
@@ -78,12 +83,8 @@ class ArxModel:
         for name in ("na", "nb", "nk", "n_outputs", "n_inputs"):
             object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "dt", check_dt(self.dt))
-        if self.na < 0:
-            raise ContractViolationError(f"na must be >= 0, got {self.na}")
-        if self.nb < 1:
-            raise ContractViolationError(f"nb must be >= 1, got {self.nb}")
-        if self.nk < 0:
-            raise ContractViolationError(f"nk must be >= 0, got {self.nk}")
+        for name, bounds in self.RANGES.items():
+            check_range(name, getattr(self, name), bounds)
         a = np.asarray(self.a_coeffs, dtype=float).reshape(self.n_outputs, self.na)
         b = np.asarray(self.b_coeffs, dtype=float).reshape(
             self.n_outputs, self.n_inputs, self.nb
@@ -164,6 +165,8 @@ def arx_fit(data, orders: tuple[int, int, int]) -> ArxModel:
     condition estimate.
     """
     na, nb, nk = (int(v) for v in orders)
+    for (name, bounds), value in zip(ArxModel.RANGES.items(), (na, nb, nk)):
+        check_range(name, value, bounds)
     u = np.atleast_2d(np.asarray(data.inputs, dtype=float))
     y = np.atleast_2d(np.asarray(data.outputs, dtype=float))
     n_samples = y.shape[0]
@@ -175,10 +178,6 @@ def arx_fit(data, orders: tuple[int, int, int]) -> ArxModel:
         raise ContractViolationError(
             f"need more than {na + nb + nk + 10} samples for orders ({na},{nb},{nk}), got {n_samples}"
         )
-    if nb < 1:
-        raise ContractViolationError(f"nb must be >= 1, got {nb}")
-    if na < 0 or nk < 0:
-        raise ContractViolationError(f"na and nk must be >= 0, got {na} and {nk}")
 
     p = y.shape[1]
     m = u.shape[1]
@@ -342,6 +341,16 @@ def _noise_matrix(value, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def filter_obstacle(na: int, nk: int) -> str | None:
+    """Why ARX orders (na, nb, nk) have no realization the filter can run, or
+    None; the reason's first word names the order, ``na=0`` before ``nk=0``."""
+    if na == 0:
+        return "na=0 has no dynamic state; the filter needs at least one output lag"
+    if nk == 0:
+        return "nk=0 implies direct feedthrough, which the observation model cannot represent"
+    return None
+
+
 def arx_to_ss(model: ArxModel, q=None, r=None) -> SystemModel:
     """Observable companion realization of the ARX difference equation.
 
@@ -355,14 +364,9 @@ def arx_to_ss(model: ArxModel, q=None, r=None) -> SystemModel:
     to zero process noise and unit measurement noise.  For filtering real
     data pass the residual-matched values from :func:`residual_covariances`.
     """
-    if model.na == 0:
-        raise UnsupportedStructureError(
-            "na=0 has no dynamic state; the filter needs at least one output lag"
-        )
-    if model.nk == 0:
-        raise UnsupportedStructureError(
-            "nk=0 implies direct feedthrough, which the observation model cannot represent"
-        )
+    obstacle = filter_obstacle(model.na, model.nk)
+    if obstacle is not None:
+        raise UnsupportedStructureError(obstacle)
     nc = model.max_lag
     p, m = model.n_outputs, model.n_inputs
     n = p * nc
@@ -517,9 +521,9 @@ def order_sweep(
     """Fit every order combination and rank by holdout fit.
 
     Returns one record per (na, nb, nk): the fitted model, its holdout
-    report, and whether it can be realized for filtering (na >= 1 and
-    nk >= 1).  Sorted by aggregate fit descending; ties break toward the
-    lowest total order.  Combinations that fail to fit or to validate are
+    report, and whether it can be realized for filtering (see
+    :func:`filter_obstacle`).  Sorted by aggregate fit descending; ties
+    break toward the lowest total order.  Combinations that fail to fit or to validate are
     recorded with the error message instead of a report (and, when the fit
     failed, of a model).
 
@@ -535,7 +539,7 @@ def order_sweep(
         for nb in nb_values:
             for nk in nk_values:
                 rec = {"orders": (na, nb, nk), "model": None, "report": None, "error": None}
-                rec["filterable"] = na >= 1 and nk >= 1
+                rec["filterable"] = filter_obstacle(na, nk) is None
                 try:
                     model = arx_fit(train, (na, nb, nk))
                     rec["model"] = model

@@ -171,5 +171,21 @@ def test_network_config_validation():
         NetworkConfig(0, float("inf"), 0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_d": -1}, "n_d must be in [0, inf), got -1.0"),
+        ({"n_j": np.inf}, "n_j must be in [0, inf), got inf"),
+        ({"n_p": 1.5}, "n_p must be in [0, 1], got 1.5"),
+        ({"seed": -1}, "seed must be in [0, inf), got -1"),
+    ],
+    ids=["n_d", "n_j", "n_p", "seed"],
+)
+def test_network_config_names_the_field_and_its_range(fields, message):
+    with pytest.raises(ContractViolationError) as info:
+        NetworkConfig(**fields)
+    assert str(info.value) == message
+
+
 def test_rng_algorithm_identifier():
     assert RNG_ALGORITHM == "pcg64"

@@ -136,6 +136,52 @@ def test_identify_empty_order_list_exits_2_before_reading_the_data(source, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        (["--na=-1:1", "--nb", "0:1", "--nk", "1"], "--na must be in [0, inf), got -1"),
+        (["--nb", "0:2"], "--nb must be in [1, inf), got 0"),
+        ({"nk": [1, -2]}, "--nk must be in [0, inf), got -2"),
+    ],
+    ids=["na-flag", "nb-flag", "nk-config"],
+)
+def test_identify_order_out_of_range_exits_2_before_reading_the_data(orders, message, tmp_path, capsys,
+                                                                      no_input_read):
+    missing = str(tmp_path / "nope.txt")
+    argv = ["identify", "--train", missing, "--holdout", missing, "--out-dir", str(tmp_path / "out")]
+    if isinstance(orders, dict):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(orders))
+        orders = ["--config", str(cfg_path)]
+    assert main([*argv, *orders]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_identify_note_names_the_order_that_rules_out_a_filter(tmp_path, dataset):
+    train, holdout = dataset
+    argv = ["identify", "--train", str(train), "--holdout", str(holdout), "--na", "0:1", "--nb", "1", "--nk", "0:1"]
+    assert main([*argv, "--out-dir", str(tmp_path / "fits")]) == 0
+    with open(tmp_path / "fits" / "order_fits.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    notes = {(row["na"], row["nk"]): (row["filterable"], row["note"]) for row in rows}
+    assert notes == {
+        ("0", "0"): ("False", "not filterable (na=0)"),
+        ("0", "1"): ("False", "not filterable (na=0)"),
+        ("1", "0"): ("False", "not filterable (nk=0)"),
+        ("1", "1"): ("True", ""),
+    }
+
+
+def test_unknown_channel_message_is_printed_without_quotes(tmp_path, dataset, capsys):
+    _, holdout = dataset
+    missing = str(tmp_path / "nope.json")
+    argv = ["run", "--model", missing, "--data", str(holdout), "--inputs", "foo", "--outputs", "y1"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    available = ", ".join(telekf.dataio.parse_kinematics(holdout).channel_names)
+    assert capsys.readouterr().err == f"error: unknown channel 'foo'; available: {available}\n"
+
+
 @pytest.fixture()
 def model_file(tmp_path, dataset):
     train, holdout = dataset
@@ -226,8 +272,21 @@ def test_non_finite_dt_exits_2(command, dt, tmp_path, dataset, model_file, capsy
         "sweep": ["sweep", "--model", str(model_file), "--data", str(holdout), "--rows", "0,0,0", "--seeds", "1"],
     }[command]
     assert main([*argv, "--dt", dt, "--out-dir", str(out_dir)]) == 2
-    assert capsys.readouterr().err == f"error: dt must be positive and finite, got {dt}\n"
+    assert capsys.readouterr().err == f"error: --dt must be positive and finite, got {dt}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["identify", "run", "sweep"])
+def test_bad_dt_is_named_before_a_missing_input_file(command, tmp_path, capsys, no_input_read):
+    missing = str(tmp_path / "missing.txt")
+    argv = {
+        "identify": ["identify", "--train", missing, "--holdout", missing],
+        "run": ["run", "--model", missing, "--data", missing],
+        "sweep": ["sweep", "--model", missing, "--data", missing, "--rows", "0,0,0"],
+    }[command]
+    assert main([*argv, "--dt", "0", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: --dt must be positive and finite, got 0.0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_channel_mismatch_exits_2(tmp_path, dataset, capsys):

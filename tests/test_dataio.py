@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -343,8 +344,25 @@ def test_non_finite_or_non_positive_dt_rejected(dt):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
 def test_synthetic_spec_rejects_noise_that_is_not_finite_and_non_negative(noise, value):
     gen = random_stable_arx(1, 1, 1, n_outputs=1, n_inputs=1, seed=34)
-    with pytest.raises(ContractViolationError, match="noise levels must be finite and >= 0"):
+    with pytest.raises(ContractViolationError, match=re.escape(f"{noise} must be in [0, inf), got {value}")):
         SyntheticSpec(generator=gen, n_samples=50, seed=0, **{noise: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_samples", 1, "n_samples must be in [2, inf), got 1"),
+        ("seed", -1, "seed must be in [0, inf), got -1"),
+        ("input_scale", np.nan, "input_scale must be finite, got nan"),
+        ("input_scale", -np.inf, "input_scale must be finite, got -inf"),
+    ],
+    ids=["n_samples", "seed", "input_scale-nan", "input_scale-neg-inf"],
+)
+def test_synthetic_spec_names_the_field_and_its_range(field, value, message):
+    gen = random_stable_arx(1, 1, 1, n_outputs=1, n_inputs=1, seed=34)
+    spec = {"generator": gen, "n_samples": 50, "seed": 0, field: value}
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        SyntheticSpec(**spec)
 
 
 def test_write_then_parse_round_trip_exact(tmp_path):
@@ -456,7 +474,8 @@ def test_parse_peak_is_the_lines_plus_one_parsed_array(tmp_path):
 
 def test_write_kinematics_rejects_too_many_channels(tmp_path):
     ts = _edge_trajectory(4, 39, 1, seed=0)
-    with pytest.raises(ContractViolationError, match="38 master / 38 slave"):
+    message = "input channels must be at most 38 (the layout's master columns), got 39"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
         write_kinematics(ts, tmp_path / "x.txt")
     assert not (tmp_path / "x.txt").exists()
 

@@ -129,8 +129,10 @@ def test_regressor_matches_the_per_row_lag_layout():
 
 def test_fit_rejects_negative_orders():
     data = synth(known_111(), 200, seed=7)
-    for orders in ((1, 1, -1), (-1, 1, 1)):
-        with pytest.raises(ContractViolationError, match="na and nk must be >= 0"):
+    for orders, message in (((1, 1, -1), "nk must be in [0, inf), got -1"),
+                            ((-1, 1, 1), "na must be in [0, inf), got -1"),
+                            ((1, 0, 1), "nb must be in [1, inf), got 0")):
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
             arx_fit(data, orders)
 
 

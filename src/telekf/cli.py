@@ -124,11 +124,11 @@ _CHANNEL, _ORDERS, _SPEC = NetworkConfig.RANGES, sysid.ArxModel.RANGES, dataio.S
 #: :func:`main` (for ``identify``, each order of its lists): the entry of the
 #: library type that consumes the value, or the CLI's own where none checks it
 _BOUNDS = {
-    "identify": _ORDERS,
+    "identify": {key: _ORDERS[key] for key in ("na", "nb", "nk")},
     "run": {"nd": _CHANNEL["n_d"], "nj": _CHANNEL["n_j"], "np": _CHANNEL["n_p"], "seed": _CHANNEL["seed"]},
     "sweep": {"seeds": (1, inf), "seed0": _CHANNEL["seed"]},
     "synth": {
-        "n": _SPEC["n_samples"], **_ORDERS, "gen_seed": (0, inf), "n_inputs": (1, inf), "n_outputs": (1, inf),
+        "n": _SPEC["n_samples"], **_ORDERS, "gen_seed": (0, inf),
         **{key: _SPEC[key] for key in ("seed", "input_scale", "process_noise", "measurement_noise")},
     },
 }

@@ -4,8 +4,9 @@ A scenario pushes the true patient-side stream through the impairment
 channel, runs the sequential Kalman filter on the delivered samples with
 the master-side commands as control input, and scores the estimated output
 against the true (unimpaired) stream.  Sweeps repeat this over a grid of
-channel conditions and seeds and serialize the results to CSV with enough
-embedded metadata to reproduce the aggregated report byte for byte.
+channel conditions and seeds, keep each run's scores only, and serialize
+them to CSV with enough embedded metadata to reproduce the aggregated
+report byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "run_scenario",
-    "simulate_truth",
     "run_sweep",
     "aggregate_sweep",
     "write_runs_csv",
@@ -70,14 +70,16 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
-    """Estimated output trace plus accuracy metrics and channel statistics."""
+    """Accuracy metrics and channel statistics of one scenario; with
+    ``return_trace``, also its estimated output, delivered stream and
+    filter trace."""
 
-    z_est: np.ndarray
     mse: np.ndarray
     est_percent: np.ndarray
     est_aggregate: float
     channel_stats: ChannelStats
     runtime_ms: float
+    z_est: Optional[np.ndarray] = None
     delivered: Optional[np.ndarray] = None
     trace: Optional[FilterTrace] = None
 
@@ -89,7 +91,9 @@ def run_scenario(scenario: Scenario, return_trace: bool = False) -> ScenarioResu
     patient-side sample, the filter predicts with the previous master
     command and refines with the delivered sample via sequential scalar
     updates.  Metrics compare the estimated output against the true stream,
-    not the delivered one.
+    not the delivered one.  Only with ``return_trace`` does the result keep
+    arrays of the trajectory's length: the estimated output, the delivered
+    stream and the filter trace.
     """
     data = scenario.data
     if data.n_samples < 2:
@@ -109,57 +113,15 @@ def run_scenario(scenario: Scenario, return_trace: bool = False) -> ScenarioResu
     per_fit = fit_percent(data.outputs, z_est)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ScenarioResult(
-        z_est=z_est,
         mse=per_mse,
         est_percent=per_fit,
         est_aggregate=fit_aggregate(per_fit),
         channel_stats=stats,
         runtime_ms=runtime_ms,
+        z_est=z_est if return_trace else None,
         delivered=delivered if return_trace else None,
         trace=trace if return_trace else None,
     )
-
-
-def simulate_truth(
-    model: SystemModel,
-    inputs,
-    x0=None,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the generative model: states with process noise, measurements
-    with measurement noise.
-
-    Returns (x, z) with one row per input row; x[0] is the initial state
-    (default zero) and z[t] = h x[t] + v[t] for every t.
-    """
-    u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if u.shape[1] != model.n_inputs:
-        raise ContractViolationError(
-            f"inputs must have {model.n_inputs} channels, got {u.shape[1]}"
-        )
-    steps = u.shape[0]
-    n, p = model.n_states, model.n_outputs
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-
-    w_seq, v_seq = np.random.SeedSequence(seed).spawn(2)
-    w_rng = np.random.Generator(np.random.PCG64(w_seq))
-    v_rng = np.random.Generator(np.random.PCG64(v_seq))
-
-    def _sqrt_psd(mat):
-        w, v = np.linalg.eigh(mat)
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-    lq = _sqrt_psd(model.q)
-    lr = _sqrt_psd(model.r)
-    w = w_rng.standard_normal((steps, n)) @ lq.T
-    v = v_rng.standard_normal((steps, p)) @ lr.T
-
-    x = np.empty((steps, n))
-    x[0] = x0
-    for t in range(1, steps):
-        x[t] = model.a @ x[t - 1] + model.b @ u[t - 1] + w[t]
-    z = x @ model.h.T + v
-    return x, z
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +166,12 @@ def run_sweep(
 def aggregate_sweep(runs: list[dict]) -> list[dict]:
     """Collapse per-seed runs into one record per condition (means, std)."""
     by_condition: dict[tuple, list[dict]] = {}
-    order = []
     for run in runs:
-        key = run["condition"]
-        if key not in by_condition:
-            by_condition[key] = []
-            order.append(key)
-        by_condition[key].append(run)
+        by_condition.setdefault(run["condition"], []).append(run)
     aggregates = []
-    for cond in order:
-        group = [r for r in by_condition[cond] if r["result"] is not None]
-        agg = {
-            "condition": cond,
-            "n_runs": len(by_condition[cond]),
-            "n_failed": len(by_condition[cond]) - len(group),
-        }
+    for cond, members in by_condition.items():
+        group = [r for r in members if r["result"] is not None]
+        agg = {"condition": cond, "n_runs": len(members), "n_failed": len(members) - len(group)}
         if group:
             mse_stack = np.vstack([r["result"].mse for r in group])
             fit_stack = np.vstack([r["result"].est_percent for r in group])
@@ -266,16 +219,15 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _meta_lines(config: dict, version: str) -> list[str]:
-    return [
+def _report_head(config: dict, version: str, columns: list[str]) -> str:
+    """The ``#`` lines and the column header that open every report."""
+    lines = [
         f"# {REPORT_FORMAT} v{REPORT_VERSION} telekf={version} rng={RNG_ALGORITHM}",
         f"# config_hash={config_hash(config)}",
         "# config=" + json.dumps(config, sort_keys=True, separators=(",", ":")),
+        ",".join(columns),
     ]
-
-
-def _hist_text(hist: dict[int, int]) -> str:
-    return ";".join(f"{k}:{hist[k]}" for k in sorted(hist))
+    return "\n".join(lines) + "\n"
 
 
 def report_header(channel_names) -> list[str]:
@@ -286,58 +238,50 @@ def report_header(channel_names) -> list[str]:
     return cols
 
 
+def _report_row(condition, seed, n_channels: int, scores=None, error: str = "") -> str:
+    """One data row of the sweep reports.
+
+    ``scores`` is (mse, est, est_aggregate, est_aggregate_std, loss_realized,
+    delay_histogram, runtime_ms text); without it the row is an error row,
+    whose ``error`` text fills the est_aggregate column.
+    """
+    row = [_fmt(v) for v in condition] + [str(seed)]
+    if scores is None:
+        row += ["error"] * (2 * n_channels) + [_csv_field(error), "", "", "", ""]
+    else:
+        mse_values, est_values, aggregate, std, loss, hist, runtime = scores
+        row += [_fmt(v) for v in (*mse_values, *est_values, aggregate, std, loss)]
+        row += [";".join(f"{k}:{hist[k]}" for k in sorted(hist)), runtime]
+    return ",".join(row) + "\n"
+
+
 def write_runs_csv(path, runs: list[dict], channel_names, config: dict, version: str) -> None:
     """Per-(condition, seed) rows, including runtime; failures get an error row
     whose message fills the est_aggregate column."""
-    lines = _meta_lines(config, version)
-    lines.append(",".join(report_header(channel_names)))
+    rows = []
     for run in runs:
-        n_d, n_j, n_p = run["condition"]
-        prefix = [_fmt(n_d), _fmt(n_j), _fmt(n_p), str(run["seed"])]
         result = run["result"]
-        if result is None:
-            row = prefix + ["error"] * (2 * len(channel_names)) + [_csv_field(run["error"]), "", "", "", ""]
-        else:
-            row = (
-                prefix
-                + [_fmt(v) for v in result.mse]
-                + [_fmt(v) for v in result.est_percent]
-                + [
-                    _fmt(result.est_aggregate),
-                    "",
-                    _fmt(result.channel_stats.loss_realized),
-                    _hist_text(result.channel_stats.delay_histogram),
-                    f"{result.runtime_ms:.3f}",
-                ]
-            )
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+        scores = None
+        if result is not None:
+            stats = result.channel_stats
+            scores = (result.mse, result.est_percent, result.est_aggregate, "",
+                      stats.loss_realized, stats.delay_histogram, f"{result.runtime_ms:.3f}")
+        rows.append(_report_row(run["condition"], run["seed"], len(channel_names), scores, run["error"]))
+    head = _report_head(config, version, report_header(channel_names))
+    Path(path).write_text(head + "".join(rows), encoding="utf-8")
 
 
 def write_aggregate_csv(path, aggregates: list[dict], channel_names, config: dict, version: str) -> None:
     """One AGG row per condition; deterministic bytes for a fixed config."""
-    lines = _meta_lines(config, version)
-    lines.append(",".join(report_header(channel_names)))
+    rows = []
     for agg in aggregates:
-        n_d, n_j, n_p = agg["condition"]
-        prefix = [_fmt(n_d), _fmt(n_j), _fmt(n_p), "AGG"]
-        if "est_mean" not in agg:
-            row = prefix + ["error"] * (2 * len(channel_names)) + ["", "", "", "", ""]
-        else:
-            row = (
-                prefix
-                + [_fmt(v) for v in agg["mse_mean"]]
-                + [_fmt(v) for v in agg["est_mean"]]
-                + [
-                    _fmt(agg["est_aggregate_mean"]),
-                    _fmt(agg["est_aggregate_std"]),
-                    _fmt(agg["loss_realized"]),
-                    _hist_text(agg["delay_histogram"]),
-                    "",
-                ]
-            )
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+        scores = None
+        if "est_mean" in agg:
+            scores = (agg["mse_mean"], agg["est_mean"], agg["est_aggregate_mean"], agg["est_aggregate_std"],
+                      agg["loss_realized"], agg["delay_histogram"], "")
+        rows.append(_report_row(agg["condition"], "AGG", len(channel_names), scores))
+    head = _report_head(config, version, report_header(channel_names))
+    Path(path).write_text(head + "".join(rows), encoding="utf-8")
 
 
 def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.ndarray, config: dict, version: str) -> None:
@@ -347,24 +291,18 @@ def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.
     the text held at once stays the same size however long the trace is.
     """
     names = data.output_names
-    lines = _meta_lines(config, version)
     header = ["t"]
     header += [f"truth_{n}" for n in names]
     header += [f"delivered_{n}" for n in names]
     header += [f"est_{n}" for n in names]
-    lines.append(",".join(header))
     with open(path, "w", encoding="utf-8") as out:
-        out.write("\n".join(lines) + "\n")
+        out.write(_report_head(config, version, header))
         for start in range(0, data.n_samples, TRACE_BLOCK_ROWS):
             stop = min(start + TRACE_BLOCK_ROWS, data.n_samples)
             t = np.arange(start, stop) * data.dt
             block = [t, data.outputs[start:stop], delivered[start:stop], z_est[start:stop]]
             rows = np.column_stack(block).tolist()
             out.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
-
-
-def _write_lines(path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_embedded_config(path) -> dict:

@@ -66,8 +66,12 @@ class ArxModel:
     coefficients per (output, input) pair, offset by the dead time ``nk``.
     """
 
-    #: the (least, most) value of each order, as :func:`~telekf.errors.check_range` reads it
-    RANGES = {"na": (0, np.inf), "nb": (1, np.inf), "nk": (0, np.inf)}
+    #: the (least, most) value of each order and channel count, as
+    #: :func:`~telekf.errors.check_range` reads it; the orders come first
+    RANGES = {
+        "na": (0, np.inf), "nb": (1, np.inf), "nk": (0, np.inf),
+        "n_outputs": (1, np.inf), "n_inputs": (1, np.inf),
+    }
 
     na: int
     nb: int
@@ -643,11 +647,13 @@ def _check_model_doc(path, doc: dict) -> None:
     def reject(what, value):
         raise ContractViolationError(f"{path}: {what}, got {json.dumps(value)}")
 
-    for key in ("na", "nb", "nk", "n_outputs", "n_inputs"):
-        if not (is_int(doc[key]) and doc[key] >= 0):
+    for key, bounds in ArxModel.RANGES.items():
+        if not is_int(doc[key]):
             reject(f"{key}: expected a non-negative integer", doc[key])
+        check_range(f"{path}: {key}", doc[key], bounds)
     if not is_number(doc["dt"]):
         reject("dt: expected a number", doc["dt"])
+    check_dt(doc["dt"], f"{path}: dt")
     p = doc["n_outputs"]
     for key, shape in (("a_coeffs", (p, doc["na"])), ("b_coeffs", (p, doc["n_inputs"], doc["nb"]))):
         if not _is_nested(doc[key], shape):

@@ -57,6 +57,29 @@ def exact_lti(seed=0, n=4, m=2, p=2):
     return SystemModel(a=a, b=b, h=h, q=q, r=r)
 
 
+def sample_outputs(model, inputs, seed):
+    """Measurements drawn from ``model`` itself: from a zero state, process
+    and measurement noise from two streams spawned off ``seed``; row t is
+    ``h x[t] + v[t]``."""
+    u = np.asarray(inputs, dtype=float)
+    steps = u.shape[0]
+    n, p = model.n_states, model.n_outputs
+    w_seq, v_seq = np.random.SeedSequence(seed).spawn(2)
+    w_rng = np.random.Generator(np.random.PCG64(w_seq))
+    v_rng = np.random.Generator(np.random.PCG64(v_seq))
+
+    def _sqrt_psd(mat):
+        w, v = np.linalg.eigh(mat)
+        return v * np.sqrt(np.clip(w, 0.0, None))
+
+    w = w_rng.standard_normal((steps, n)) @ _sqrt_psd(model.q).T
+    v = v_rng.standard_normal((steps, p)) @ _sqrt_psd(model.r).T
+    x = np.zeros((steps, n))
+    for t in range(1, steps):
+        x[t] = model.a @ x[t - 1] + model.b @ u[t - 1] + w[t]
+    return x @ model.h.T + v
+
+
 def joint_gain_update(x, p, h, r, z):
     """Textbook joint-gain measurement update, the reference for the filter's
     sequential-scalar one: ``K = P H' (H P H' + R)^-1``, then

@@ -21,6 +21,7 @@ from conftest import (
     max_rel_diff,
     random_spd,
     reference_dataset,
+    sample_outputs,
 )
 from telekf.channel import NetworkConfig, apply_channel
 from telekf.cli import main as cli_main
@@ -370,14 +371,12 @@ def test_criterion_10_sweep_reproducibility(tmp_path):
 
 
 def test_criterion_11_innovation_consistency():
-    from telekf.simrunner import simulate_truth
-
     model = exact_lti(seed=1100, n=4, m=2, p=2)
     rng = np.random.default_rng(1101)
     steps = 10100
     burn = 100
     u = rng.standard_normal((steps, model.n_inputs))
-    _, z = simulate_truth(model, u, seed=1102)
+    z = sample_outputs(model, u, seed=1102)
     # filter step t predicts sample t+1 with u[t] and corrects with z[t+1]
     trace = run_filter_trace(
         model,

@@ -327,6 +327,17 @@ def test_sweep_model_that_does_not_fit_the_data_exits_2_before_any_scenario(
     assert not out_dir.exists()
 
 
+def test_model_file_order_out_of_range_exits_2_naming_the_file(tmp_path, dataset, model_file, capsys):
+    doc = json.loads(model_file.read_text())
+    model_file.write_text(json.dumps({**doc, "nb": 0}))
+    out_dir = tmp_path / "run_out"
+    capsys.readouterr()
+    rc = main(["run", "--model", str(model_file), "--data", str(dataset[1]), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {model_file}: nb must be in [1, inf), got 0\n"
+    assert not out_dir.exists()
+
+
 def test_run_undecodable_data_exits_2(tmp_path, dataset, model_file, capsys):
     _, holdout = dataset
     bad = tmp_path / "bad.txt"

@@ -8,15 +8,19 @@ A report of version 1, whose config names the pipeline's files, must
 replay there to the reports of the version that writes them now.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from telekf import simrunner
 from telekf.cli import main
+from telekf.metrics import fit_percent, mse
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", GOLDEN_DIR / "make_golden.py")
@@ -94,6 +98,48 @@ def fresh(workdir):
 def test_pipeline_reports_match_golden(fresh, name):
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert mismatch(name, golden, fresh[name]) is None
+
+
+def _arrays_in(value):
+    """Every numpy array reachable from a sweep record."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays_in(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays_in(item)
+
+
+def test_sweep_records_hold_scores_only_and_the_run_trace_scores_the_same(fresh, workdir, monkeypatch):
+    """A sweep of the ``run`` step's scenario keeps per-channel scores and no
+    array of the trajectory's length, and the ``trace.csv`` that ``run``
+    wrote for that scenario scores to the same figures bit for bit."""
+    records = []
+    run_sweep = simrunner.run_sweep
+
+    def recording(*args):
+        records.extend(run_sweep(*args))
+        return records
+
+    monkeypatch.setattr(simrunner, "run_sweep", recording)
+    monkeypatch.chdir(workdir)
+    # the run step's channel (--nd 7 --nj 5 --np 0.2 --seed 0) as a sweep row
+    argv = ["sweep", "--model", "identify/model.json", "--data", "holdout.txt", "--dt", "0.002",
+            "--rows", "5,7,0.2", "--seeds", "1", "--out-dir", "sweep_of_run"]
+    assert main(argv) == 0
+    [record] = records
+    lines = [line for line in Path("run/trace.csv").read_text().splitlines() if not line.startswith("#")]
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    p = (table.shape[1] - 1) // 3
+    assert {array.shape for array in _arrays_in(record)} == {(p,)}
+    truth, est = table[:, 1 : 1 + p], table[:, 1 + 2 * p :]
+    np.testing.assert_array_equal(mse(truth, est), record["result"].mse)
+    np.testing.assert_array_equal(fit_percent(truth, est), record["result"].est_percent)
 
 
 def test_version_1_report_replays_to_the_reports_of_its_flags(fresh, workdir, monkeypatch, capsys):

@@ -1,0 +1,111 @@
+"""Invariance oracles: transformations of the filter's inputs whose effect on
+its outputs is known in advance, so they need no golden file and hold on
+any input.
+
+- Scaling the inputs and measurements by 2, and q, r and the initial
+  covariance by 4, scales every state by 2 and every covariance by 4 bit
+  for bit: a power of two changes no rounding.
+- Permuting the output channels together with their companion blocks
+  permutes the states, the scores and the per-channel figures to within
+  rounding: the sequential update then visits the rows in another order.
+
+Scale invariance is not asserted for :func:`run_sweep`: ``initial_estimate``
+fixes the initial covariance at 10 I in the data's own units.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import identified_system, max_rel_diff, reference_dataset
+from telekf.channel import NetworkConfig, apply_channel
+from telekf.filtering import StateEstimate, SystemModel, initial_estimate, run_filter_trace
+from telekf.simrunner import run_sweep
+
+DATA = reference_dataset(n_samples=800, seed=2)
+SYSTEM = identified_system(DATA)
+
+#: the output order the permutation tests move the channels to
+PERM = [2, 0, 1]
+
+#: (n_d, n_j, n_p) rows with delay, jitter and loss, and a clean one
+CONDITIONS = [(0.0, 0.0, 0.0), (7.0, 5.0, 0.2), (20.0, 10.0, 0.3)]
+
+
+def filter_inputs(mask_kind):
+    """(init, inputs, (z, mask)) of one filter run on the delivered stream
+    of a lossy, delayed channel; ``lossy`` also leaves ~20% of the steps
+    without a measurement."""
+    delivered, _, _, _ = apply_channel(DATA.outputs, NetworkConfig(n_d=7, n_j=5, n_p=0.2, seed=3), DATA.dt)
+    steps = DATA.n_samples - 1
+    mask = np.ones(steps, dtype=bool)
+    if mask_kind == "lossy":
+        mask = np.random.default_rng(11).random(steps) >= 0.2
+    init = initial_estimate(SYSTEM, first_obs=DATA.outputs[0])
+    return init, DATA.inputs[:-1], (delivered[1:], mask)
+
+
+def block_permutation(model, perm):
+    """The state order that moves the companion block of output ``perm[c]`` to block c."""
+    size = model.n_states // model.n_outputs
+    return np.concatenate([np.arange(c * size, (c + 1) * size) for c in perm])
+
+
+def permuted_model(model, perm):
+    states = block_permutation(model, perm)
+    return SystemModel(
+        a=model.a[np.ix_(states, states)],
+        b=model.b[states],
+        h=model.h[np.ix_(perm, states)],
+        q=model.q[np.ix_(states, states)],
+        r=model.r[np.ix_(perm, perm)],
+    )
+
+
+@pytest.mark.parametrize("mask_kind", ["full", "lossy"])
+def test_power_of_two_scaling_scales_the_trace_bit_for_bit(mask_kind):
+    init, u, (z, mask) = filter_inputs(mask_kind)
+    base = run_filter_trace(SYSTEM, init, u, (z, mask))
+    scaled_model = replace(SYSTEM, q=4.0 * SYSTEM.q, r=4.0 * SYSTEM.r)
+    scaled = run_filter_trace(
+        scaled_model, StateEstimate(2.0 * init.x_hat, 4.0 * init.p), 2.0 * u, (2.0 * z, mask)
+    )
+    np.testing.assert_array_equal(scaled.x_prior, 2.0 * base.x_prior)
+    np.testing.assert_array_equal(scaled.x_post, 2.0 * base.x_post)
+    np.testing.assert_array_equal(scaled.p_prior, 4.0 * base.p_prior)
+    np.testing.assert_array_equal(scaled.p_post, 4.0 * base.p_post)
+
+
+@pytest.mark.parametrize("mask_kind", ["full", "lossy"])
+def test_output_permutation_permutes_the_trace(mask_kind):
+    init, u, (z, mask) = filter_inputs(mask_kind)
+    base = run_filter_trace(SYSTEM, init, u, (z, mask))
+    states = block_permutation(SYSTEM, PERM)
+    moved = run_filter_trace(
+        permuted_model(SYSTEM, PERM),
+        StateEstimate(init.x_hat[states], init.p[np.ix_(states, states)]),
+        u,
+        (z[:, PERM], mask),
+    )
+    assert max_rel_diff(moved.x_prior, base.x_prior[:, states]) <= 1e-12
+    assert max_rel_diff(moved.x_post, base.x_post[:, states]) <= 1e-12
+    assert max_rel_diff(moved.p_post, base.p_post[:, states][:, :, states]) <= 1e-12
+
+
+def test_output_permutation_permutes_the_sweep_scores():
+    seeds = [0, 1]
+    base = run_sweep(SYSTEM, DATA, CONDITIONS, seeds)
+    moved_data = replace(
+        DATA, outputs=DATA.outputs[:, PERM], output_names=tuple(DATA.output_names[c] for c in PERM)
+    )
+    moved = run_sweep(permuted_model(SYSTEM, PERM), moved_data, CONDITIONS, seeds)
+    assert len(moved) == len(base) == len(CONDITIONS) * len(seeds)
+    for a, b in zip(base, moved):
+        assert (b["condition"], b["seed"]) == (a["condition"], a["seed"])
+        assert a["error"] is None and b["error"] is None
+        ra, rb = a["result"], b["result"]
+        assert max_rel_diff(rb.mse, ra.mse[PERM]) <= 1e-12
+        assert max_rel_diff(rb.est_percent, ra.est_percent[PERM]) <= 1e-12
+        assert abs(rb.est_aggregate - ra.est_aggregate) <= 1e-12 * abs(ra.est_aggregate)
+        assert rb.channel_stats == ra.channel_stats

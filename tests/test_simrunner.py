@@ -18,7 +18,6 @@ from telekf.simrunner import (
     read_embedded_config,
     run_scenario,
     run_sweep,
-    simulate_truth,
     write_aggregate_csv,
     write_runs_csv,
     write_trace_csv,
@@ -37,7 +36,7 @@ def scenario(n_d=0.0, n_j=0.0, n_p=0.0, seed=0):
 
 
 def test_clean_channel_tracks_tightly():
-    result = run_scenario(scenario())
+    result = run_scenario(scenario(), return_trace=True)
     assert result.est_aggregate >= 99.0
     assert result.z_est.shape == (DATA.n_samples, 3)
     assert result.channel_stats.loss_realized == 0.0
@@ -50,8 +49,8 @@ def test_total_loss_is_strictly_worse_than_clean():
 
 
 def test_scenario_determinism():
-    a = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9))
-    b = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9))
+    a = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9), return_trace=True)
+    b = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9), return_trace=True)
     np.testing.assert_array_equal(a.z_est, b.z_est)
     np.testing.assert_array_equal(a.mse, b.mse)
     assert a.channel_stats.delay_histogram == b.channel_stats.delay_histogram
@@ -94,20 +93,6 @@ def test_mean_accuracy_non_increasing_in_loss():
     assert means[0] >= means[1] >= means[2]
     clean = aggregate_sweep(run_sweep(SYSTEM, DATA, [(0.0, 0.0, 0.0)], seeds))[0]
     assert clean["est_aggregate_mean"] >= max(means)
-
-
-def test_simulate_truth_deterministic_and_shaped():
-    model = exact_lti(seed=2)
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal((100, model.n_inputs))
-    x1, z1 = simulate_truth(model, u, seed=4)
-    x2, z2 = simulate_truth(model, u, seed=4)
-    np.testing.assert_array_equal(x1, x2)
-    np.testing.assert_array_equal(z1, z2)
-    assert x1.shape == (100, model.n_states)
-    assert z1.shape == (100, model.n_outputs)
-    _, z3 = simulate_truth(model, u, seed=5)
-    assert (z3 != z1).any()
 
 
 def test_run_sweep_records_failures_and_continues():
@@ -241,12 +226,11 @@ def reference_trace_csv(path, data, delivered, z_est, config, version):
         return str(value)
 
     names = data.output_names
-    lines = simrunner._meta_lines(config, version)
     header = ["t"]
     header += [f"truth_{n}" for n in names]
     header += [f"delivered_{n}" for n in names]
     header += [f"est_{n}" for n in names]
-    lines.append(",".join(header))
+    lines = simrunner._report_head(config, version, header).splitlines()
     for t in range(data.n_samples):
         row = [_fmt(t * data.dt)]
         row += [_fmt(v) for v in data.outputs[t]]

@@ -136,6 +136,13 @@ def test_fit_rejects_negative_orders():
             arx_fit(data, orders)
 
 
+@pytest.mark.parametrize("name", ["n_outputs", "n_inputs"])
+def test_model_needs_a_channel_of_each_kind(name):
+    channels = {"n_outputs": 1, "n_inputs": 1, name: 0}
+    with pytest.raises(ContractViolationError, match=re.escape(f"{name} must be in [1, inf), got 0")):
+        random_stable_arx(2, 2, 1, seed=1, **channels)
+
+
 def test_fit_rank_deficient_noisy_data_raises_with_condition():
     rng = np.random.default_rng(8)
     n = 400
@@ -522,6 +529,11 @@ def test_load_model_rejects_foreign_files(tmp_path):
         ({**good, "na": "x"}, 'na: expected a non-negative integer, got "x"'),
         ({**good, "na": 2.5}, "na: expected a non-negative integer, got 2.5"),
         ({**good, "nb": True}, "nb: expected a non-negative integer, got true"),
+        # an integer out of the model's range, named with the file
+        ({**good, "nb": 0}, "nb must be in [1, inf), got 0"),
+        ({**good, "na": -1}, "na must be in [0, inf), got -1"),
+        ({**good, "n_outputs": 0}, "n_outputs must be in [1, inf), got 0"),
+        ({**good, "dt": 0}, "dt must be positive and finite, got 0.0"),
         ({**good, "dt": "x"}, 'dt: expected a number, got "x"'),
         ({**good, "a_coeffs": "x"}, 'a_coeffs: expected 3 x 3 nested lists of numbers, got "x"'),
         ({**good, "a_coeffs": good["a_coeffs"][:2]}, "a_coeffs: expected 3 x 3 nested lists of numbers"),

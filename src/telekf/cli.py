@@ -44,6 +44,7 @@ from .errors import (
     is_int,
     is_list_of,
     is_number,
+    to_float,
 )
 
 USAGE_ERROR = 2
@@ -344,7 +345,7 @@ def cmd_run(args) -> int:
     )
     system = _load_system(args.model)
     scenario = simrunner.Scenario(model=system, network=network, data=data)
-    result = simrunner.run_scenario(scenario, return_trace=True)
+    result = simrunner.run_scenario(scenario)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -369,16 +370,16 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.rows:
         raise ContractViolationError("--rows lists no condition")
-    # (jitter_ms, delay_ms, loss) rows as floats, whatever JSON numbers a config gave
-    rows = [tuple(float(v) for v in row) for row in args.rows]
     seeds = range(args.seed0, args.seed0 + args.seeds)
-    # run_sweep records a failing scenario and moves on; a row that no
+    # run_sweep keeps a failing scenario's error and moves on; a row that no
     # channel accepts, or that repeats an earlier row, is a usage error,
-    # reported before any file is read
-    first = {}
-    for i, row in enumerate(rows, 1):
-        for column, key, value in zip(("jitter_ms", "delay_ms", "loss"), ("n_j", "n_d", "n_p"), row):
-            check_range(f"--rows row {i}: {column}", value, _CHANNEL[key])
+    # reported before any file is read. The (jitter_ms, delay_ms, loss) rows
+    # are floats, whatever JSON numbers a config gave
+    rows, first = [], {}
+    for i, values in enumerate(args.rows, 1):
+        columns = zip(("jitter_ms", "delay_ms", "loss"), ("n_j", "n_d", "n_p"), values)
+        row = tuple(to_float(f"--rows row {i}: {column}", value, _CHANNEL[key]) for column, key, value in columns)
+        rows.append(row)
         if first.setdefault(row, i) != i:
             text = ",".join(f"{value:g}" for value in row)
             raise ContractViolationError(f"--rows row {i} repeats row {first[row]} ({text})")
@@ -387,14 +388,14 @@ def cmd_sweep(args) -> int:
     # a model that does not fit the data would fail every scenario alike
     simrunner.Scenario(model=system, network=NetworkConfig(), data=data)
 
-    runs = simrunner.run_sweep(system, data, [(n_d, n_j, n_p) for n_j, n_d, n_p in rows], seeds)
-    aggregates = simrunner.aggregate_sweep(runs)
+    table = simrunner.run_sweep(system, data, [(n_d, n_j, n_p) for n_j, n_d, n_p in rows], seeds)
+    aggregates = simrunner.aggregate_sweep(table)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _report_config(args, rows=rows, seeds=args.seeds, seed0=args.seed0)
     names = data.output_names
-    simrunner.write_runs_csv(out_dir / "sweep_runs.csv", runs, names, config, __version__)
+    simrunner.write_runs_csv(out_dir / "sweep_runs.csv", table, names, config, __version__)
     simrunner.write_aggregate_csv(
         out_dir / "sweep_aggregated.csv", aggregates, names, config, __version__
     )
@@ -409,7 +410,7 @@ def cmd_sweep(args) -> int:
             f"{n_j:>9g} {n_d:>8g} {n_p:>6g} {agg['est_aggregate_mean']:>9.4f} "
             f"{agg['est_aggregate_std']:>8.4f} {agg['loss_realized']:>9.4f}"
         )
-    failures = sum(1 for r in runs if r["error"] is not None)
+    failures = sum(1 for error in table.error if error)
     if failures:
         print(f"{failures} scenario run(s) failed; see sweep_runs.csv", file=sys.stderr)
         return SCENARIO_ERROR
@@ -585,12 +586,15 @@ def main(argv=None) -> int:
             action.required = command.get_default(action.dest) is None
         args = parser.parse_args(argv)
         check_dt(args.dt, "--dt")
+        # a float flag's value must also fit a float: a config may give it as any JSON integer
+        floats = {action.dest for action in command._actions if action.type is float}
         for key, bounds in _BOUNDS[args.command].items():
             value = getattr(args, key)
             if value == []:
                 raise ContractViolationError(f"--{key} lists no order")
+            check = to_float if key in floats else check_range
             for v in value if isinstance(value, list) else [value]:
-                check_range(f"--{key.replace('_', '-')}", v, bounds)
+                check(f"--{key.replace('_', '-')}", v, bounds)
         return args.func(args)
     except (ContractViolationError, KinematicsFormatError, UnknownChannelNameError, UnsupportedStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

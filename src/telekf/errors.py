@@ -52,19 +52,41 @@ def is_list_of(value, check) -> bool:
     return isinstance(value, list) and all(map(check, value))
 
 
+def _as_float(name: str, value, must: str) -> float:
+    """``value`` as a float, or ``<name> must <must>, got …`` if it is an integer too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ContractViolationError(f"{name} must {must}, got an integer too large for a float") from None
+
+
+def _must(bounds: tuple) -> str:
+    least, most = bounds
+    if least == -inf and most == inf:
+        return "be finite"
+    return f"be in [{least}, {most}{')' if most == inf else ']'}"
+
+
 def check_range(name: str, value, bounds: tuple) -> None:
     """Raise ``<name> must be in [least, most), got <value>`` unless ``value`` is finite and
-    within ``bounds``, a (least, most) pair whose infinite bounds are open (both: ``must be finite``)."""
+    within ``bounds``, a (least, most) pair whose infinite bounds are open (both: ``must be finite``).
+    An integer is compared exactly, however large."""
     least, most = bounds
     if not (least <= value <= most and abs(value) < inf):
-        if least == -inf and most == inf:
-            raise ContractViolationError(f"{name} must be finite, got {value}")
-        closing = ")" if most == inf else "]"
-        raise ContractViolationError(f"{name} must be in [{least}, {most}{closing}, got {value}")
+        raise ContractViolationError(f"{name} must {_must(bounds)}, got {value}")
+
+
+def to_float(name: str, value, bounds: tuple) -> float:
+    """``value`` as a float, checked by :func:`check_range`; an integer too large
+    for a float is out of range too."""
+    value = _as_float(name, value, _must(bounds))
+    check_range(name, value, bounds)
+    return value
 
 
 def check_dt(dt, name: str = "dt") -> float:
     """The sample period ``dt``, called ``name``, as a float if it is positive and finite."""
-    if not 0.0 < float(dt) < inf:
-        raise ContractViolationError(f"{name} must be positive and finite, got {float(dt)}")
-    return float(dt)
+    dt = _as_float(name, dt, "be positive and finite")
+    if not 0.0 < dt < inf:
+        raise ContractViolationError(f"{name} must be positive and finite, got {dt}")
+    return dt

@@ -4,9 +4,9 @@ A scenario pushes the true patient-side stream through the impairment
 channel, runs the sequential Kalman filter on the delivered samples with
 the master-side commands as control input, and scores the estimated output
 against the true (unimpaired) stream.  Sweeps repeat this over a grid of
-channel conditions and seeds, keep each run's scores only, and serialize
-them to CSV with enough embedded metadata to reproduce the aggregated
-report byte for byte.
+channel conditions and seeds, keep each run's scores only, one
+:class:`SweepTable` row per run, and serialize them to CSV with enough
+embedded metadata to reproduce the aggregated report byte for byte.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import hashlib
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .metrics import fit_aggregate, fit_percent, mse
 __all__ = [
     "Scenario",
     "ScenarioResult",
+    "SweepTable",
     "run_scenario",
     "run_sweep",
     "aggregate_sweep",
@@ -70,30 +71,27 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
-    """Accuracy metrics and channel statistics of one scenario; with
-    ``return_trace``, also its estimated output, delivered stream and
-    filter trace."""
+    """Accuracy metrics and channel statistics of one scenario, with its
+    estimated output, delivered stream and filter trace."""
 
     mse: np.ndarray
     est_percent: np.ndarray
     est_aggregate: float
     channel_stats: ChannelStats
     runtime_ms: float
-    z_est: Optional[np.ndarray] = None
-    delivered: Optional[np.ndarray] = None
-    trace: Optional[FilterTrace] = None
+    z_est: np.ndarray
+    delivered: np.ndarray
+    trace: FilterTrace
 
 
-def run_scenario(scenario: Scenario, return_trace: bool = False) -> ScenarioResult:
+def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute the closed loop over the whole trajectory.
 
     Per step k >= 2: the channel delivers a (possibly delayed or held)
     patient-side sample, the filter predicts with the previous master
     command and refines with the delivered sample via sequential scalar
     updates.  Metrics compare the estimated output against the true stream,
-    not the delivered one.  Only with ``return_trace`` does the result keep
-    arrays of the trajectory's length: the estimated output, the delivered
-    stream and the filter trace.
+    not the delivered one.
     """
     data = scenario.data
     if data.n_samples < 2:
@@ -118,9 +116,9 @@ def run_scenario(scenario: Scenario, return_trace: bool = False) -> ScenarioResu
         est_aggregate=fit_aggregate(per_fit),
         channel_stats=stats,
         runtime_ms=runtime_ms,
-        z_est=z_est if return_trace else None,
-        delivered=delivered if return_trace else None,
-        trace=trace if return_trace else None,
+        z_est=z_est,
+        delivered=delivered,
+        trace=trace,
     )
 
 
@@ -128,71 +126,89 @@ def run_scenario(scenario: Scenario, return_trace: bool = False) -> ScenarioResu
 # sweeps and reports
 
 
+@dataclass
+class SweepTable:
+    """A sweep's runs, one row per (condition, seed) in condition-major order.
+
+    ``mse`` and ``est_percent`` are (S, p) arrays and ``est_aggregate`` and
+    ``runtime_ms`` (S,) ones.  A failed run's row holds NaN scores, no
+    channel statistics and its error message, empty for a run that succeeded.
+    """
+
+    condition: list[tuple[float, float, float]]
+    seed: list[int]
+    mse: np.ndarray
+    est_percent: np.ndarray
+    est_aggregate: np.ndarray
+    channel_stats: list[ChannelStats | None]
+    runtime_ms: np.ndarray
+    error: list[str]
+
+
 def run_sweep(
     model: SystemModel,
     data: TrajectorySet,
     conditions,
     seeds,
-) -> list[dict]:
-    """Run every (n_d, n_j, n_p) condition under every seed.
-
-    Returns one record per run: condition, seed, and either the
-    ScenarioResult or the error message (failures do not abort the sweep).
-    """
+) -> SweepTable:
+    """Run every (n_d, n_j, n_p) condition under every seed; a run that
+    fails leaves its error message in the table and the sweep goes on."""
     conditions = [tuple(float(v) for v in cond) for cond in conditions]
     if not conditions:
         raise ContractViolationError("conditions list is empty")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ContractViolationError("seeds list is empty")
-    runs = []
-    for cond in conditions:
-        n_d, n_j, n_p = cond
-        for seed in seeds:
-            record = {"condition": cond, "seed": seed, "result": None, "error": None}
-            try:
-                scenario = Scenario(
-                    model=model,
-                    network=NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p, seed=seed),
-                    data=data,
-                )
-                record["result"] = run_scenario(scenario)
-            except Exception as exc:  # recorded, sweep continues
-                record["error"] = f"{type(exc).__name__}: {exc}"
-            runs.append(record)
-    return runs
+    rows = list(itertools.product(conditions, seeds))
+    size, p = len(rows), data.outputs.shape[1]
+    table = SweepTable(
+        condition=[cond for cond, _ in rows],
+        seed=[seed for _, seed in rows],
+        mse=np.full((size, p), np.nan),
+        est_percent=np.full((size, p), np.nan),
+        est_aggregate=np.full(size, np.nan),
+        channel_stats=[None] * size,
+        runtime_ms=np.full(size, np.nan),
+        error=[""] * size,
+    )
+    for i, ((n_d, n_j, n_p), seed) in enumerate(rows):
+        try:
+            network = NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p, seed=seed)
+            result = run_scenario(Scenario(model=model, network=network, data=data))
+        except Exception as exc:  # recorded, sweep continues
+            table.error[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        # the score columns are named as the result's fields
+        for column in ("mse", "est_percent", "est_aggregate", "channel_stats", "runtime_ms"):
+            getattr(table, column)[i] = getattr(result, column)
+        del result  # its arrays of the trajectory's length go before the next run
+    return table
 
 
-def aggregate_sweep(runs: list[dict]) -> list[dict]:
-    """Collapse per-seed runs into one record per condition (means, std)."""
-    by_condition: dict[tuple, list[dict]] = {}
-    for run in runs:
-        by_condition.setdefault(run["condition"], []).append(run)
+def aggregate_sweep(table: SweepTable) -> list[dict]:
+    """Collapse each condition's rows into one record (means over the runs
+    that succeeded, std)."""
+    by_condition: dict[tuple, list[int]] = {}
+    for i, cond in enumerate(table.condition):
+        by_condition.setdefault(cond, []).append(i)
     aggregates = []
-    for cond, members in by_condition.items():
-        group = [r for r in members if r["result"] is not None]
-        agg = {"condition": cond, "n_runs": len(members), "n_failed": len(members) - len(group)}
-        if group:
-            mse_stack = np.vstack([r["result"].mse for r in group])
-            fit_stack = np.vstack([r["result"].est_percent for r in group])
-            agg_values = np.array([r["result"].est_aggregate for r in group])
-            hist: dict[int, int] = {}
-            lost = 0
-            total = 0
-            for r in group:
-                stats = r["result"].channel_stats
-                lost += stats.packets_lost
-                total += stats.packets_total
-                for k, v in stats.delay_histogram.items():
-                    hist[k] = hist.get(k, 0) + v
+    for cond, rows in by_condition.items():
+        ok = [i for i in rows if not table.error[i]]
+        agg = {"condition": cond, "n_runs": len(rows), "n_failed": len(rows) - len(ok)}
+        if ok:
+            values = table.est_aggregate[ok]
+            stats = [table.channel_stats[i] for i in ok]
+            lost = sum(s.packets_lost for s in stats)
+            total = sum(s.packets_total for s in stats)
+            hist = sum((Counter(s.delay_histogram) for s in stats), Counter())
             agg.update(
                 {
-                    "mse_mean": mse_stack.mean(axis=0),
-                    "est_mean": fit_stack.mean(axis=0),
-                    "est_aggregate_mean": float(agg_values.mean()),
-                    "est_aggregate_std": float(agg_values.std(ddof=1)) if len(group) > 1 else 0.0,
+                    "mse_mean": table.mse[ok].mean(axis=0),
+                    "est_mean": table.est_percent[ok].mean(axis=0),
+                    "est_aggregate_mean": float(values.mean()),
+                    "est_aggregate_std": float(values.std(ddof=1)) if len(ok) > 1 else 0.0,
                     "loss_realized": (lost / total) if total else 0.0,
-                    "delay_histogram": hist,
+                    "delay_histogram": dict(hist),
                 }
             )
         aggregates.append(agg)
@@ -230,45 +246,41 @@ def _report_head(config: dict, version: str, columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_header(channel_names) -> list[str]:
-    cols = ["n_d", "n_j", "n_p", "seed"]
-    cols += [f"mse_{name}" for name in channel_names]
-    cols += [f"est_{name}" for name in channel_names]
-    cols += ["est_aggregate", "est_aggregate_std", "loss_realized", "delay_hist", "runtime_ms"]
-    return cols
-
-
-def _report_row(condition, seed, n_channels: int, scores=None, error: str = "") -> str:
-    """One data row of the sweep reports.
+def _write_report(path, rows, channel_names, config: dict, version: str) -> None:
+    """Write a sweep report with one line per (condition, seed, scores, error) item of ``rows``.
 
     ``scores`` is (mse, est, est_aggregate, est_aggregate_std, loss_realized,
-    delay_histogram, runtime_ms text); without it the row is an error row,
+    delay_histogram, runtime_ms text); without it the line is an error row,
     whose ``error`` text fills the est_aggregate column.
     """
-    row = [_fmt(v) for v in condition] + [str(seed)]
-    if scores is None:
-        row += ["error"] * (2 * n_channels) + [_csv_field(error), "", "", "", ""]
-    else:
-        mse_values, est_values, aggregate, std, loss, hist, runtime = scores
-        row += [_fmt(v) for v in (*mse_values, *est_values, aggregate, std, loss)]
-        row += [";".join(f"{k}:{hist[k]}" for k in sorted(hist)), runtime]
-    return ",".join(row) + "\n"
+    columns = ["n_d", "n_j", "n_p", "seed"]
+    columns += [f"mse_{name}" for name in channel_names]
+    columns += [f"est_{name}" for name in channel_names]
+    columns += ["est_aggregate", "est_aggregate_std", "loss_realized", "delay_hist", "runtime_ms"]
+    lines = [_report_head(config, version, columns)]
+    for condition, seed, scores, error in rows:
+        row = [_fmt(v) for v in condition] + [str(seed)]
+        if scores is None:
+            row += ["error"] * (2 * len(channel_names)) + [_csv_field(error), "", "", "", ""]
+        else:
+            mse_values, est_values, aggregate, std, loss, hist, runtime = scores
+            row += [_fmt(v) for v in (*mse_values, *est_values, aggregate, std, loss)]
+            row += [";".join(f"{k}:{hist[k]}" for k in sorted(hist)), runtime]
+        lines.append(",".join(row) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def write_runs_csv(path, runs: list[dict], channel_names, config: dict, version: str) -> None:
+def write_runs_csv(path, table: SweepTable, channel_names, config: dict, version: str) -> None:
     """Per-(condition, seed) rows, including runtime; failures get an error row
     whose message fills the est_aggregate column."""
     rows = []
-    for run in runs:
-        result = run["result"]
+    for i, (stats, error) in enumerate(zip(table.channel_stats, table.error)):
         scores = None
-        if result is not None:
-            stats = result.channel_stats
-            scores = (result.mse, result.est_percent, result.est_aggregate, "",
-                      stats.loss_realized, stats.delay_histogram, f"{result.runtime_ms:.3f}")
-        rows.append(_report_row(run["condition"], run["seed"], len(channel_names), scores, run["error"]))
-    head = _report_head(config, version, report_header(channel_names))
-    Path(path).write_text(head + "".join(rows), encoding="utf-8")
+        if not error:
+            scores = (table.mse[i], table.est_percent[i], table.est_aggregate[i], "",
+                      stats.loss_realized, stats.delay_histogram, f"{table.runtime_ms[i]:.3f}")
+        rows.append((table.condition[i], table.seed[i], scores, error))
+    _write_report(path, rows, channel_names, config, version)
 
 
 def write_aggregate_csv(path, aggregates: list[dict], channel_names, config: dict, version: str) -> None:
@@ -279,9 +291,8 @@ def write_aggregate_csv(path, aggregates: list[dict], channel_names, config: dic
         if "est_mean" in agg:
             scores = (agg["mse_mean"], agg["est_mean"], agg["est_aggregate_mean"], agg["est_aggregate_std"],
                       agg["loss_realized"], agg["delay_histogram"], "")
-        rows.append(_report_row(agg["condition"], "AGG", len(channel_names), scores))
-    head = _report_head(config, version, report_header(channel_names))
-    Path(path).write_text(head + "".join(rows), encoding="utf-8")
+        rows.append((agg["condition"], "AGG", scores, ""))
+    _write_report(path, rows, channel_names, config, version)
 
 
 def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.ndarray, config: dict, version: str) -> None:

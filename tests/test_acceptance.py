@@ -8,6 +8,7 @@ workload first.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     reference_dataset,
     sample_outputs,
 )
+from telekf import simrunner
 from telekf.channel import NetworkConfig, apply_channel
 from telekf.cli import main as cli_main
 from telekf.dataio import SyntheticSpec, gen_synthetic, random_stable_arx
@@ -33,7 +35,7 @@ from telekf.filtering import (
     run_filter_trace,
 )
 from telekf.metrics import fit_percent
-from telekf.simrunner import Scenario, aggregate_sweep, run_scenario
+from telekf.simrunner import Scenario, aggregate_sweep, run_scenario, run_sweep
 from telekf.sysid import arx_fit, arx_to_ss, simulate_arx
 
 DT = 1.0 / 30.0
@@ -77,27 +79,23 @@ def _reference():
 
 
 def _run_conditions(label, conditions, seeds):
-    """Scenario grid with per-run hygiene capture; returns (runs, seconds)."""
+    """Sweep of a scenario grid with per-run hygiene capture; returns
+    (table, seconds), the seconds summed over the runs."""
     system, data = _reference()
-    runs = []
-    elapsed_ms = 0.0
-    for cond in conditions:
-        for seed in seeds:
-            scen = Scenario(
-                model=system,
-                network=NetworkConfig(n_d=cond[0], n_j=cond[1], n_p=cond[2], seed=seed),
-                data=data,
-            )
-            result = run_scenario(scen, return_trace=True)
-            elapsed_ms += result.runtime_ms
-            _record_hygiene(label, result.trace.p_prior)
-            _record_hygiene(label, result.trace.p_post)
-            result.trace = None
-            result.delivered = None
-            runs.append(
-                {"condition": tuple(map(float, cond)), "seed": seed, "result": result, "error": None}
-            )
-    return runs, elapsed_ms / 1000.0
+
+    def run_and_record(scenario):
+        result = run_scenario(scenario)
+        _record_hygiene(label, result.trace.p_prior)
+        _record_hygiene(label, result.trace.p_post)
+        return result
+
+    with mock.patch.object(simrunner, "run_scenario", run_and_record):
+        table = run_sweep(system, data, conditions, seeds)
+    # run_sweep keeps a run's exception as its row's error: any failed run or
+    # hygiene capture fails the criterion
+    failed = [error for error in table.error if error]
+    assert not failed, f"{len(failed)} run(s) failed, the first with {failed[0]}"
+    return table, float(table.runtime_ms.sum()) / 1000.0
 
 
 def _criterion3_instances(count):
@@ -156,11 +154,10 @@ def test_criterion_01_unimpaired_ceiling():
     system, data = _reference()
     # warm the kernels outside the timed section
     run_scenario(Scenario(model=system, network=NetworkConfig(0, 0, 0, 0), data=data))
-    runs, seconds = _run_conditions("c1", [(0.0, 0.0, 0.0)], SEEDS)
-    agg = aggregate_sweep(runs)[0]
+    table, seconds = _run_conditions("c1", [(0.0, 0.0, 0.0)], SEEDS)
+    agg = aggregate_sweep(table)[0]
     mean_est = agg["est_aggregate_mean"]
     ok = mean_est >= 99.0 and seconds < 5.0
-    _cache.setdefault("c1_runs", runs)
     _report(
         1,
         "unimpaired ceiling",
@@ -171,8 +168,8 @@ def test_criterion_01_unimpaired_ceiling():
 
 def test_criterion_02_degradation_trend():
     conditions = [(nd, nj, np_) for (nj, nd, np_) in TABLE_ROWS]
-    runs, seconds = _run_conditions("c2", conditions, SEEDS)
-    aggs = aggregate_sweep(runs)
+    table, seconds = _run_conditions("c2", conditions, SEEDS)
+    aggs = aggregate_sweep(table)
     means = np.array([a["est_aggregate_mean"] for a in aggs])
     severity = np.array([np_ * 1000.0 + nj for (nj, nd, np_) in TABLE_ROWS])
     rho = scipy.stats.spearmanr(severity, means).statistic

@@ -583,6 +583,36 @@ def test_channel_flag_below_its_least_value_is_named(argv, message, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["run", "--model", "{missing}", "--data", "{missing}", "--out-dir", "{out}"], {"nd": 10**400},
+         "--nd must be in [0, inf), got an integer too large for a float"),
+        (["synth", "--out", "{out}"], {"input_scale": -(10**400)},
+         "--input-scale must be finite, got an integer too large for a float"),
+        (["sweep", "--model", "{missing}", "--data", "{missing}", "--out-dir", "{out}"],
+         {"rows": [[0, 0, 0], [10**400, 0, 0]]},
+         "--rows row 2: jitter_ms must be in [0, inf), got an integer too large for a float"),
+    ],
+    ids=["run-nd", "synth-input-scale", "sweep-rows"],
+)
+def test_config_integer_too_large_for_a_float_is_named(argv, config, message, tmp_path, capsys, no_input_read):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [arg.format(missing=tmp_path / "nope", out=out) for arg in argv]
+    assert main([*argv, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_integer_setting_beyond_the_float_range_is_compared_exactly(tmp_path):
+    # only a float setting must fit a float; a seed is any non-negative integer
+    out = tmp_path / "big_seed.txt"
+    assert main(synth_args(out, seed=10**400, n=20)) == 0
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize(
     "argv, config_rows, message",
     [
         (["run", "--np", "1.5"], None, "--np must be in [0, 1], got 1.5"),

@@ -101,7 +101,7 @@ def test_pipeline_reports_match_golden(fresh, name):
 
 
 def _arrays_in(value):
-    """Every numpy array reachable from a sweep record."""
+    """Every numpy array reachable from a sweep table."""
     if isinstance(value, np.ndarray):
         yield value
     elif dataclasses.is_dataclass(value):
@@ -119,12 +119,12 @@ def test_sweep_records_hold_scores_only_and_the_run_trace_scores_the_same(fresh,
     """A sweep of the ``run`` step's scenario keeps per-channel scores and no
     array of the trajectory's length, and the ``trace.csv`` that ``run``
     wrote for that scenario scores to the same figures bit for bit."""
-    records = []
+    tables = []
     run_sweep = simrunner.run_sweep
 
     def recording(*args):
-        records.extend(run_sweep(*args))
-        return records
+        tables.append(run_sweep(*args))
+        return tables[-1]
 
     monkeypatch.setattr(simrunner, "run_sweep", recording)
     monkeypatch.chdir(workdir)
@@ -132,14 +132,15 @@ def test_sweep_records_hold_scores_only_and_the_run_trace_scores_the_same(fresh,
     argv = ["sweep", "--model", "identify/model.json", "--data", "holdout.txt", "--dt", "0.002",
             "--rows", "5,7,0.2", "--seeds", "1", "--out-dir", "sweep_of_run"]
     assert main(argv) == 0
-    [record] = records
+    [table] = tables
+    assert (table.condition, table.seed, table.error) == ([(7.0, 5.0, 0.2)], [0], [""])
     lines = [line for line in Path("run/trace.csv").read_text().splitlines() if not line.startswith("#")]
-    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    p = (table.shape[1] - 1) // 3
-    assert {array.shape for array in _arrays_in(record)} == {(p,)}
-    truth, est = table[:, 1 : 1 + p], table[:, 1 + 2 * p :]
-    np.testing.assert_array_equal(mse(truth, est), record["result"].mse)
-    np.testing.assert_array_equal(fit_percent(truth, est), record["result"].est_percent)
+    trace = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    p = (trace.shape[1] - 1) // 3
+    assert {array.shape for array in _arrays_in(table)} == {(1, p), (1,)}
+    truth, est = trace[:, 1 : 1 + p], trace[:, 1 + 2 * p :]
+    np.testing.assert_array_equal(mse(truth, est), table.mse[0])
+    np.testing.assert_array_equal(fit_percent(truth, est), table.est_percent[0])
 
 
 def test_version_1_report_replays_to_the_reports_of_its_flags(fresh, workdir, monkeypatch, capsys):

@@ -8,6 +8,9 @@ any input.
 - Permuting the output channels together with their companion blocks
   permutes the states, the scores and the per-channel figures to within
   rounding: the sequential update then visits the rows in another order.
+- A run's scores do not depend on the sweep around it: run alone, inside a
+  larger sweep, or through :func:`run_scenario`, they are bit for bit the
+  same.
 
 Scale invariance is not asserted for :func:`run_sweep`: ``initial_estimate``
 fixes the initial covariance at 10 I in the data's own units.
@@ -19,9 +22,10 @@ import numpy as np
 import pytest
 
 from conftest import identified_system, max_rel_diff, reference_dataset
+from telekf import filtering
 from telekf.channel import NetworkConfig, apply_channel
 from telekf.filtering import StateEstimate, SystemModel, initial_estimate, run_filter_trace
-from telekf.simrunner import run_sweep
+from telekf.simrunner import Scenario, run_scenario, run_sweep
 
 DATA = reference_dataset(n_samples=800, seed=2)
 SYSTEM = identified_system(DATA)
@@ -100,12 +104,27 @@ def test_output_permutation_permutes_the_sweep_scores():
         DATA, outputs=DATA.outputs[:, PERM], output_names=tuple(DATA.output_names[c] for c in PERM)
     )
     moved = run_sweep(permuted_model(SYSTEM, PERM), moved_data, CONDITIONS, seeds)
-    assert len(moved) == len(base) == len(CONDITIONS) * len(seeds)
-    for a, b in zip(base, moved):
-        assert (b["condition"], b["seed"]) == (a["condition"], a["seed"])
-        assert a["error"] is None and b["error"] is None
-        ra, rb = a["result"], b["result"]
-        assert max_rel_diff(rb.mse, ra.mse[PERM]) <= 1e-12
-        assert max_rel_diff(rb.est_percent, ra.est_percent[PERM]) <= 1e-12
-        assert abs(rb.est_aggregate - ra.est_aggregate) <= 1e-12 * abs(ra.est_aggregate)
-        assert rb.channel_stats == ra.channel_stats
+    assert (moved.condition, moved.seed) == (base.condition, base.seed)
+    assert moved.error == base.error == [""] * len(CONDITIONS) * len(seeds)
+    for row in range(len(base.seed)):
+        assert max_rel_diff(moved.mse[row], base.mse[row, PERM]) <= 1e-12
+        assert max_rel_diff(moved.est_percent[row], base.est_percent[row, PERM]) <= 1e-12
+        assert abs(moved.est_aggregate[row] - base.est_aggregate[row]) <= 1e-12 * abs(base.est_aggregate[row])
+    assert moved.channel_stats == base.channel_stats
+
+
+def test_a_run_scores_the_same_alone_in_a_sweep_and_as_a_scenario(monkeypatch):
+    (n_d, n_j, n_p), seed = CONDITIONS[1], 1
+    # alone, with no covariance pass of an earlier scenario to reuse
+    monkeypatch.setattr(filtering, "_memo", None)
+    alone = run_sweep(SYSTEM, DATA, [CONDITIONS[1]], [seed])
+    # the middle row of a 3 x 3 sweep
+    sweep = run_sweep(SYSTEM, DATA, CONDITIONS, [0, seed, 2])
+    assert (sweep.condition[4], sweep.seed[4]) == (CONDITIONS[1], seed)
+    scenario = run_scenario(Scenario(SYSTEM, NetworkConfig(n_d=n_d, n_j=n_j, n_p=n_p, seed=seed), DATA))
+    for table, row in ((alone, 0), (sweep, 4)):
+        assert table.error[row] == ""
+        np.testing.assert_array_equal(table.mse[row], scenario.mse)
+        np.testing.assert_array_equal(table.est_percent[row], scenario.est_percent)
+        assert table.est_aggregate[row] == scenario.est_aggregate
+        assert table.channel_stats[row] == scenario.channel_stats

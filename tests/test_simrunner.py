@@ -36,7 +36,7 @@ def scenario(n_d=0.0, n_j=0.0, n_p=0.0, seed=0):
 
 
 def test_clean_channel_tracks_tightly():
-    result = run_scenario(scenario(), return_trace=True)
+    result = run_scenario(scenario())
     assert result.est_aggregate >= 99.0
     assert result.z_est.shape == (DATA.n_samples, 3)
     assert result.channel_stats.loss_realized == 0.0
@@ -49,8 +49,8 @@ def test_total_loss_is_strictly_worse_than_clean():
 
 
 def test_scenario_determinism():
-    a = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9), return_trace=True)
-    b = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9), return_trace=True)
+    a = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9))
+    b = run_scenario(scenario(n_d=5, n_j=7, n_p=0.2, seed=9))
     np.testing.assert_array_equal(a.z_est, b.z_est)
     np.testing.assert_array_equal(a.mse, b.mse)
     assert a.channel_stats.delay_histogram == b.channel_stats.delay_histogram
@@ -96,11 +96,15 @@ def test_mean_accuracy_non_increasing_in_loss():
 
 
 def test_run_sweep_records_failures_and_continues():
-    runs = run_sweep(SYSTEM, DATA, [(0, 0, 0), (0, 0, -0.5)], seeds=[0, 1])
-    ok = [r for r in runs if r["error"] is None]
-    failed = [r for r in runs if r["error"] is not None]
-    assert len(ok) == 2 and len(failed) == 2
-    assert all("n_p" in r["error"] for r in failed)
+    table = run_sweep(SYSTEM, DATA, [(0, 0, 0), (0, 0, -0.5)], seeds=[0, 1])
+    assert table.condition == [(0.0, 0.0, 0.0)] * 2 + [(0.0, 0.0, -0.5)] * 2
+    assert table.seed == [0, 1, 0, 1]
+    assert table.error[:2] == ["", ""] and all("n_p" in error for error in table.error[2:])
+    # a failed run's row holds NaN scores and no channel statistics
+    assert np.isfinite(table.mse[:2]).all() and np.isfinite(table.est_aggregate[:2]).all()
+    assert np.isnan(table.mse[2:]).all() and np.isnan(table.est_percent[2:]).all()
+    assert np.isnan(table.est_aggregate[2:]).all() and np.isnan(table.runtime_ms[2:]).all()
+    assert table.channel_stats[2:] == [None, None]
 
 
 PAPER_CONDITIONS = [
@@ -125,19 +129,19 @@ def test_sweep_runs_the_covariance_pass_once(monkeypatch):
 
         monkeypatch.setattr(_kernels, name, counted)
     monkeypatch.setattr(filtering, "_memo", None)
-    runs = run_sweep(SYSTEM, DATA, PAPER_CONDITIONS, seeds=[0, 1])
-    assert len(runs) == 14 and all(run["error"] is None for run in runs)
+    table = run_sweep(SYSTEM, DATA, PAPER_CONDITIONS, seeds=[0, 1])
+    assert table.error == [""] * 14
     # the row updates are folded once, inside the shared pass
     assert calls == {"covariance_loop": 1, "_fold_rows": 1}
 
 
 def test_scenario_after_a_sweep_matches_a_cold_run(monkeypatch):
     run_sweep(SYSTEM, DATA, PAPER_CONDITIONS[:3], seeds=[0, 1])
-    warm = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3), return_trace=True)
+    warm = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3))
     assert warm.trace.cov_post is filtering._memo[1][1]
     assert warm.trace.step is filtering._memo[1][3]
     monkeypatch.setattr(filtering, "_memo", None)
-    cold = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3), return_trace=True)
+    cold = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3))
     assert cold.trace.cov_post is not warm.trace.cov_post
     np.testing.assert_array_equal(warm.z_est, cold.z_est)
     for name in ("x_prior", "x_post", "has_obs", "cov_prior", "cov_post", "step", "p_prior", "p_post"):
@@ -152,36 +156,43 @@ def test_sweep_of_a_breaking_model_records_the_scenario_error(monkeypatch):
     r[1, 1] = 0.0
     broken = SystemModel(a=SYSTEM.a, b=SYSTEM.b, h=h, q=SYSTEM.q, r=r)
     monkeypatch.setattr(filtering, "_memo", None)
-    runs = run_sweep(broken, DATA, PAPER_CONDITIONS[:2], seeds=[0, 1, 2])
+    table = run_sweep(broken, DATA, PAPER_CONDITIONS[:2], seeds=[0, 1, 2])
     assert filtering._memo is None  # only a pass that completes is kept
     with pytest.raises(SingularInnovationError) as info:
         run_scenario(Scenario(model=broken, network=NetworkConfig(0, 0, 0, 0), data=DATA))
     expected = f"{type(info.value).__name__}: {info.value}"
     assert "step 0, measurement row 1" in expected
-    assert [run["error"] for run in runs] == [expected] * 6
+    assert table.error == [expected] * 6
 
 
 def test_aggregate_sweep_means_and_std():
-    runs = run_sweep(SYSTEM, DATA, [(0, 0, 0.3)], seeds=[0, 1, 2])
-    aggs = aggregate_sweep(runs)
+    table = run_sweep(SYSTEM, DATA, [(0, 0, 0.3)], seeds=[0, 1, 2])
+    aggs = aggregate_sweep(table)
     assert len(aggs) == 1
-    values = [r["result"].est_aggregate for r in runs]
+    values = table.est_aggregate
     assert aggs[0]["est_aggregate_mean"] == pytest.approx(np.mean(values))
     assert aggs[0]["est_aggregate_std"] == pytest.approx(np.std(values, ddof=1))
     assert aggs[0]["n_runs"] == 3 and aggs[0]["n_failed"] == 0
 
 
+def test_aggregate_sweep_merges_a_condition_given_twice():
+    table = run_sweep(SYSTEM, DATA, [(0, 0, 0.3), (0, 0, 0.1), (0, 0, 0.3)], seeds=[0, 1])
+    aggs = aggregate_sweep(table)
+    assert [agg["condition"] for agg in aggs] == [(0.0, 0.0, 0.3), (0.0, 0.0, 0.1)]
+    assert aggs[0]["n_runs"] == 4
+    assert aggs[0]["est_aggregate_mean"] == np.mean(table.est_aggregate[[0, 1, 4, 5]])
+
+
 def test_csv_writers_schema_and_embedded_config(tmp_path):
-    runs = run_sweep(SYSTEM, DATA, [(0, 0, 0.1), (0, 0, -0.5)], seeds=[0, 1])
-    aggs = aggregate_sweep(runs)
+    table = run_sweep(SYSTEM, DATA, [(0, 0, 0.1), (0, 0, -0.5)], seeds=[0, 1, 2])
+    aggs = aggregate_sweep(table)
     # error messages as a failing scenario could word them: one with a quote,
     # one with neither a quote nor a comma
-    for seed, message in ((2, 'SingularInnovationError: row "y1"'), (3, "ValueError: bad")):
-        runs.append({"condition": (0.0, 0.0, 0.1), "seed": seed, "result": None, "error": message})
+    table.error[4:] = ['SingularInnovationError: row "y1"', "ValueError: bad"]
     config = {"command": "sweep", "rows": [[0, 0, 0.1], [0, 0, -0.5]], "seeds": 2, "seed0": 0}
     runs_path = tmp_path / "runs.csv"
     agg_path = tmp_path / "agg.csv"
-    write_runs_csv(runs_path, runs, DATA.output_names, config, "0.1.0")
+    write_runs_csv(runs_path, table, DATA.output_names, config, "0.1.0")
     write_aggregate_csv(agg_path, aggs, DATA.output_names, config, "0.1.0")
 
     header = [l for l in runs_path.read_text().splitlines() if not l.startswith("#")][0]
@@ -205,7 +216,7 @@ def test_csv_writers_schema_and_embedded_config(tmp_path):
         return [dict(zip(cols, row)) for row in rows[1:]]
 
     errors = [row["est_aggregate"] for row in data_rows(runs_path) if row[cols[4]] == "error"]
-    assert errors == [run["error"] for run in runs if run["error"] is not None]
+    assert errors == table.error[3:]
     assert errors[0] == "ContractViolationError: n_p must be in [0, 1], got -0.5"
     # only a message with a comma or a quote is quoted
     assert ",ValueError: bad," in runs_path.read_text()
@@ -245,8 +256,7 @@ def test_write_trace_csv_matches_per_value_formatting(tmp_path, dt):
     # longer than two row blocks, ending inside the third
     data = replace(reference_dataset(n_samples=2 * simrunner.TRACE_BLOCK_ROWS + 452, seed=2), dt=dt)
     result = run_scenario(
-        Scenario(model=SYSTEM, network=NetworkConfig(n_d=0.1, n_j=0.05, n_p=0.2, seed=4), data=data),
-        return_trace=True,
+        Scenario(model=SYSTEM, network=NetworkConfig(n_d=0.1, n_j=0.05, n_p=0.2, seed=4), data=data)
     )
     delivered = result.delivered.copy()
     delivered[:6, 0] = [-0.0, 5e-324, 1.7e308, -1.7e308, 1e22, 0.1]

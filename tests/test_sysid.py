@@ -534,6 +534,7 @@ def test_load_model_rejects_foreign_files(tmp_path):
         ({**good, "na": -1}, "na must be in [0, inf), got -1"),
         ({**good, "n_outputs": 0}, "n_outputs must be in [1, inf), got 0"),
         ({**good, "dt": 0}, "dt must be positive and finite, got 0.0"),
+        ({**good, "dt": 10**400}, "dt must be positive and finite, got an integer too large for a float"),
         ({**good, "dt": "x"}, 'dt: expected a number, got "x"'),
         ({**good, "a_coeffs": "x"}, 'a_coeffs: expected 3 x 3 nested lists of numbers, got "x"'),
         ({**good, "a_coeffs": good["a_coeffs"][:2]}, "a_coeffs: expected 3 x 3 nested lists of numbers"),

@@ -100,7 +100,9 @@ def _reading(path):
         raise ContractViolationError(
             f"{path}: byte offset {exc.start}: cannot decode {bad!r} as UTF-8"
         ) from None
-    except json.JSONDecodeError as exc:
+    except (ContractViolationError, KinematicsFormatError):
+        raise  # the readers' own errors say what is wrong in their own words
+    except ValueError as exc:  # not JSON, or a JSON integer longer than int() reads
         raise ContractViolationError(f"{path}: {exc}") from None
 
 
@@ -240,7 +242,7 @@ def _load_trajectory(data_path, dt, inputs, outputs, preset, arm) -> dataio.Traj
     if preset:
         # reports record the arm as given (null without --arm), so the
         # preset's default arm is applied here rather than by the parser
-        return dataio.apply_preset(ts, preset, arm=arm or "right")
+        return dataio.paper_preset(ts, arm=arm or "right")
     names = _sidecar_names(data_path)
     if names is not None:
         return dataio.select_channels(ts, names[0], names[1])
@@ -422,8 +424,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    layout = dataio.default_layout()
-    layout.check_capacity(args.n_inputs, args.n_outputs, names=("--n-inputs", "--n-outputs"))
+    dataio.LAYOUT.check_capacity(args.n_inputs, args.n_outputs, names=("--n-inputs", "--n-outputs"))
     generator = dataio.random_stable_arx(
         args.na, args.nb, args.nk, n_outputs=args.n_outputs, n_inputs=args.n_inputs,
         seed=args.gen_seed, dt=args.dt,
@@ -441,14 +442,13 @@ def cmd_synth(args) -> int:
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_kinematics(ts, out_path, layout)
+    input_names, output_names = dataio.write_kinematics(ts, out_path)
 
-    names = np.asarray(layout.names)
     sidecar = {
         "format": "telekf-synth-truth",
         "version": 1,
-        "input_names": [str(n) for n in names[layout.block_indices("master")[: args.n_inputs]]],
-        "output_names": [str(n) for n in names[layout.block_indices("slave")[: args.n_outputs]]],
+        "input_names": input_names,
+        "output_names": output_names,
         "model": sysid.model_to_doc(generator),
         "spec": {
             "n_samples": spec.n_samples,
@@ -482,13 +482,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out-dir", dest="out_dir", default=".", help="output directory (default .)")
         p.add_argument(
             "--dt", type=float, default=dataio.DEFAULT_DT,
             help="sample period override in seconds (default 1/30)",
         )
 
-    def add_channels(p):
+    def add_pipeline(p):
+        """The flags of the commands that read kinematics and write reports."""
+        p.add_argument("--out-dir", dest="out_dir", default=".", help="output directory (default .)")
         p.add_argument("--preset", choices=["paper"], help="named channel preset")
         p.add_argument("--arm", choices=["left", "right"], help="manipulator arm for --preset (default right)")
         p.add_argument("--inputs", help="comma-separated input channel names")
@@ -496,7 +497,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_id = sub.add_parser("identify", help="fit ARX models over an order grid")
     add_common(p_id)
-    add_channels(p_id)
+    add_pipeline(p_id)
     p_id.add_argument("--train", required=True, help="training kinematics file")
     p_id.add_argument("--holdout", required=True, help="holdout kinematics file")
     p_id.add_argument(
@@ -510,7 +511,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_run = sub.add_parser("run", help="run one scenario and write the trace CSV")
     add_common(p_run)
-    add_channels(p_run)
+    add_pipeline(p_run)
     p_run.add_argument("--model", required=True, help="model file from identify")
     p_run.add_argument("--data", required=True, help="kinematics file")
     p_run.add_argument("--nd", type=float, default=0.0, help="network delay in ms (default 0)")
@@ -521,7 +522,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_sweep = sub.add_parser("sweep", help="run a condition table x seeds and write reports")
     add_common(p_sweep)
-    add_channels(p_sweep)
+    add_pipeline(p_sweep)
     p_sweep.add_argument("--model", required=True, help="model file from identify")
     p_sweep.add_argument("--data", required=True, help="kinematics file")
     p_sweep.add_argument(

@@ -1,17 +1,14 @@
 """Kinematics file parsing, channel selection, and synthetic trajectories.
 
-The on-disk format is whitespace-delimited numeric text, one row per sample
-at a fixed period (1/30 s by default), 76 columns: master-side channels in
-columns 1-38 and patient-side channels in 39-76.  The per-column meaning is
-data-driven — ``resources/jigsaws_columns.json`` maps column index to name,
-unit, and block, and can be swapped without code changes.
+The on-disk format is the JIGSAWS kinematics text (Gao et al., 2014):
+whitespace-delimited numbers, one row per sample at a fixed period (1/30 s
+by default), 76 columns as :data:`LAYOUT` names them — master-side arms in
+columns 1-38 and patient-side arms in 39-76.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from importlib import resources as importlib_resources
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +24,15 @@ from .sysid import ArxModel, simulate_arx
 
 __all__ = [
     "ColumnLayout",
+    "LAYOUT",
     "TrajectorySet",
     "SyntheticSpec",
     "parse_kinematics",
     "select_channels",
-    "apply_preset",
-    "paper_preset_names",
+    "paper_preset",
     "gen_synthetic",
     "random_stable_arx",
     "write_kinematics",
-    "default_layout",
 ]
 
 DEFAULT_DT = 1.0 / 30.0
@@ -64,29 +60,21 @@ class ColumnLayout:
             if value > size:
                 raise ContractViolationError(f"{name} must be at most {size} (the layout's {block} columns), got {value}")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ColumnLayout":
-        cols = sorted(doc["columns"], key=lambda c: c["index"])
-        return cls(
-            names=tuple(c["name"] for c in cols),
-            blocks=tuple(c["block"] for c in cols),
-        )
 
+_POSITION = ("x", "y", "z")
+_VELOCITY = ("vx", "vy", "vz")
+#: the 19 columns of one arm: tool-tip position, rotation matrix, linear
+#: velocity, angular velocity and gripper angle
+_ARM_FIELDS = (*_POSITION, *(f"r{i}{j}" for i in "123" for j in "123"), *_VELOCITY, "wx", "wy", "wz", "grip")
 
-_DEFAULT_LAYOUT = None
-
-
-def default_layout() -> ColumnLayout:
-    """The packaged 76-column descriptor (cached)."""
-    global _DEFAULT_LAYOUT
-    if _DEFAULT_LAYOUT is None:
-        text = (
-            importlib_resources.files("telekf.resources")
-            .joinpath("jigsaws_columns.json")
-            .read_text(encoding="utf-8")
-        )
-        _DEFAULT_LAYOUT = ColumnLayout.from_dict(json.loads(text))
-    return _DEFAULT_LAYOUT
+#: the 76 JIGSAWS columns ``<mtm|psm>_<left|right>_<field>``: the master
+#: arms (MTM), left then right, then the patient-side arms (PSM)
+LAYOUT = ColumnLayout(
+    names=tuple(
+        f"{side}_{arm}_{field}" for side in ("mtm", "psm") for arm in ("left", "right") for field in _ARM_FIELDS
+    ),
+    blocks=tuple(block for block in ("master", "slave") for _ in range(2 * len(_ARM_FIELDS))),
+)
 
 
 @dataclass(frozen=True)
@@ -195,7 +183,7 @@ def _parse_tokens(lines: list[str], n_columns: int) -> np.ndarray:
 
 def _columns(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``values[:, index]``: a view when the columns are consecutive, as in
-    the packaged layout, and a copy otherwise."""
+    :data:`LAYOUT`, and a copy otherwise."""
     if index.size and (np.diff(index) == 1).all():
         return values[:, index[0] : index[-1] + 1]
     return values[:, index]
@@ -203,7 +191,7 @@ def _columns(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def parse_kinematics(
     source,
-    layout: ColumnLayout | None = None,
+    layout: ColumnLayout = LAYOUT,
     dt: float = DEFAULT_DT,
     trial_id: str = "",
 ) -> TrajectorySet:
@@ -216,7 +204,6 @@ def parse_kinematics(
     tokens).  Rows containing NaN or infinity are rejected, with their line
     numbers reported.
     """
-    layout = layout or default_layout()
     text = _read_text(source)
     if not text or text.isspace():
         raise ContractViolationError("kinematics source contains no data rows")
@@ -288,30 +275,17 @@ def select_channels(ts: TrajectorySet, input_names, output_names) -> TrajectoryS
     )
 
 
-def paper_preset_names(arm: str = "right") -> tuple[list[str], list[str], dict[str, str]]:
-    """Channel names for the default preset: master tool-tip kinematics in,
-    patient tool-tip position out, with arm-neutral relabeling."""
+def paper_preset(ts: TrajectorySet, arm: str = "right") -> TrajectorySet:
+    """The paper's channels of one arm: master tool-tip position and velocity
+    in, patient tool-tip position out, named without the arm (``mtm_x``, ``psm_x``)."""
     if arm not in ("left", "right"):
         raise ContractViolationError(f"arm must be 'left' or 'right', got {arm!r}")
-    in_fields = ["x", "y", "z", "vx", "vy", "vz"]
-    out_fields = ["x", "y", "z"]
-    inputs = [f"mtm_{arm}_{f}" for f in in_fields]
-    outputs = [f"psm_{arm}_{f}" for f in out_fields]
-    renames = {f"mtm_{arm}_{f}": f"mtm_{f}" for f in in_fields}
-    renames.update({f"psm_{arm}_{f}": f"psm_{f}" for f in out_fields})
-    return inputs, outputs, renames
-
-
-def apply_preset(ts: TrajectorySet, preset: str = "paper", arm: str = "right") -> TrajectorySet:
-    """Apply a named channel preset; only "paper" is defined."""
-    if preset != "paper":
-        raise ContractViolationError(f"unknown preset {preset!r}")
-    inputs, outputs, renames = paper_preset_names(arm)
-    selected = select_channels(ts, inputs, outputs)
+    in_fields, out_fields = _POSITION + _VELOCITY, _POSITION
+    selected = select_channels(ts, [f"mtm_{arm}_{f}" for f in in_fields], [f"psm_{arm}_{f}" for f in out_fields])
     return replace(
         selected,
-        input_names=tuple(renames[n] for n in selected.input_names),
-        output_names=tuple(renames[n] for n in selected.output_names),
+        input_names=tuple(f"mtm_{f}" for f in in_fields),
+        output_names=tuple(f"psm_{f}" for f in out_fields),
     )
 
 
@@ -429,19 +403,21 @@ def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
     )
 
 
-def write_kinematics(ts: TrajectorySet, path, layout: ColumnLayout | None = None) -> None:
-    """Write a TrajectorySet as layout-shaped text (unused columns zero).
+def write_kinematics(
+    ts: TrajectorySet, path, layout: ColumnLayout = LAYOUT
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Write a TrajectorySet as layout-shaped text (unused columns zero) and
+    return the names of the input and of the output columns it filled.
 
     Inputs land in the first master-side columns, outputs in the first
-    slave-side columns, so a parse + select round trip reproduces the
-    values exactly (floats are written with full precision).
+    slave-side columns, so a parse + select round trip of those names
+    reproduces the values exactly (floats are written with full precision).
     """
-    layout = layout or default_layout()
     m, p = ts.inputs.shape[1], ts.outputs.shape[1]
     layout.check_capacity(m, p)
-    master = layout.block_indices("master")
-    slave = layout.block_indices("slave")
-    used = np.concatenate([master[:m], slave[:p]])
+    master = layout.block_indices("master")[:m]
+    slave = layout.block_indices("slave")[:p]
+    used = np.concatenate([master, slave])
     order = np.argsort(used)
     values = np.hstack([ts.inputs, ts.outputs])[:, order].tolist()
     # "%.17g" prints 0.0 as "0", so the unused columns are literal text
@@ -450,3 +426,4 @@ def write_kinematics(ts: TrajectorySet, path, layout: ColumnLayout | None = None
         fields[col] = "%.17g"
     row = " ".join(fields) + "\n"
     Path(path).write_text("".join([row % tuple(v) for v in values]), encoding="utf-8")
+    return tuple(layout.names[i] for i in master), tuple(layout.names[i] for i in slave)

@@ -121,6 +121,39 @@ def test_identify_out_into_a_new_directory(tmp_path, dataset):
     assert json.loads(model_path.read_text())["na"] == 1
 
 
+@pytest.mark.parametrize(
+    "arm, input_columns, output_columns",
+    [("left", [1, 2, 3, 13, 14, 15], [39, 40, 41]), ("right", [20, 21, 22, 32, 33, 34], [58, 59, 60])],
+)
+def test_identify_paper_preset_fits_the_arm_s_tool_tip_columns(arm, input_columns, output_columns, tmp_path,
+                                                                monkeypatch):
+    # every value of the 76-column files is distinct, so each selected column is known by its values
+    values = {name: np.random.default_rng(seed).standard_normal((200, 76))
+              for seed, name in enumerate(["train", "holdout"])}
+    for name, table in values.items():
+        (tmp_path / f"{name}.txt").write_text("".join(" ".join(map(repr, row)) + "\n" for row in table.tolist()))
+    fitted = []
+    order_sweep = telekf.sysid.order_sweep
+
+    def recording_order_sweep(train, holdout, *orders):
+        fitted.extend([train, holdout])
+        return order_sweep(train, holdout, *orders)
+
+    monkeypatch.setattr(telekf.sysid, "order_sweep", recording_order_sweep)
+    model_path = tmp_path / "model.json"
+    assert main([
+        "identify", "--train", str(tmp_path / "train.txt"), "--holdout", str(tmp_path / "holdout.txt"),
+        "--preset", "paper", "--arm", arm, "--na", "1", "--nb", "1", "--nk", "1",
+        "--out", str(model_path), "--out-dir", str(tmp_path),
+    ]) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["input_names"] == ["mtm_x", "mtm_y", "mtm_z", "mtm_vx", "mtm_vy", "mtm_vz"]
+    assert doc["output_names"] == ["psm_x", "psm_y", "psm_z"]
+    for ts, table in zip(fitted, values.values(), strict=True):
+        np.testing.assert_array_equal(ts.inputs, table[:, np.subtract(input_columns, 1)])
+        np.testing.assert_array_equal(ts.outputs, table[:, np.subtract(output_columns, 1)])
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_identify_empty_order_list_exits_2_before_reading_the_data(source, tmp_path, capsys, no_input_read):
     missing = str(tmp_path / "nope.txt")
@@ -268,10 +301,11 @@ def test_non_finite_dt_exits_2(command, dt, tmp_path, dataset, model_file, capsy
     out_dir = tmp_path / "out"
     argv = {
         "synth": ["synth", "--out", str(out_dir / "data.txt")],
-        "run": ["run", "--model", str(model_file), "--data", str(holdout)],
-        "sweep": ["sweep", "--model", str(model_file), "--data", str(holdout), "--rows", "0,0,0", "--seeds", "1"],
+        "run": ["run", "--model", str(model_file), "--data", str(holdout), "--out-dir", str(out_dir)],
+        "sweep": ["sweep", "--model", str(model_file), "--data", str(holdout), "--rows", "0,0,0", "--seeds", "1",
+                  "--out-dir", str(out_dir)],
     }[command]
-    assert main([*argv, "--dt", dt, "--out-dir", str(out_dir)]) == 2
+    assert main([*argv, "--dt", dt]) == 2
     assert capsys.readouterr().err == f"error: --dt must be positive and finite, got {dt}\n"
     assert not out_dir.exists()
 
@@ -378,6 +412,37 @@ def test_json_input_that_is_not_utf8_exits_2(name, text, tmp_path, dataset, mode
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: byte offset "), err
     assert "cannot decode b'\\xff' as UTF-8" in err, err
+    assert not out_dir.exists()
+
+
+#: a JSON integer past the 4300 digits that Python's int() converts by default
+HUGE_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("cfg.json", f'{{"seed": {HUGE_INT}}}', ["run", "--config", "{bad}", "--model", "{model}", "--data", "{data}"]),
+        ("report.csv", f'# config={{"seeds": {HUGE_INT}}}\nn_d\n', ["sweep", "--replay", "{bad}"]),
+        ("bad_model.json", f'{{"dt": {HUGE_INT}}}', ["run", "--model", "{bad}", "--data", "{data}"]),
+        ("data.txt.truth.json", f'{{"input_names": {HUGE_INT}}}',
+         ["run", "--model", "{model}", "--data", "{data}"]),
+    ],
+    ids=["config", "replay", "model", "sidecar"],
+)
+def test_json_integer_past_the_digit_limit_exits_2_naming_the_file(name, text, argv, tmp_path, dataset, model_file,
+                                                                    capsys):
+    _, holdout = dataset
+    data = tmp_path / "data.txt"
+    data.write_bytes(holdout.read_bytes())
+    (tmp_path / "data.txt.truth.json").write_bytes(Path(str(holdout) + ".truth.json").read_bytes())
+    bad = tmp_path / name
+    bad.write_text(text)
+    out_dir = tmp_path / "out"
+    argv = [arg.format(bad=bad, model=model_file, data=data) for arg in argv]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "4300" in err, err
     assert not out_dir.exists()
 
 
@@ -685,6 +750,16 @@ def test_config_key_naming_no_flag_exits_2(tmp_path, dataset, model_file, capsys
     assert main([*argv, "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: {cfg_path}: unknown key 'sed'\n"
     assert not out_dir.exists()
+
+
+def test_synth_config_naming_out_dir_exits_2(tmp_path, capsys):
+    # synth writes only to --out, so it has no --out-dir to set
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "elsewhere")}))
+    out = tmp_path / "sub" / "data.txt"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: unknown key 'out_dir'\n"
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("key", ["config", "replay", "help"])

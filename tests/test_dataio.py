@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import re
@@ -13,12 +14,12 @@ import pytest
 import telekf
 from telekf import dataio
 from telekf.dataio import (
+    LAYOUT,
     ColumnLayout,
     SyntheticSpec,
     TrajectorySet,
-    apply_preset,
-    default_layout,
     gen_synthetic,
+    paper_preset,
     parse_kinematics,
     random_stable_arx,
     select_channels,
@@ -33,8 +34,8 @@ from telekf.errors import (
 DT = 1.0 / 30.0
 
 
-def test_layout_resource_sanity():
-    layout = default_layout()
+def test_layout_pins_every_column_name_and_block():
+    layout = LAYOUT
     assert layout.n_columns == 76
     assert len(set(layout.names)) == 76
     assert layout.block_indices("master").size == 38
@@ -42,6 +43,11 @@ def test_layout_resource_sanity():
     assert layout.names[0] == "mtm_left_x"
     assert layout.names[38] == "psm_left_x"
     assert layout.names[-1] == "psm_right_grip"
+    # the hash of the 76 "<name>,<block>" lines of the JIGSAWS layout in column order
+    text = "".join(f"{name},{block}\n" for name, block in zip(layout.names, layout.blocks))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bf8f44f703bf47ff0536b8cb552e7cab4a4d37433cc46bfe18b92ca8cc2c9f04"
+    )
 
 
 def test_parse_two_zero_rows():
@@ -291,7 +297,7 @@ def test_select_can_cross_sides():
 def test_paper_preset_labels_and_shape():
     row = " ".join(str(v) for v in range(76))
     ts = parse_kinematics(f"{row}\n{row}\n".encode())
-    sel = apply_preset(ts, "paper", arm="right")
+    sel = paper_preset(ts, arm="right")
     assert sel.output_names == ("psm_x", "psm_y", "psm_z")
     assert sel.input_names == ("mtm_x", "mtm_y", "mtm_z", "mtm_vx", "mtm_vy", "mtm_vz")
     assert sel.outputs.shape == (2, 3)
@@ -374,15 +380,11 @@ def test_write_then_parse_round_trip_exact(tmp_path):
         )
     )
     path = tmp_path / "synthetic.txt"
-    write_kinematics(ts, path)
-    parsed = parse_kinematics(path)
-    layout = default_layout()
-    names = np.asarray(layout.names)
-    sel = select_channels(
-        parsed,
-        list(names[layout.block_indices("master")[:2]]),
-        list(names[layout.block_indices("slave")[:3]]),
-    )
+    input_names, output_names = write_kinematics(ts, path)
+    # the first master and the first slave columns
+    assert input_names == ("mtm_left_x", "mtm_left_y")
+    assert output_names == ("psm_left_x", "psm_left_y", "psm_left_z")
+    sel = select_channels(parse_kinematics(path), input_names, output_names)
     np.testing.assert_array_equal(sel.inputs, ts.inputs)
     np.testing.assert_array_equal(sel.outputs, ts.outputs)
 
@@ -425,20 +427,18 @@ INTERLEAVED = ColumnLayout(
 
 @pytest.mark.parametrize(
     "layout, m, p",
-    [(None, 6, 3), (None, 38, 38), (INTERLEAVED, 3, 4), (INTERLEAVED, 4, 5)],
+    [(LAYOUT, 6, 3), (LAYOUT, 38, 38), (INTERLEAVED, 3, 4), (INTERLEAVED, 4, 5)],
     ids=["paper-columns", "full-capacity", "interleaved", "interleaved-full"],
 )
 def test_write_kinematics_matches_savetxt(tmp_path, layout, m, p):
-    layout = layout or default_layout()
     ts = _edge_trajectory(64, m, p, seed=m * 100 + p)
     write_kinematics(ts, tmp_path / "new.txt", layout)
     savetxt_reference(ts, tmp_path / "ref.txt", layout)
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
-@pytest.mark.parametrize("layout", [None, INTERLEAVED], ids=["packaged", "interleaved"])
+@pytest.mark.parametrize("layout", [LAYOUT, INTERLEAVED], ids=["packaged", "interleaved"])
 def test_parse_keeps_consecutive_blocks_as_views_and_copies_interleaved_ones(layout):
-    layout = layout or default_layout()
     values = np.random.default_rng(6).standard_normal((5, layout.n_columns))
     text = "".join(" ".join(map(repr, row)) + "\n" for row in values.tolist())
     ts = parse_kinematics(text.encode(), layout)
@@ -448,7 +448,7 @@ def test_parse_keeps_consecutive_blocks_as_views_and_copies_interleaved_ones(lay
     assert ts.outputs.tobytes() == values[:, slave].tobytes()
     # views of the one parsed array span each other's rows; copies do not
     consecutive = bool((np.diff(master) == 1).all() and (np.diff(slave) == 1).all())
-    assert consecutive == (layout is default_layout())
+    assert consecutive == (layout is LAYOUT)
     assert np.may_share_memory(ts.inputs, ts.outputs) == consecutive
 
 

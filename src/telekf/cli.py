@@ -102,8 +102,12 @@ def _reading(path):
         ) from None
     except (ContractViolationError, KinematicsFormatError):
         raise  # the readers' own errors say what is wrong in their own words
-    except ValueError as exc:  # not JSON, or a JSON integer longer than int() reads
+    except json.JSONDecodeError as exc:
         raise ContractViolationError(f"{path}: {exc}") from None
+    except ValueError:  # the only other: a JSON integer longer than int() reads
+        raise ContractViolationError(
+            f"{path}: a JSON integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _is_row(value) -> bool:
@@ -253,23 +257,10 @@ def _load_trajectory(data_path, dt, inputs, outputs, preset, arm) -> dataio.Traj
 
 
 def _load_system(model_path):
-    """Model file -> SystemModel with the stored noise covariances."""
+    """Model file -> SystemModel with the stored noise variances."""
     with _reading(model_path):
         arx, meta = sysid.load_model(model_path)
-    noise = meta.get("noise") or {}
-    q = noise.get("q")
-    r_diag = noise.get("r_diag")
-    if q is None or r_diag is None:
-        print(
-            "warning: model file has no stored noise covariances; "
-            "using zero process noise and unit measurement noise",
-            file=sys.stderr,
-        )
-    return sysid.arx_to_ss(
-        arx,
-        q=q,
-        r=np.asarray(r_diag, dtype=float) if r_diag is not None else None,
-    )
+    return sysid.arx_to_ss(arx, q=meta["noise"]["q"], r=meta["noise"]["r_diag"])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +308,6 @@ def cmd_identify(args) -> int:
         print("error: no filter-compatible model could be fit", file=sys.stderr)
         return USAGE_ERROR
     model = best["model"]
-    q_mat, r_mat = sysid.residual_covariances(model, train)
     out_path = Path(args.out) if args.out else out_dir / "model.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     sysid.save_model(
@@ -326,7 +316,7 @@ def cmd_identify(args) -> int:
         input_names=train.input_names,
         output_names=train.output_names,
         fit=best["report"],
-        noise=(float(q_mat[0, 0]), np.diag(r_mat)),
+        noise=sysid.residual_covariances(model, train),
     )
     na, nb, nk = best["orders"]
     print(

@@ -389,7 +389,7 @@ def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
     if spec.process_noise > 0:
         proc_rng = np.random.Generator(np.random.PCG64(proc_seq))
         noise = spec.process_noise * proc_rng.standard_normal((n, p))
-    y = simulate_arx(model, u, y_init=np.zeros((model.na, p)), noise=noise)
+    y = simulate_arx(model, u, noise=noise)
     if spec.measurement_noise > 0:
         meas_rng = np.random.Generator(np.random.PCG64(meas_seq))
         y = y + spec.measurement_noise * meas_rng.standard_normal((n, p))

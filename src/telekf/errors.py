@@ -14,15 +14,8 @@ class SingularInnovationError(ArithmeticError):
 
 
 class IllConditionedDataError(ValueError):
-    """Regression data is rank deficient and the fit is not exact.
-
-    Carries ``condition`` — the ratio of the largest to smallest singular
-    value of the regressor matrix.
-    """
-
-    def __init__(self, message, condition=float("inf")):
-        super().__init__(message)
-        self.condition = condition
+    """Regression data is rank deficient and the fit is not exact; the
+    message states the regressor's condition number."""
 
 
 class UnsupportedStructureError(ValueError):

@@ -27,6 +27,7 @@ from .errors import (
     is_int,
     is_list_of,
     is_number,
+    to_float,
 )
 from .filtering import SystemModel
 from .metrics import channel_spread, fit_aggregate, fit_from_error_norm
@@ -44,7 +45,6 @@ __all__ = [
     "save_model",
     "load_model",
     "model_to_doc",
-    "model_from_doc",
 ]
 
 MODEL_FORMAT = "telekf-arx"
@@ -101,18 +101,11 @@ class ArxModel:
         """Longest history the difference equation reaches back."""
         return max(self.na, self.nb + self.nk - 1)
 
-    def characteristic_roots(self) -> np.ndarray:
-        """Poles per output channel, shape (n_outputs, na)."""
-        if self.na == 0:
-            return np.zeros((self.n_outputs, 0))
-        roots = [np.roots(np.concatenate(([1.0], -self.a_coeffs[c]))) for c in range(self.n_outputs)]
-        return np.asarray(roots)
-
     @property
     def stable(self) -> bool:
-        """True when every characteristic root is strictly inside the unit circle."""
-        roots = self.characteristic_roots()
-        return bool(roots.size == 0 or np.abs(roots).max() < 1.0)
+        """True when every output channel's characteristic roots are strictly
+        inside the unit circle."""
+        return all(np.abs(np.roots([1.0, *-a])).max(initial=0.0) < 1.0 for a in self.a_coeffs)
 
     @property
     def label(self) -> str:
@@ -197,8 +190,7 @@ def arx_fit(data, orders: tuple[int, int, int]) -> ArxModel:
             if resid > _EXACT_FIT_RTOL * scale:
                 raise IllConditionedDataError(
                     f"regressor for output channel {c} is rank deficient "
-                    f"(rank {rank} of {phi.shape[1]}, condition {cond:.3e})",
-                    condition=cond,
+                    f"(rank {rank} of {phi.shape[1]}, condition {cond:.3e})"
                 )
         a_coeffs[c] = theta[:na]
         b_coeffs[c] = theta[na:].reshape(m, nb)
@@ -330,21 +322,6 @@ def predict_one_step(model: ArxModel, data) -> tuple[int, np.ndarray]:
     return t0, preds
 
 
-def _noise_matrix(value, size: int, name: str) -> np.ndarray:
-    if value is None:
-        return None
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return float(arr) * np.eye(size)
-    if arr.ndim == 1:
-        if arr.shape[0] != size:
-            raise ContractViolationError(f"{name} diagonal must have length {size}")
-        return np.diag(arr)
-    if arr.shape != (size, size):
-        raise ContractViolationError(f"{name} must be {size}x{size}, got {arr.shape}")
-    return arr
-
-
 def filter_obstacle(na: int, nk: int) -> str | None:
     """Why ARX orders (na, nb, nk) have no realization the filter can run, or
     None; the reason's first word names the order, ``na=0`` before ``nk=0``."""
@@ -355,7 +332,7 @@ def filter_obstacle(na: int, nk: int) -> str | None:
     return None
 
 
-def arx_to_ss(model: ArxModel, q=None, r=None) -> SystemModel:
+def arx_to_ss(model: ArxModel, q=0.0, r=1.0) -> SystemModel:
     """Observable companion realization of the ARX difference equation.
 
     One companion block per output channel (block-diagonal state matrix);
@@ -364,9 +341,10 @@ def arx_to_ss(model: ArxModel, q=None, r=None) -> SystemModel:
     block size is max(na, nb + nk - 1), which equals na whenever
     nb + nk - 1 <= na.
 
-    ``q`` / ``r`` may be scalars, diagonals, or full matrices; they default
-    to zero process noise and unit measurement noise.  For filtering real
-    data pass the residual-matched values from :func:`residual_covariances`.
+    ``q`` is one process-noise variance for every state; ``r`` is one
+    measurement-noise variance, or one per output channel.  They default to
+    zero process noise and unit measurement noise.  For filtering real data
+    pass the residual-matched values from :func:`residual_covariances`.
     """
     obstacle = filter_obstacle(model.na, model.nk)
     if obstacle is not None:
@@ -383,28 +361,25 @@ def arx_to_ss(model: ArxModel, q=None, r=None) -> SystemModel:
         b[first + model.nk - 1 : first + model.nk - 1 + model.nb] = model.b_coeffs[c].T
     h = np.zeros((p, n))
     h[np.arange(p), np.arange(p) * nc] = 1.0
-    q_mat = _noise_matrix(q, n, "q")
-    r_mat = _noise_matrix(r, p, "r")
-    if q_mat is None:
-        q_mat = np.zeros((n, n))
-    if r_mat is None:
-        r_mat = np.eye(p)
-    return SystemModel(a=a, b=b, h=h, q=q_mat, r=r_mat)
+    r = np.asarray(r, dtype=float)
+    if r.shape not in ((), (p,)):
+        raise ContractViolationError(
+            f"r must be one variance or one per output channel ({p}), got shape {r.shape}"
+        )
+    return SystemModel(a=a, b=b, h=h, q=float(q) * np.eye(n), r=np.diag(np.broadcast_to(r, (p,))))
 
 
-def residual_covariances(model: ArxModel, data) -> tuple[np.ndarray, np.ndarray]:
+def residual_covariances(model: ArxModel, data) -> tuple[float, np.ndarray]:
     """Residual-matched noise bootstrap from one-step prediction errors.
 
-    Returns (Q, R) sized for the companion realization: Q = q I with q the
-    pooled residual variance, R = diag of per-channel residual variances.
+    Returns (q, r_diag), the noise form :func:`arx_to_ss` and the model file
+    take: q is the pooled residual variance, r_diag the (p,) per-channel
+    residual variances.
     """
     t0, preds = predict_one_step(model, data)
     y = np.atleast_2d(np.asarray(data.outputs, dtype=float))[t0:]
     resid = y - preds
-    q = float(np.mean(resid**2))
-    r_diag = np.mean(resid**2, axis=0)
-    n = model.n_outputs * model.max_lag
-    return q * np.eye(n), np.diag(r_diag)
+    return float(np.mean(resid**2)), np.mean(resid**2, axis=0)
 
 
 def _holdout_arrays(model: ArxModel, holdout) -> tuple[np.ndarray, np.ndarray]:
@@ -583,53 +558,28 @@ def model_to_doc(model: ArxModel) -> dict:
     }
 
 
-#: the keys :func:`model_from_doc` reads
+#: the keys of a model file that :func:`load_model` builds its model from
 _MODEL_KEYS = ("na", "nb", "nk", "a_coeffs", "b_coeffs", "n_outputs", "n_inputs", "dt")
 
 
-def model_from_doc(doc: dict) -> ArxModel:
-    return ArxModel(
-        na=doc["na"],
-        nb=doc["nb"],
-        nk=doc["nk"],
-        a_coeffs=np.asarray(doc["a_coeffs"], dtype=float),
-        b_coeffs=np.asarray(doc["b_coeffs"], dtype=float),
-        n_outputs=doc["n_outputs"],
-        n_inputs=doc["n_inputs"],
-        dt=doc["dt"],
-        source_trial=doc.get("source_trial"),
-    )
-
-
-def save_model(
-    model: ArxModel,
-    path,
-    input_names=None,
-    output_names=None,
-    fit: FitReport | None = None,
-    noise: tuple | None = None,
-) -> None:
-    """Serialize a model (plus optional metadata) as versioned JSON.
+def save_model(model: ArxModel, path, input_names, output_names, fit: FitReport, noise: tuple) -> None:
+    """Serialize a model, its channel names, holdout fit and ``noise``, the
+    (q, r_diag) of :func:`residual_covariances`, as versioned JSON.
 
     Floats survive the round trip exactly: JSON rendering uses the shortest
     representation that parses back to the same double.
     """
+    q, r_diag = noise
     doc = {"format": MODEL_FORMAT, "version": MODEL_FORMAT_VERSION}
     doc.update(model_to_doc(model))
-    doc["input_names"] = list(input_names) if input_names is not None else None
-    doc["output_names"] = list(output_names) if output_names is not None else None
-    if fit is not None:
-        doc["fit"] = {
-            "fit_percent": fit.fit_percent.tolist(),
-            "mse": fit.mse.tolist(),
-            "model_label": fit.model_label,
-        }
-    if noise is not None:
-        q_scalar, r_diag = noise
-        doc["noise"] = {
-            "q": float(q_scalar),
-            "r_diag": np.asarray(r_diag, dtype=float).reshape(-1).tolist(),
-        }
+    doc["input_names"] = list(input_names)
+    doc["output_names"] = list(output_names)
+    doc["fit"] = {
+        "fit_percent": fit.fit_percent.tolist(),
+        "mse": fit.mse.tolist(),
+        "model_label": fit.model_label,
+    }
+    doc["noise"] = {"q": float(q), "r_diag": np.asarray(r_diag, dtype=float).tolist()}
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=True) + "\n", encoding="utf-8")
 
 
@@ -641,8 +591,8 @@ def _is_nested(value, shape) -> bool:
 
 
 def _check_model_doc(path, doc: dict) -> None:
-    """Raise, naming ``path``, unless a model file's values have the types and
-    shapes its model needs."""
+    """Raise, naming ``path``, unless a model file's values have the types,
+    shapes and ranges its model and noise variances need."""
 
     def reject(what, value):
         raise ContractViolationError(f"{path}: {what}, got {json.dumps(value)}")
@@ -658,14 +608,16 @@ def _check_model_doc(path, doc: dict) -> None:
     for key, shape in (("a_coeffs", (p, doc["na"])), ("b_coeffs", (p, doc["n_inputs"], doc["nb"]))):
         if not _is_nested(doc[key], shape):
             reject(f"{key}: expected {' x '.join(map(str, shape))} nested lists of numbers", doc[key])
-    noise = doc.get("noise")
-    if not (noise is None or isinstance(noise, dict)):
+    noise = doc["noise"]
+    if not isinstance(noise, dict):
         reject("noise: expected an object", noise)
-    noise = noise or {}
-    if not (noise.get("q") is None or is_number(noise["q"])):
-        reject("noise: q: expected a number", noise["q"])
-    if not (noise.get("r_diag") is None or _is_nested(noise["r_diag"], (p,))):
-        reject(f"noise: r_diag: expected a list of {p} numbers", noise["r_diag"])
+    if not is_number(noise.get("q")):
+        reject("noise: q: expected a number", noise.get("q"))
+    if not _is_nested(noise.get("r_diag"), (p,)):
+        reject(f"noise: r_diag: expected a list of {p} numbers", noise.get("r_diag"))
+    for key, values in (("q", [noise["q"]]), ("r_diag", noise["r_diag"])):
+        for value in values:
+            to_float(f"{path}: noise: {key}", value, (0, np.inf))
 
 
 def load_model(path) -> tuple[ArxModel, dict]:
@@ -681,10 +633,10 @@ def load_model(path) -> tuple[ArxModel, dict]:
         raise ContractViolationError(
             f"{path}: unsupported model file version {doc.get('version')!r}"
         )
-    missing = [key for key in _MODEL_KEYS if key not in doc]
+    missing = [key for key in (*_MODEL_KEYS, "noise") if key not in doc]
     if missing:
         raise ContractViolationError(f"{path}: model file lacks {', '.join(missing)}")
     _check_model_doc(path, doc)
-    model = model_from_doc(doc)
+    model = ArxModel(**{key: doc[key] for key in _MODEL_KEYS}, source_trial=doc.get("source_trial"))
     meta = {k: doc.get(k) for k in ("input_names", "output_names", "fit", "noise")}
     return model, meta

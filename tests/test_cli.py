@@ -372,6 +372,20 @@ def test_model_file_order_out_of_range_exits_2_naming_the_file(tmp_path, dataset
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_model_file_without_noise_exits_2_naming_the_file(command, tmp_path, dataset, model_file, capsys):
+    doc = json.loads(model_file.read_text())
+    del doc["noise"]
+    model_file.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    rows = ["--rows", "0,0,0", "--seeds", "1"] if command == "sweep" else []
+    capsys.readouterr()
+    argv = [command, "--model", str(model_file), "--data", str(dataset[1]), *rows, "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {model_file}: model file lacks noise\n"
+    assert not out_dir.exists()
+
+
 def test_run_undecodable_data_exits_2(tmp_path, dataset, model_file, capsys):
     _, holdout = dataset
     bad = tmp_path / "bad.txt"
@@ -443,6 +457,7 @@ def test_json_integer_past_the_digit_limit_exits_2_naming_the_file(name, text, a
     assert main([*argv, "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "4300" in err, err
+    assert "set_int_max_str_digits" not in err, err
     assert not out_dir.exists()
 
 

@@ -155,7 +155,8 @@ def test_fit_rank_deficient_noisy_data_raises_with_condition():
     )
     with pytest.raises(IllConditionedDataError) as info:
         arx_fit(data, (1, 2, 1))
-    assert info.value.condition > 1e6
+    condition = float(re.search(r"condition (\S+)\)", str(info.value)).group(1))
+    assert condition > 1e6
 
 
 def test_fit_local_optimality_of_coefficients():
@@ -354,6 +355,19 @@ def test_realization_block_dimensions_and_noise_shapes():
     assert sm.h.shape == (3, 6)
     np.testing.assert_array_equal(sm.q, 0.5 * np.eye(6))
     np.testing.assert_array_equal(sm.r, np.diag([1.0, 2.0, 3.0]))
+    default = arx_to_ss(model)
+    np.testing.assert_array_equal(default.q, np.zeros((6, 6)))
+    np.testing.assert_array_equal(default.r, np.eye(3))
+    np.testing.assert_array_equal(arx_to_ss(model, r=2.0).r, 2.0 * np.eye(3))
+
+
+def test_realization_rejects_r_of_another_length():
+    model = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=12)
+    for r in (np.ones(4), np.eye(3)):
+        with pytest.raises(ContractViolationError, match=re.escape(
+            f"r must be one variance or one per output channel (3), got shape {r.shape}"
+        )):
+            arx_to_ss(model, r=r)
 
 
 def test_stability_flag():
@@ -486,18 +500,25 @@ def test_residual_covariances_match_injected_noise():
     truth = known_111()
     data = synth(truth, 20000, seed=21, meas_noise=0.05)
     fit = arx_fit(data, (1, 1, 1))
-    q_mat, r_mat = residual_covariances(fit, data)
+    q, r_diag = residual_covariances(fit, data)
     # one-step residual variance of an output-noise ARX: roughly (1 + a^2) sigma^2
     expected = (1 + 0.25) * 0.05**2
-    assert q_mat[0, 0] == pytest.approx(expected, rel=0.15)
-    assert r_mat[0, 0] == pytest.approx(expected, rel=0.15)
+    assert q == pytest.approx(expected, rel=0.15)
+    assert r_diag[0] == pytest.approx(expected, rel=0.15)
+
+
+def test_residual_covariances_return_one_variance_and_one_per_channel():
+    data = reference_dataset(n_samples=400, seed=23)
+    q, r_diag = residual_covariances(arx_fit(data, (2, 2, 1)), data)
+    assert type(q) is float
+    assert isinstance(r_diag, np.ndarray) and r_diag.shape == (3,)
 
 
 def test_model_file_round_trip_is_lossless(tmp_path):
     data = reference_dataset(n_samples=800, seed=22)
     [rec] = order_sweep(data, data, na_values=(2,), nb_values=(2,), nk_values=(1,))
     model, report = rec["model"], rec["report"]
-    q_mat, r_mat = residual_covariances(model, data)
+    q, r_diag = residual_covariances(model, data)
     path = tmp_path / "model.json"
     save_model(
         model,
@@ -505,7 +526,7 @@ def test_model_file_round_trip_is_lossless(tmp_path):
         input_names=data.input_names,
         output_names=data.output_names,
         fit=report,
-        noise=(float(q_mat[0, 0]), np.diag(r_mat)),
+        noise=(q, r_diag),
     )
     loaded, meta = load_model(path)
     np.testing.assert_array_equal(loaded.a_coeffs, model.a_coeffs)
@@ -513,8 +534,8 @@ def test_model_file_round_trip_is_lossless(tmp_path):
     assert loaded.dt == model.dt
     assert (loaded.na, loaded.nb, loaded.nk) == (2, 2, 1)
     assert meta["input_names"] == list(data.input_names)
-    assert meta["noise"]["q"] == float(q_mat[0, 0])
-    np.testing.assert_array_equal(meta["noise"]["r_diag"], np.diag(r_mat))
+    assert meta["noise"]["q"] == q
+    np.testing.assert_array_equal(meta["noise"]["r_diag"], r_diag)
 
 
 def test_load_model_rejects_foreign_files(tmp_path):
@@ -539,16 +560,24 @@ def test_load_model_rejects_foreign_files(tmp_path):
         ({**good, "a_coeffs": "x"}, 'a_coeffs: expected 3 x 3 nested lists of numbers, got "x"'),
         ({**good, "a_coeffs": good["a_coeffs"][:2]}, "a_coeffs: expected 3 x 3 nested lists of numbers"),
         ({**good, "b_coeffs": [[[1.0]]]}, "b_coeffs: expected 3 x 2 x 2 nested lists of numbers"),
+        # the noise is required
+        ({key: value for key, value in good.items() if key != "noise"}, "model file lacks noise"),
+        ({**good, "noise": None}, "noise: expected an object, got null"),
+        ({**good, "noise": {"r_diag": noise["r_diag"]}}, "noise: q: expected a number, got null"),
         ({**good, "noise": [1]}, "noise: expected an object, got [1]"),
         ({**good, "noise": {**noise, "q": "x"}}, 'noise: q: expected a number, got "x"'),
         ({**good, "noise": {**noise, "r_diag": [0.1]}}, "noise: r_diag: expected a list of 3 numbers, got [0.1]"),
+        # a variance out of its range, or too large for a float
+        ({**good, "noise": {**noise, "q": -1}}, "noise: q must be in [0, inf), got -1"),
+        ({**good, "noise": {**noise, "q": 10**400}}, "noise: q must be in [0, inf), got an integer too large"),
+        ({**good, "noise": {**noise, "r_diag": [0.1, float("nan"), 0.1]}}, "noise: r_diag must be in [0, inf), got nan"),
     ]
     for doc, message in cases:
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolationError, match=re.escape(message)) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
-    # the golden file itself, with and without noise, loads
-    for doc in (good, {**good, "noise": noise}, {**good, "noise": None}):
+    # the golden file itself, and with other noise, loads
+    for doc in (good, {**good, "noise": noise}):
         path.write_text(json.dumps(doc))
         load_model(path)

@@ -86,7 +86,8 @@ def _parse_rows(text: str) -> list[tuple[float, float, float]]:
 @contextlib.contextmanager
 def _reading(path):
     """Turn an input ``path`` that cannot be read, or whose text is not
-    UTF-8 or not JSON, into an error naming the file.
+    UTF-8 or not JSON or nested too deeply to decode, into an error naming
+    the file.
 
     Only input reads go through here; an I/O error while writing outputs
     is not a usage error.
@@ -104,6 +105,8 @@ def _reading(path):
         raise  # the readers' own errors say what is wrong in their own words
     except json.JSONDecodeError as exc:
         raise ContractViolationError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ContractViolationError(f"{path}: JSON nested too deeply to decode") from None
     except ValueError:  # the only other: a JSON integer longer than int() reads
         raise ContractViolationError(
             f"{path}: a JSON integer exceeds the limit of {sys.get_int_max_str_digits()} digits"

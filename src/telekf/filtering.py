@@ -1,21 +1,22 @@
 """Linear Kalman filtering over a discrete LTI model.
 
 :func:`run_filter_trace` is the filter: it validates its arguments and runs
-the prediction and the sequential-scalar measurement update (valid for
-diagonal measurement noise) of :mod:`telekf._kernels` over a whole
-trajectory with a per-step arrival mask.  A one-step filter is a one-step
-run.  Nothing here mutates its inputs.
+the prediction and the sequential-scalar measurement update (valid for the
+model's uncorrelated measurement noise) of :mod:`telekf._kernels` over a
+whole trajectory with a per-step arrival mask.  A one-step filter is a
+one-step run.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_range
 
 __all__ = [
     "SystemModel",
@@ -25,9 +26,6 @@ __all__ = [
     "initial_estimate",
 ]
 
-#: a noise covariance passes as positive semidefinite down to this negative eigenvalue
-PSD_FLOOR = 1e-9
-
 
 def _as_matrix(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
@@ -36,38 +34,40 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-def _check_sym_psd(mat: np.ndarray, name: str) -> None:
-    if not np.allclose(mat, mat.T, atol=1e-12, rtol=0.0):
-        raise ContractViolationError(f"{name} must be symmetric")
-    eigmin = float(np.linalg.eigvalsh(mat).min()) if mat.size else 0.0
-    if eigmin < -PSD_FLOOR:
-        raise ContractViolationError(f"{name} must be positive semidefinite (min eigenvalue {eigmin:.3e})")
+def _as_variances(value, name: str, length: int) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    if arr.shape != (length,):
+        raise ContractViolationError(f"{name} must hold {length} variances, got shape {arr.shape}")
+    for v in arr:
+        check_range(name, v, (0, inf))
+    return arr
 
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Discrete LTI model with noise covariances.
+    """Discrete LTI model with uncorrelated noise.
 
-    x[k] = a x[k-1] + b u[k-1] + w,   w ~ N(0, q)
-    z[k] = h x[k] + v,                v ~ N(0, r)
+    x[k] = a x[k-1] + b u[k-1] + w,   w ~ N(0, diag(q_diag))
+    z[k] = h x[k] + v,                v ~ N(0, diag(r_diag))
 
-    ``a`` is n x n, ``b`` is n x m, ``h`` is p x n, ``q`` is n x n and
-    ``r`` is p x p.  The model steps in samples and carries no sample
+    ``a`` is n x n, ``b`` is n x m and ``h`` is p x n; ``q_diag`` holds the
+    n per-state process-noise variances and ``r_diag`` the p per-channel
+    measurement-noise variances, each finite and >= 0.  The noise is
+    diagonal because the sequential-scalar update needs uncorrelated
+    measurement noise.  The model steps in samples and carries no sample
     period: the channel reads the data's ``dt``.
     """
 
     a: np.ndarray
     b: np.ndarray
     h: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
+    q_diag: np.ndarray
+    r_diag: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_matrix(self.a, "a"))
         object.__setattr__(self, "b", _as_matrix(self.b, "b"))
         object.__setattr__(self, "h", _as_matrix(self.h, "h"))
-        object.__setattr__(self, "q", _as_matrix(self.q, "q"))
-        object.__setattr__(self, "r", _as_matrix(self.r, "r"))
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise ContractViolationError(f"a must be square, got {self.a.shape}")
@@ -79,13 +79,8 @@ class SystemModel:
             raise ContractViolationError(
                 f"h must have {n} columns to match a, got {self.h.shape[1]}"
             )
-        if self.q.shape != (n, n):
-            raise ContractViolationError(f"q must be {n}x{n}, got {self.q.shape}")
-        p = self.h.shape[0]
-        if self.r.shape != (p, p):
-            raise ContractViolationError(f"r must be {p}x{p} to match h, got {self.r.shape}")
-        _check_sym_psd(self.q, "q")
-        _check_sym_psd(self.r, "r")
+        object.__setattr__(self, "q_diag", _as_variances(self.q_diag, "q_diag", n))
+        object.__setattr__(self, "r_diag", _as_variances(self.r_diag, "r_diag", self.h.shape[0]))
 
     @property
     def n_states(self) -> int:
@@ -98,15 +93,6 @@ class SystemModel:
     @property
     def n_outputs(self) -> int:
         return self.h.shape[0]
-
-    def r_diagonal(self) -> np.ndarray:
-        """Diagonal of r; raises unless r is exactly diagonal."""
-        off = self.r - np.diag(np.diag(self.r))
-        if np.count_nonzero(off):
-            raise ContractViolationError(
-                "sequential update requires a diagonal measurement covariance r"
-            )
-        return np.diag(self.r).copy()
 
 
 @dataclass(frozen=True)
@@ -167,12 +153,13 @@ class FilterTrace:
         """Innovation vectors and covariances on observed steps.
 
         Returns (nu, s) where ``nu[t] = z[t] - h x_prior[t]`` and
-        ``s[t] = h p_prior[t] h' + r``, both restricted to observed steps.
+        ``s[t] = h p_prior[t] h' + diag(r_diag)``, both restricted to
+        observed steps.
         """
         mask = self.has_obs
         h = model.h
         nu = z[mask] - self.x_prior[mask] @ h.T
-        s = h @ self.cov_prior[self.step[mask]] @ h.T + model.r
+        s = h @ self.cov_prior[self.step[mask]] @ h.T + np.diag(model.r_diag)
         return nu, s
 
 
@@ -228,8 +215,8 @@ def run_filter_trace(
     if not np.isfinite(z[mask]).all():
         raise ContractViolationError("observations must be finite on steps with a measurement")
 
-    r_diag = model.r_diagonal() if mask.any() else np.diag(model.r).copy()
-    p_pri, p_post, mk, step = _covariances(model.a, model.h, model.q, r_diag, init.p, mask)
+    q = np.diag(model.q_diag)
+    p_pri, p_post, mk, step = _covariances(model.a, model.h, q, model.r_diag, init.p, mask)
     x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, step, mask, init.x_hat, u, z)
     return FilterTrace(x_pri, x_post, mask, p_pri, p_post, step)
 

@@ -366,7 +366,7 @@ def arx_to_ss(model: ArxModel, q=0.0, r=1.0) -> SystemModel:
         raise ContractViolationError(
             f"r must be one variance or one per output channel ({p}), got shape {r.shape}"
         )
-    return SystemModel(a=a, b=b, h=h, q=float(q) * np.eye(n), r=np.diag(np.broadcast_to(r, (p,))))
+    return SystemModel(a=a, b=b, h=h, q_diag=np.full(n, float(q)), r_diag=np.broadcast_to(r, (p,)))
 
 
 def residual_covariances(model: ArxModel, data) -> tuple[float, np.ndarray]:
@@ -608,6 +608,11 @@ def _check_model_doc(path, doc: dict) -> None:
     for key, shape in (("a_coeffs", (p, doc["na"])), ("b_coeffs", (p, doc["n_inputs"], doc["nb"]))):
         if not _is_nested(doc[key], shape):
             reject(f"{key}: expected {' x '.join(map(str, shape))} nested lists of numbers", doc[key])
+        values = doc[key]
+        for _ in shape[1:]:
+            values = [value for row in values for value in row]
+        for value in values:
+            to_float(f"{path}: {key}", value, (-np.inf, np.inf))
     noise = doc["noise"]
     if not isinstance(noise, dict):
         reject("noise: expected an object", noise)

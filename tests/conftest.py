@@ -46,15 +46,13 @@ def random_spd(rng, n, floor=0.1):
 
 
 def exact_lti(seed=0, n=4, m=2, p=2):
-    """A hand-tuned stable LTI model with SPD noise, for consistency checks."""
+    """A hand-tuned stable LTI model with positive noise variances, for consistency checks."""
     rng = np.random.Generator(np.random.PCG64(seed))
     a = rng.standard_normal((n, n))
     a *= 0.9 / max(1e-9, np.abs(np.linalg.eigvals(a)).max())
     b = rng.standard_normal((n, m))
     h = rng.standard_normal((p, n))
-    q = 0.01 * np.eye(n)
-    r = np.diag(rng.uniform(0.05, 0.2, p))
-    return SystemModel(a=a, b=b, h=h, q=q, r=r)
+    return SystemModel(a=a, b=b, h=h, q_diag=np.full(n, 0.01), r_diag=rng.uniform(0.05, 0.2, p))
 
 
 def sample_outputs(model, inputs, seed):
@@ -72,8 +70,8 @@ def sample_outputs(model, inputs, seed):
         w, v = np.linalg.eigh(mat)
         return v * np.sqrt(np.clip(w, 0.0, None))
 
-    w = w_rng.standard_normal((steps, n)) @ _sqrt_psd(model.q).T
-    v = v_rng.standard_normal((steps, p)) @ _sqrt_psd(model.r).T
+    w = w_rng.standard_normal((steps, n)) @ _sqrt_psd(np.diag(model.q_diag)).T
+    v = v_rng.standard_normal((steps, p)) @ _sqrt_psd(np.diag(model.r_diag)).T
     x = np.zeros((steps, n))
     for t in range(1, steps):
         x[t] = model.a @ x[t - 1] + model.b @ u[t - 1] + w[t]

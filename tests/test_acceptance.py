@@ -112,13 +112,13 @@ def _criterion3_instances(count):
             a=np.eye(n),
             b=np.zeros((n, 1)),
             h=rng.standard_normal((p, n)),
-            q=np.zeros((n, n)),
-            r=np.diag(rng.uniform(0.05, 2.0, p)),
+            q_diag=np.zeros(n),
+            r_diag=rng.uniform(0.05, 2.0, p),
         )
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         z = rng.standard_normal(p)
         trace = run_filter_trace(model, est, np.zeros((1, 1)), (z[None], np.ones(1, dtype=bool)))
-        x, cov = joint_gain_update(est.x_hat, est.p, model.h, model.r, z)
+        x, cov = joint_gain_update(est.x_hat, est.p, model.h, np.diag(model.r_diag), z)
         worst_x = max(worst_x, max_rel_diff(trace.x_post[0], x))
         worst_p = max(worst_p, max_rel_diff(trace.p_post[0], cov))
         _record_hygiene("c3", trace.p_prior)
@@ -137,7 +137,7 @@ def _criterion4_pairs(count, steps=1000):
     for _ in range(count):
         q = float(rng.uniform(0.0, 1.0)) or 1e-6
         r = float(rng.uniform(0.0, 1.0)) or 1e-6
-        model = SystemModel(a=[[1.0]], b=[[0.0]], h=[[1.0]], q=[[q]], r=[[r]])
+        model = SystemModel(a=[[1.0]], b=[[0.0]], h=[[1.0]], q_diag=[q], r_diag=[r])
         trace = run_filter_trace(
             model, StateEstimate([0.0], [[1.0]]), np.zeros((steps, 1)), (np.zeros((steps, 1)), np.ones(steps, dtype=bool))
         )

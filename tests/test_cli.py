@@ -432,20 +432,25 @@ def test_json_input_that_is_not_utf8_exits_2(name, text, tmp_path, dataset, mode
 #: a JSON integer past the 4300 digits that Python's int() converts by default
 HUGE_INT = "1" + "0" * 5000
 
+#: a JSON array nested far deeper than Python's recursion limit
+DEEP_ARRAY = "[" * 200000 + "]" * 200000
 
-@pytest.mark.parametrize(
+#: each JSON input of the CLI: its file name, its text around one JSON value, and a command that reads it
+JSON_INPUTS = pytest.mark.parametrize(
     "name, text, argv",
     [
-        ("cfg.json", f'{{"seed": {HUGE_INT}}}', ["run", "--config", "{bad}", "--model", "{model}", "--data", "{data}"]),
-        ("report.csv", f'# config={{"seeds": {HUGE_INT}}}\nn_d\n', ["sweep", "--replay", "{bad}"]),
-        ("bad_model.json", f'{{"dt": {HUGE_INT}}}', ["run", "--model", "{bad}", "--data", "{data}"]),
-        ("data.txt.truth.json", f'{{"input_names": {HUGE_INT}}}',
-         ["run", "--model", "{model}", "--data", "{data}"]),
+        ("cfg.json", '{{"seed": {}}}', ["run", "--config", "{bad}", "--model", "{model}", "--data", "{data}"]),
+        ("report.csv", '# config={{"seeds": {}}}\nn_d\n', ["sweep", "--replay", "{bad}"]),
+        ("bad_model.json", '{{"dt": {}}}', ["run", "--model", "{bad}", "--data", "{data}"]),
+        ("data.txt.truth.json", '{{"input_names": {}}}', ["run", "--model", "{model}", "--data", "{data}"]),
     ],
     ids=["config", "replay", "model", "sidecar"],
 )
-def test_json_integer_past_the_digit_limit_exits_2_naming_the_file(name, text, argv, tmp_path, dataset, model_file,
-                                                                    capsys):
+
+
+def _run_on_bad_json(name, text, argv, tmp_path, dataset, model_file, capsys):
+    """Run ``argv`` with the JSON input ``name`` holding ``text``; returns stderr
+    after checking the exit code 2, the file named first and no output directory."""
     _, holdout = dataset
     data = tmp_path / "data.txt"
     data.write_bytes(holdout.read_bytes())
@@ -456,9 +461,23 @@ def test_json_integer_past_the_digit_limit_exits_2_naming_the_file(name, text, a
     argv = [arg.format(bad=bad, model=model_file, data=data) for arg in argv]
     assert main([*argv, "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and "4300" in err, err
-    assert "set_int_max_str_digits" not in err, err
+    assert err.startswith(f"error: {bad}: "), err
     assert not out_dir.exists()
+    return err
+
+
+@JSON_INPUTS
+def test_json_integer_past_the_digit_limit_exits_2_naming_the_file(name, text, argv, tmp_path, dataset, model_file,
+                                                                    capsys):
+    err = _run_on_bad_json(name, text.format(HUGE_INT), argv, tmp_path, dataset, model_file, capsys)
+    assert "4300" in err, err
+    assert "set_int_max_str_digits" not in err, err
+
+
+@JSON_INPUTS
+def test_json_nested_too_deeply_exits_2_naming_the_file(name, text, argv, tmp_path, dataset, model_file, capsys):
+    err = _run_on_bad_json(name, text.format(DEEP_ARRAY), argv, tmp_path, dataset, model_file, capsys)
+    assert "nested too deeply" in err, err
 
 
 @pytest.mark.parametrize(

@@ -19,15 +19,15 @@ from telekf.filtering import (
 
 
 def scalar_model(a=1.0, b=0.0, h=1.0, q=0.0, r=1.0):
-    return SystemModel(a=[[a]], b=[[b]], h=[[h]], q=[[q]], r=[[r]])
+    return SystemModel(a=[[a]], b=[[b]], h=[[h]], q_diag=[q], r_diag=[r])
 
 
-def static_model(h, r):
+def static_model(h, r_diag):
     """Identity dynamics with no noise or input: a step's prediction leaves
     the state and a symmetric covariance as they are, so a one-step run is
     the measurement update alone."""
     n = h.shape[1]
-    return SystemModel(a=np.eye(n), b=np.zeros((n, 1)), h=h, q=np.zeros((n, n)), r=r)
+    return SystemModel(a=np.eye(n), b=np.zeros((n, 1)), h=h, q_diag=np.zeros(n), r_diag=r_diag)
 
 
 def one_step(model, est, u=None, z=None):
@@ -44,7 +44,7 @@ def one_step(model, est, u=None, z=None):
 
 def test_predict_identity_dynamics():
     model = SystemModel(
-        a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=np.zeros((2, 2)), r=np.eye(2)
+        a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q_diag=np.zeros(2), r_diag=np.ones(2)
     )
     trace = one_step(model, StateEstimate([1.0, 2.0], np.eye(2)), u=[0.0])
     np.testing.assert_array_equal(trace.x_prior[0], [1.0, 2.0])
@@ -57,8 +57,8 @@ def test_predict_constant_velocity_exact():
         a=[[1.0, dt], [0.0, 1.0]],
         b=np.zeros((2, 1)),
         h=np.eye(2),
-        q=np.zeros((2, 2)),
-        r=np.eye(2),
+        q_diag=np.zeros(2),
+        r_diag=np.ones(2),
     )
     trace = one_step(model, StateEstimate([0.0, 1.0], np.zeros((2, 2))), u=[0.0])
     np.testing.assert_allclose(trace.x_prior[0], [0.1, 1.0], rtol=0, atol=0)
@@ -88,7 +88,7 @@ def test_predict_dimension_errors_name_offender():
 
 def test_update_joint_perfect_sensor_limit():
     rng = np.random.default_rng(0)
-    model = static_model(np.eye(3), 1e-12 * np.eye(3))
+    model = static_model(np.eye(3), np.full(3, 1e-12))
     est = StateEstimate(rng.standard_normal(3), np.eye(3))
     z = rng.standard_normal(3)
     trace = one_step(model, est, z=z)
@@ -106,7 +106,7 @@ def singular_cases():
     """(estimate, model) pairs of finite values whose innovation variance is
     zero, infinite (h p h' overflows) and NaN (an overflow times zero)."""
     nan_model = SystemModel(
-        a=np.eye(2), b=np.zeros((2, 1)), h=[[1e10, 0.0]], q=np.zeros((2, 2)), r=[[1.0]]
+        a=np.eye(2), b=np.zeros((2, 1)), h=[[1e10, 0.0]], q_diag=np.zeros(2), r_diag=[1.0]
     )
     return [
         (StateEstimate([0.0], [[0.0]]), scalar_model(r=0.0)),
@@ -148,13 +148,13 @@ def test_scalar_riccati_steady_state():
 def test_sequential_single_row_equals_joint():
     model = scalar_model(q=0.02, r=0.5)
     trace = one_step(model, StateEstimate([1.5], [[2.0]]), z=[0.3])
-    x, p = joint_gain_update(trace.x_prior[0], trace.p_prior[0], model.h, model.r, np.array([0.3]))
+    x, p = joint_gain_update(trace.x_prior[0], trace.p_prior[0], model.h, np.diag(model.r_diag), np.array([0.3]))
     np.testing.assert_allclose(trace.x_post[0], x, rtol=1e-12)
     np.testing.assert_allclose(trace.p_post[0], p, rtol=1e-12)
 
 
 def test_sequential_two_rows_hand_case():
-    model = static_model(np.eye(2), np.eye(2))
+    model = static_model(np.eye(2), np.ones(2))
     trace = one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), z=[2.0, 4.0])
     np.testing.assert_allclose(trace.x_post[0], [1.0, 2.0], atol=1e-15)
     np.testing.assert_allclose(trace.p_post[0], 0.5 * np.eye(2), atol=1e-15)
@@ -165,19 +165,13 @@ def test_sequential_matches_joint_on_random_instances():
     for _ in range(200):
         n = int(rng.integers(1, 9))
         p = int(rng.integers(1, 7))
-        model = static_model(rng.standard_normal((p, n)), np.diag(rng.uniform(0.1, 2.0, p)))
+        model = static_model(rng.standard_normal((p, n)), rng.uniform(0.1, 2.0, p))
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         z = rng.standard_normal(p)
         trace = one_step(model, est, z=z)
-        x, cov = joint_gain_update(est.x_hat, est.p, model.h, model.r, z)
+        x, cov = joint_gain_update(est.x_hat, est.p, model.h, np.diag(model.r_diag), z)
         assert max_rel_diff(trace.x_post[0], x) <= 1e-8
         assert max_rel_diff(trace.p_post[0], cov) <= 1e-8
-
-
-def test_sequential_rejects_nondiagonal_r():
-    model = static_model(np.eye(2), np.array([[1.0, 0.1], [0.1, 1.0]]))
-    with pytest.raises(ContractViolationError, match="diagonal"):
-        one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), z=[1.0, 1.0])
 
 
 def test_sequential_zero_innovation_variance():
@@ -193,7 +187,7 @@ def test_update_never_increases_trace():
     for _ in range(100):
         n = int(rng.integers(1, 7))
         p = int(rng.integers(1, 5))
-        model = static_model(rng.standard_normal((p, n)), np.diag(rng.uniform(0.05, 1.0, p)))
+        model = static_model(rng.standard_normal((p, n)), rng.uniform(0.05, 1.0, p))
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         trace = one_step(model, est, z=rng.standard_normal(p))
         assert np.trace(trace.p_post[0]) <= np.trace(est.p) + 1e-12
@@ -221,8 +215,8 @@ def test_run_filter_tracks_perfect_sensor():
         a=0.8 * np.eye(n),
         b=np.zeros((n, 1)),
         h=np.eye(n),
-        q=np.eye(n),
-        r=1e-12 * np.eye(n),
+        q_diag=np.ones(n),
+        r_diag=np.full(n, 1e-12),
     )
     z = rng.standard_normal((50, n))
     trace = run_filter_trace(
@@ -362,9 +356,9 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
             getattr(first, name)[0] = 1.0
     assert len(first.cov_post) < steps
 
-    q_ulp = model.q.copy()
-    q_ulp[0, 0] = np.nextafter(q_ulp[0, 0], np.inf)
-    nudged = SystemModel(a=model.a, b=model.b, h=model.h, q=q_ulp, r=model.r)
+    q_ulp = model.q_diag.copy()
+    q_ulp[0] = np.nextafter(q_ulp[0], np.inf)
+    nudged = SystemModel(a=model.a, b=model.b, h=model.h, q_diag=q_ulp, r_diag=model.r_diag)
     fewer = mask.copy()
     fewer[5] = False
     p0_ulp = init.p.copy()
@@ -387,8 +381,20 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
 
 def test_system_model_validation():
     with pytest.raises(ContractViolationError, match="square"):
-        SystemModel(a=np.zeros((2, 3)), b=np.zeros((2, 1)), h=np.eye(2), q=np.eye(2), r=np.eye(2))
-    with pytest.raises(ContractViolationError, match="symmetric"):
-        SystemModel(a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(2), q=[[0.0, 1.0], [0.0, 0.0]], r=np.eye(2))
-    with pytest.raises(ContractViolationError, match="positive semidefinite"):
-        SystemModel(a=np.eye(1), b=np.eye(1), h=np.eye(1), q=[[-1.0]], r=np.eye(1))
+        SystemModel(a=np.zeros((2, 3)), b=np.zeros((2, 1)), h=np.eye(2), q_diag=np.ones(2), r_diag=np.ones(2))
+    # the noise is one variance per state and per output channel, each finite and >= 0
+    good = dict(a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(3, 2), q_diag=[0.5, 0.0], r_diag=[1.0, 2.0, 0.0])
+    model = SystemModel(**good)
+    np.testing.assert_array_equal(model.q_diag, [0.5, 0.0])
+    np.testing.assert_array_equal(model.r_diag, [1.0, 2.0, 0.0])
+    for field, bad, message in (
+        ("q_diag", [0.5], r"q_diag must hold 2 variances, got shape \(1,\)"),
+        ("q_diag", np.eye(2), r"q_diag must hold 2 variances, got shape \(2, 2\)"),
+        ("r_diag", 1.0, r"r_diag must hold 3 variances, got shape \(\)"),
+        ("q_diag", [0.5, -1e-12], r"q_diag must be in \[0, inf\), got -1e-12"),
+        ("r_diag", [1.0, -1.0, 0.0], r"r_diag must be in \[0, inf\), got -1.0"),
+        ("q_diag", [np.nan, 0.0], r"q_diag must be in \[0, inf\), got nan"),
+        ("r_diag", [1.0, 2.0, np.inf], r"r_diag must be in \[0, inf\), got inf"),
+    ):
+        with pytest.raises(ContractViolationError, match=message):
+            SystemModel(**{**good, field: bad})

@@ -62,8 +62,8 @@ def permuted_model(model, perm):
         a=model.a[np.ix_(states, states)],
         b=model.b[states],
         h=model.h[np.ix_(perm, states)],
-        q=model.q[np.ix_(states, states)],
-        r=model.r[np.ix_(perm, perm)],
+        q_diag=model.q_diag[states],
+        r_diag=model.r_diag[perm],
     )
 
 
@@ -71,7 +71,7 @@ def permuted_model(model, perm):
 def test_power_of_two_scaling_scales_the_trace_bit_for_bit(mask_kind):
     init, u, (z, mask) = filter_inputs(mask_kind)
     base = run_filter_trace(SYSTEM, init, u, (z, mask))
-    scaled_model = replace(SYSTEM, q=4.0 * SYSTEM.q, r=4.0 * SYSTEM.r)
+    scaled_model = replace(SYSTEM, q_diag=4.0 * SYSTEM.q_diag, r_diag=4.0 * SYSTEM.r_diag)
     scaled = run_filter_trace(
         scaled_model, StateEstimate(2.0 * init.x_hat, 4.0 * init.p), 2.0 * u, (2.0 * z, mask)
     )

@@ -65,7 +65,7 @@ def _state_per_step(a, b, h, gains, x0, u, z, has_z):
 @pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
 def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
     model = exact_lti(seed=7) if which == "exact_lti" else identified_system(reference_dataset())
-    args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states))
+    args = (model.a, model.h, np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states))
     steps = 600
     rng = np.random.default_rng(8)
     # the last mask converges, drops a burst of 10 steps, then resumes
@@ -92,7 +92,7 @@ def test_full_mask_covariance_loop_holds_little_beyond_its_covariance_stacks():
     # only the distinct steps are stored, and the repeating run of the step
     # index is filled by slice copies, with no temporary of its length
     model = identified_system(reference_dataset())
-    args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states))
+    args = (model.a, model.h, np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states))
     steps = 10000
     mask = np.ones(steps, dtype=bool)
     tracemalloc.start()
@@ -132,7 +132,7 @@ def test_state_loop_matches_plain_dot_products_bit_for_bit():
     ab = np.hstack([model.a, model.b])
     for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.arange(steps) % 2 == 0):
         mk, step = _kernels.covariance_loop(
-            model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states), mask
+            model.a, model.h, np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states), mask
         )[2:]
         want_pri, want_post = [], []
         x = x0
@@ -155,7 +155,7 @@ def test_state_loop_matches_per_step_row_updates(which):
     z = rng.standard_normal((steps, model.n_outputs))
     x0 = rng.standard_normal(model.n_states)
     for mask in (np.ones(steps, dtype=bool), rng.random(steps) > 0.2):
-        cov_args = (model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states), mask)
+        cov_args = (model.a, model.h, np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states), mask)
         mk, step = _kernels.covariance_loop(*cov_args)[2:4]
         gains = _covariance_per_step(*cov_args)[2]
         got_states = _kernels.state_loop(model.a, model.b, mk, step, mask, x0, u, z)
@@ -170,7 +170,7 @@ def test_state_loop_keeps_gain_sets_that_differ_in_one_row_apart():
     rng = np.random.default_rng(12)
     steps = 300
     first, settled = _covariance_per_step(
-        model.a, model.h, model.q, np.diag(model.r).copy(), 10.0 * np.eye(model.n_states),
+        model.a, model.h, np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states),
         np.ones(20, dtype=bool),
     )[2][[0, -1]]
     # set 0 is the settled gain set; set d + 1 takes its row d from the first

@@ -152,9 +152,9 @@ def test_sweep_of_a_breaking_model_records_the_scenario_error(monkeypatch):
     # a zero output row with zero noise has a zero innovation variance
     h = SYSTEM.h.copy()
     h[1] = 0.0
-    r = SYSTEM.r.copy()
-    r[1, 1] = 0.0
-    broken = SystemModel(a=SYSTEM.a, b=SYSTEM.b, h=h, q=SYSTEM.q, r=r)
+    r_diag = SYSTEM.r_diag.copy()
+    r_diag[1] = 0.0
+    broken = SystemModel(a=SYSTEM.a, b=SYSTEM.b, h=h, q_diag=SYSTEM.q_diag, r_diag=r_diag)
     monkeypatch.setattr(filtering, "_memo", None)
     table = run_sweep(broken, DATA, PAPER_CONDITIONS[:2], seeds=[0, 1, 2])
     assert filtering._memo is None  # only a pass that completes is kept

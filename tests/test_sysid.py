@@ -353,12 +353,14 @@ def test_realization_block_dimensions_and_noise_shapes():
     sm = arx_to_ss(model, q=0.5, r=np.array([1.0, 2.0, 3.0]))
     assert sm.n_states == 6
     assert sm.h.shape == (3, 6)
-    np.testing.assert_array_equal(sm.q, 0.5 * np.eye(6))
-    np.testing.assert_array_equal(sm.r, np.diag([1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(sm.q_diag, np.full(6, 0.5))
+    np.testing.assert_array_equal(sm.r_diag, [1.0, 2.0, 3.0])
     default = arx_to_ss(model)
-    np.testing.assert_array_equal(default.q, np.zeros((6, 6)))
-    np.testing.assert_array_equal(default.r, np.eye(3))
-    np.testing.assert_array_equal(arx_to_ss(model, r=2.0).r, 2.0 * np.eye(3))
+    np.testing.assert_array_equal(default.q_diag, np.zeros(6))
+    np.testing.assert_array_equal(default.r_diag, np.ones(3))
+    np.testing.assert_array_equal(arx_to_ss(model, r=2.0).r_diag, np.full(3, 2.0))
+    with pytest.raises(ContractViolationError, match=re.escape("q_diag must be in [0, inf), got -0.5")):
+        arx_to_ss(model, q=-0.5)
 
 
 def test_realization_rejects_r_of_another_length():
@@ -560,6 +562,13 @@ def test_load_model_rejects_foreign_files(tmp_path):
         ({**good, "a_coeffs": "x"}, 'a_coeffs: expected 3 x 3 nested lists of numbers, got "x"'),
         ({**good, "a_coeffs": good["a_coeffs"][:2]}, "a_coeffs: expected 3 x 3 nested lists of numbers"),
         ({**good, "b_coeffs": [[[1.0]]]}, "b_coeffs: expected 3 x 2 x 2 nested lists of numbers"),
+        # a coefficient that is not finite, or too large for a float
+        ({**good, "a_coeffs": [[*good["a_coeffs"][0][:2], float("inf")], *good["a_coeffs"][1:]]},
+         "a_coeffs must be finite, got inf"),
+        ({**good, "b_coeffs": [*good["b_coeffs"][:2], [[float("nan"), 0.0], [0.0, 0.0]]]},
+         "b_coeffs must be finite, got nan"),
+        ({**good, "a_coeffs": [*good["a_coeffs"][:2], [0.0, 10**400, 0.0]]},
+         "a_coeffs must be finite, got an integer too large for a float"),
         # the noise is required
         ({key: value for key, value in good.items() if key != "noise"}, "model file lacks noise"),
         ({**good, "noise": None}, "noise: expected an object, got null"),

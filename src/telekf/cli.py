@@ -297,8 +297,16 @@ def cmd_identify(args) -> int:
             continue
         agg = rec["report"].aggregate
         mse_mean = float(np.mean(rec["report"].mse))
-        note = "" if rec["filterable"] else f"not filterable ({sysid.filter_obstacle(na, nk).split()[0]})"
-        print(f"{na:>3} {nb:>3} {nk:>3} {agg:>10.4f} {mse_mean:>12.4e}  {note}")
+        notes = [] if rec["filterable"] else [f"not filterable ({sysid.filter_obstacle(na, nk).split()[0]})"]
+        if rec["model"].stable:
+            scores = f"{agg:>10.4f} {mse_mean:>12.4e}"
+        else:
+            # a free run of an unstable model diverges, so its fit and MSE
+            # say only how far it got; the CSV keeps them
+            notes.append("unstable")
+            scores = f"{'-':>10} {'-':>12}"
+        note = "; ".join(notes)
+        print(f"{na:>3} {nb:>3} {nk:>3} {scores}  {note}")
         table_lines.append(
             f"{na},{nb},{nk},{agg!r},{mse_mean!r},{rec['filterable']},{simrunner._csv_field(note)}"
         )

@@ -8,6 +8,10 @@ columns 1-38 and patient-side arms in 39-76.
 
 from __future__ import annotations
 
+import codecs
+import collections
+import io
+import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,6 +40,13 @@ __all__ = [
 ]
 
 DEFAULT_DT = 1.0 / 30.0
+
+#: bytes of kinematics text read and decoded at a time
+READ_BLOCK_BYTES = 64 * 1024
+#: rows of text formatted and written at a time, here and by ``simrunner``
+WRITE_BLOCK_ROWS = 1024
+#: the breaks ``str.splitlines`` splits at, but for "\r"
+_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -122,29 +133,59 @@ class TrajectorySet:
         return self.input_names + self.output_names
 
 
-def _read_text(source) -> str:
-    """The source's text; every byte source is decoded as UTF-8."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        data = source
-    else:
-        data = source.read()
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise KinematicsFormatError(
-            f"byte offset {exc.start}: cannot decode {data[exc.start:exc.end]!r} as UTF-8"
-        ) from None
+def _decoded_blocks(stream):
+    """The lines of a UTF-8 byte stream as ``str.splitlines`` splits its
+    text, one list per :data:`READ_BLOCK_BYTES` read."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry = ""  # the last line read, while it may go on in the next block
+    offset = 0  # bytes read before this block
+    while True:
+        block = stream.read(READ_BLOCK_BYTES)
+        pending = decoder.getstate()[0]
+        try:
+            text = carry + decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            raise KinematicsFormatError(
+                f"byte offset {offset - len(pending) + exc.start}: "
+                f"cannot decode {exc.object[exc.start:exc.end]!r} as UTF-8"
+            ) from None
+        offset += len(block)
+        lines = text.splitlines()
+        if not block:
+            yield lines
+            return
+        # a line ending in "\r" may be the first half of a "\r\n" break
+        if text.endswith("\r"):
+            carry = lines.pop() + "\r"
+        elif text and text[-1] not in _LINE_BREAKS:
+            carry = lines.pop()
+        else:
+            carry = ""
+        yield lines
 
 
-def _parse_tokens(lines: list[str], n_columns: int) -> np.ndarray:
+def _read_blocks(path):
+    with open(path, "rb") as stream:
+        yield from _decoded_blocks(stream)
+
+
+def _lines(source):
+    """Iterator over the source's lines, read from its start: a path is
+    opened afresh, bytes are decoded a block at a time, and a list is the
+    lines of a text-mode file object."""
+    if isinstance(source, list):
+        return iter(source)
+    blocks = _read_blocks(source) if isinstance(source, (str, Path)) else _decoded_blocks(io.BytesIO(source))
+    return itertools.chain.from_iterable(blocks)
+
+
+def _parse_tokens(lines, n_columns: int) -> np.ndarray:
     """Per-token reader: values, or the error naming the offending row.
 
     Reads tokens only Python's ``float`` accepts (``1_0``, non-ASCII digits)
     and is the only reader that can name the row and column of an error.
+    Every line is read before any error is raised, so an undecodable byte
+    is named first wherever it lies.
     """
     rows = []
     line_numbers = []
@@ -153,6 +194,7 @@ def _parse_tokens(lines: list[str], n_columns: int) -> np.ndarray:
         if not tokens:
             continue
         if len(tokens) != n_columns:
+            collections.deque(lines, maxlen=0)  # an undecodable byte after this row comes first
             raise KinematicsFormatError(
                 f"row {lineno}: expected {n_columns} columns, got {len(tokens)}"
             )
@@ -198,24 +240,34 @@ def parse_kinematics(
     """Parse a kinematics text file into a TrajectorySet.
 
     ``source`` may be a path, raw bytes, or a file object; bytes are decoded
-    as UTF-8.  Every row must carry exactly ``layout.n_columns``
+    as UTF-8 a block of :data:`READ_BLOCK_BYTES` at a time and their lines
+    streamed to numpy's reader, so neither the text nor its lines are held
+    beside the parsed array.  Every row must carry exactly ``layout.n_columns``
     whitespace-separated numeric tokens; violations raise
     :class:`KinematicsFormatError` naming the row (and column for bad
     tokens).  Rows containing NaN or infinity are rejected, with their line
     numbers reported.
     """
-    text = _read_text(source)
-    if not text or text.isspace():
+    if not isinstance(source, (str, Path, bytes)):
+        # a file object is read once, so the per-token reader can read it again
+        data = source.read()
+        source = data.splitlines() if isinstance(data, str) else data
+    lines = _lines(source)
+    # the lines up to and including the first data row: numpy's reader
+    # warns on a source with none
+    head = []
+    for line in lines:
+        head.append(line)
+        if line and not line.isspace():
+            break
+    else:
         raise ContractViolationError("kinematics source contains no data rows")
-    # the decoded text goes once it is split and the lines once they are
-    # parsed, so only the lines are held while numpy builds the array
-    lines = text.splitlines()
-    del text
     # numpy's reader splits rows and tokens as str.splitlines/str.split do and
     # parses a subset of what float() accepts to the same bits; anything it
-    # rejects goes to the per-token reader for its value or its error
+    # rejects, an undecodable byte included, goes to the per-token reader for
+    # its value or its error
     try:
-        values = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        values = np.loadtxt(itertools.chain(head, lines), dtype=float, comments=None, ndmin=2)
     except ValueError:
         values = None
     if (
@@ -223,8 +275,7 @@ def parse_kinematics(
         or values.shape[1] != layout.n_columns
         or not np.isfinite(values).all()
     ):
-        values = _parse_tokens(lines, layout.n_columns)
-    del lines
+        values = _parse_tokens(_lines(source), layout.n_columns)
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     names = np.asarray(layout.names)
@@ -412,6 +463,7 @@ def write_kinematics(
     Inputs land in the first master-side columns, outputs in the first
     slave-side columns, so a parse + select round trip of those names
     reproduces the values exactly (floats are written with full precision).
+    The rows are formatted and written :data:`WRITE_BLOCK_ROWS` at a time.
     """
     m, p = ts.inputs.shape[1], ts.outputs.shape[1]
     layout.check_capacity(m, p)
@@ -419,11 +471,14 @@ def write_kinematics(
     slave = layout.block_indices("slave")[:p]
     used = np.concatenate([master, slave])
     order = np.argsort(used)
-    values = np.hstack([ts.inputs, ts.outputs])[:, order].tolist()
     # "%.17g" prints 0.0 as "0", so the unused columns are literal text
     fields = ["0"] * layout.n_columns
     for col in used:
         fields[col] = "%.17g"
     row = " ".join(fields) + "\n"
-    Path(path).write_text("".join([row % tuple(v) for v in values]), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        for start in range(0, ts.n_samples, WRITE_BLOCK_ROWS):
+            stop = start + WRITE_BLOCK_ROWS
+            values = np.hstack([ts.inputs[start:stop], ts.outputs[start:stop]])[:, order].tolist()
+            out.write("".join([row % tuple(v) for v in values]))
     return tuple(layout.names[i] for i in master), tuple(layout.names[i] for i in slave)

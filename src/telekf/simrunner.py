@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import RNG_ALGORITHM, ChannelStats, NetworkConfig, apply_channel
-from .dataio import TrajectorySet
+from .dataio import WRITE_BLOCK_ROWS, TrajectorySet
 from .errors import ContractViolationError
 from .filtering import FilterTrace, SystemModel, initial_estimate, run_filter_trace
 from .metrics import fit_aggregate, fit_percent, mse
@@ -43,9 +43,6 @@ __all__ = [
 
 REPORT_FORMAT = "telekf-report"
 REPORT_VERSION = 2
-
-#: rows of ``trace.csv`` formatted and written at a time
-TRACE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -298,7 +295,7 @@ def write_aggregate_csv(path, aggregates: list[dict], channel_names, config: dic
 def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.ndarray, config: dict, version: str) -> None:
     """Three-block trace: truth, delivered observation, and estimate per channel.
 
-    The rows are formatted and written ``TRACE_BLOCK_ROWS`` at a time, so
+    The rows are formatted and written ``WRITE_BLOCK_ROWS`` at a time, so
     the text held at once stays the same size however long the trace is.
     """
     names = data.output_names
@@ -308,8 +305,8 @@ def write_trace_csv(path, data: TrajectorySet, delivered: np.ndarray, z_est: np.
     header += [f"est_{n}" for n in names]
     with open(path, "w", encoding="utf-8") as out:
         out.write(_report_head(config, version, header))
-        for start in range(0, data.n_samples, TRACE_BLOCK_ROWS):
-            stop = min(start + TRACE_BLOCK_ROWS, data.n_samples)
+        for start in range(0, data.n_samples, WRITE_BLOCK_ROWS):
+            stop = min(start + WRITE_BLOCK_ROWS, data.n_samples)
             t = np.arange(start, stop) * data.dt
             block = [t, data.outputs[start:stop], delivered[start:stop], z_est[start:stop]]
             rows = np.column_stack(block).tolist()

@@ -206,6 +206,37 @@ def test_identify_note_names_the_order_that_rules_out_a_filter(tmp_path, dataset
     }
 
 
+def test_identify_notes_an_unstable_candidate_and_prints_no_fit_for_it(tmp_path, capsys):
+    noisy = ["--gen-seed", "42", "--na", "2", "--nb", "2", "--nk", "1", "--excitation", "sines",
+             "--process-noise", "0.005", "--measurement-noise", "0.002"]
+    for name, seed in (("train.txt", 1), ("holdout.txt", 2)):
+        assert main(["synth", "--out", str(tmp_path / name), "--n", "600", "--seed", str(seed), *noisy]) == 0
+    argv = ["identify", "--train", str(tmp_path / "train.txt"), "--holdout", str(tmp_path / "holdout.txt"),
+            "--na", "1:2", "--nb", "1", "--nk", "0:2", "--out-dir", str(tmp_path / "fits")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = {tuple(line.split()[:3]): line.split()[3:] for line in capsys.readouterr().out.splitlines()[1:-1]}
+    with open(tmp_path / "fits" / "order_fits.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    # an ARX(na, 1, 2) fit of this ARX(2, 2, 1) data diverges in its free run
+    assert [(row["na"], row["nk"], row["note"]) for row in rows if row["nk"] == "2"] == [
+        ("2", "2", "unstable"), ("1", "2", "unstable")
+    ]
+    names = json.loads((tmp_path / "train.txt.truth.json").read_text())
+    train = telekf.dataio.select_channels(
+        telekf.dataio.parse_kinematics(tmp_path / "train.txt"), names["input_names"], names["output_names"]
+    )
+    for row in rows:
+        orders = (int(row["na"]), int(row["nb"]), int(row["nk"]))
+        stable = telekf.sysid.arx_fit(train, orders).stable
+        assert ("unstable" in row["note"]) == (not stable)
+        # the CSV keeps every fit, and stdout shows none for an unstable model
+        assert np.isfinite(float(row["fit_percent"])) or not stable
+        shown = printed[(row["na"], row["nb"], row["nk"])]
+        assert (shown[:2] == ["-", "-"]) == (not stable)
+        assert shown[2:] == row["note"].split()
+
+
 def test_unknown_channel_message_is_printed_without_quotes(tmp_path, dataset, capsys):
     _, holdout = dataset
     missing = str(tmp_path / "nope.json")

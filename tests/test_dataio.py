@@ -195,7 +195,11 @@ def test_parse_matches_the_per_token_reader(name):
     assert_parses_like_reference(READ_CASES[name])
 
 
-def test_parse_matches_the_per_token_reader_on_random_text():
+#: read block sizes that split "\r\n" pairs, multi-byte characters and bad bytes, and the default
+BLOCK_BYTES = [1, 2, 3, 7, 13, dataio.READ_BLOCK_BYTES]
+
+
+def test_parse_matches_the_per_token_reader_on_random_text(monkeypatch):
     rng = np.random.default_rng(61)
     separators = [" ", "  ", "\t", "\xa0", "\u2003", "\x1f"]
     line_ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
@@ -216,7 +220,9 @@ def test_parse_matches_the_per_token_reader_on_random_text():
                     tokens.append(str(rng.choice([repr(value), "%.17g" % value, "%.3e" % value])))
             lines.append(str(rng.choice(separators)).join(tokens))
         text = "".join(line + str(rng.choice(line_ends)) for line in lines)
-        assert_parses_like_reference(text)
+        for block_bytes in BLOCK_BYTES:
+            monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", block_bytes)
+            assert_parses_like_reference(text)
 
 
 def test_plain_input_takes_the_one_call_read(monkeypatch):
@@ -226,19 +232,37 @@ def test_plain_input_takes_the_one_call_read(monkeypatch):
     monkeypatch.setattr(dataio, "_parse_tokens", fail)
     line_ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\n \t\n"]
     rows = [f"{k}\t{k + 0.5}\xa0-{k}e-3 {k}" for k in range(len(line_ends))]
-    ts = parse_kinematics("".join(r + e for r, e in zip(rows, line_ends)).encode(), SMALL)
     k = np.arange(len(line_ends), dtype=float)
-    np.testing.assert_array_equal(ts.inputs, np.column_stack([k, k + 0.5]))
-    np.testing.assert_array_equal(ts.outputs, np.column_stack([-k * 1e-3, k]))
+    for block_bytes in BLOCK_BYTES:
+        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", block_bytes)
+        ts = parse_kinematics("".join(r + e for r, e in zip(rows, line_ends)).encode(), SMALL)
+        np.testing.assert_array_equal(ts.inputs, np.column_stack([k, k + 0.5]))
+        np.testing.assert_array_equal(ts.outputs, np.column_stack([-k * 1e-3, k]))
 
 
-def test_parse_undecodable_bytes_name_the_offset(tmp_path):
-    with pytest.raises(KinematicsFormatError, match=r"byte offset 1: cannot decode b'\\xff' as UTF-8"):
-        parse_kinematics(b"1\xff 2 3 4\n", SMALL)
+def test_parse_undecodable_bytes_name_the_offset(tmp_path, monkeypatch):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"1 2 3 4\n5 6 7 \xe9\n")
-    with pytest.raises(KinematicsFormatError, match="byte offset 14"):
-        parse_kinematics(path, SMALL)
+    for block_bytes in BLOCK_BYTES:
+        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", block_bytes)
+        with pytest.raises(KinematicsFormatError, match=r"byte offset 1: cannot decode b'\\xff' as UTF-8"):
+            parse_kinematics(b"1\xff 2 3 4\n", SMALL)
+        with pytest.raises(KinematicsFormatError, match="byte offset 14"):
+            parse_kinematics(path, SMALL)
+        # after multi-byte characters, before a bad token or a ragged row, and
+        # cut short at the end: the offset and bytes whole-text decoding names
+        for data in [
+            "1 2 \u0663 \u20ac\n".encode() + b"5 6 \xe2\x82 8\n",
+            b"1 2 x 4\r\n5 6 7 8\r\n\xf0\x9f\x98",
+            b"1 2 3\n\xc3\xa9\xc3\n",
+            b"1 2 3 4\r\n\xed\xa0\x80\n",
+        ]:
+            with pytest.raises(UnicodeDecodeError) as exc:
+                data.decode("utf-8")
+            bad = data[exc.value.start : exc.value.end]
+            with pytest.raises(KinematicsFormatError) as got:
+                parse_kinematics(data, SMALL)
+            assert str(got.value) == f"byte offset {exc.value.start}: cannot decode {bad!r} as UTF-8"
 
 
 def test_path_and_bytes_parse_equal_under_the_c_locale(tmp_path):
@@ -452,13 +476,12 @@ def test_parse_keeps_consecutive_blocks_as_views_and_copies_interleaved_ones(lay
     assert np.may_share_memory(ts.inputs, ts.outputs) == consecutive
 
 
-def test_parse_peak_is_the_lines_plus_one_parsed_array(tmp_path):
+def test_parse_peak_is_one_parsed_array(tmp_path):
     gen = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=35)
     ts = gen_synthetic(SyntheticSpec(generator=gen, n_samples=10000, seed=3, process_noise=0.01))
     path = tmp_path / "long.txt"
     write_kinematics(ts, path)
     lines = path.read_bytes().decode("utf-8").splitlines()
-    line_bytes = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
     tracemalloc.start()
     try:
         # one parsed array, with the slack numpy's reader grows it by
@@ -469,7 +492,20 @@ def test_parse_peak_is_the_lines_plus_one_parsed_array(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= line_bytes + array_peak + 1024 * 1024
+    assert peak <= array_peak + 1024 * 1024
+
+
+def test_write_kinematics_peak_stays_below_the_file_size(tmp_path):
+    gen = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=35)
+    ts = gen_synthetic(SyntheticSpec(generator=gen, n_samples=10000, seed=3, process_noise=0.01))
+    path = tmp_path / "long.txt"
+    tracemalloc.start()
+    try:
+        write_kinematics(ts, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_write_kinematics_rejects_too_many_channels(tmp_path):

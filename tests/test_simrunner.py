@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_lti, identified_system, reference_dataset
-from telekf import _kernels, filtering, simrunner
+from telekf import _kernels, dataio, filtering, simrunner
 from telekf.channel import NetworkConfig
 from telekf.errors import ContractViolationError, SingularInnovationError
 from telekf.filtering import SystemModel
@@ -254,7 +254,7 @@ def reference_trace_csv(path, data, delivered, z_est, config, version):
 @pytest.mark.parametrize("dt", [0.002, 1.0 / 30.0])
 def test_write_trace_csv_matches_per_value_formatting(tmp_path, dt):
     # longer than two row blocks, ending inside the third
-    data = replace(reference_dataset(n_samples=2 * simrunner.TRACE_BLOCK_ROWS + 452, seed=2), dt=dt)
+    data = replace(reference_dataset(n_samples=2 * dataio.WRITE_BLOCK_ROWS + 452, seed=2), dt=dt)
     result = run_scenario(
         Scenario(model=SYSTEM, network=NetworkConfig(n_d=0.1, n_j=0.05, n_p=0.2, seed=4), data=data)
     )

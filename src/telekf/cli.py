@@ -595,8 +595,11 @@ def main(argv=None) -> int:
             if value == []:
                 raise ContractViolationError(f"--{key} lists no order")
             check = to_float if key in floats else check_range
-            for v in value if isinstance(value, list) else [value]:
+            values = value if isinstance(value, list) else [value]
+            for i, v in enumerate(values):
                 check(f"--{key.replace('_', '-')}", v, bounds)
+                if v in values[:i]:  # an order listed twice would be fitted and reported twice
+                    raise ContractViolationError(f"--{key} repeats {v}")
         return args.func(args)
     except (ContractViolationError, KinematicsFormatError, UnknownChannelNameError, UnsupportedStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ContractViolationError,
@@ -152,6 +153,84 @@ def _regressor(y: np.ndarray, u: np.ndarray, na: int, nb: int, nk: int):
     return phi, y[t0:], t0
 
 
+def _fit_grid(data, grid) -> list:
+    """Least-squares ARX fits of a TrajectorySet over a list of orders.
+
+    Returns, for each (na, nb, nk) of ``grid``, its :class:`ArxModel` or the
+    error :func:`arx_fit` raises for it.  Per output channel one QR
+    factorization serves every candidate: the regressor of the largest
+    orders, NA output lags and input lags 0..K-1 from row T = max(NA, K - 1),
+    holds each candidate's columns S, and with [Phi, y] = QR the residual
+    ||Phi_S theta - y|| equals ||R_S theta - R_y||.  A candidate whose rows
+    start before T stacks those rows under R_S, so each SVD least-squares
+    solve (minimum-norm on rank deficiency) is a few rows deep.  Its rank
+    threshold is the one of the candidate's own regressor, and a
+    rank-deficient candidate whose solution does not reproduce the channel
+    exactly gets :class:`IllConditionedDataError` with the condition number.
+    """
+    u = np.atleast_2d(np.asarray(data.inputs, dtype=float))
+    y = np.atleast_2d(np.asarray(data.outputs, dtype=float))
+    n_samples, p = y.shape
+    m = u.shape[1]
+    results, fits = [], []  # fits: (index into results, na, nb, nk, a, b)
+    for orders in grid:
+        na, nb, nk = (int(v) for v in orders)
+        try:
+            for (name, bounds), value in zip(ArxModel.RANGES.items(), (na, nb, nk)):
+                check_range(name, value, bounds)
+            if u.shape[0] != n_samples:
+                raise ContractViolationError(
+                    f"inputs and outputs must be row-aligned, got {u.shape[0]} and {n_samples}"
+                )
+            if n_samples <= na + nb + nk + 10:
+                raise ContractViolationError(
+                    f"need more than {na + nb + nk + 10} samples for orders ({na},{nb},{nk}), got {n_samples}"
+                )
+        except ContractViolationError as exc:
+            results.append(exc)
+            continue
+        fits.append((len(results), na, nb, nk, np.zeros((p, na)), np.zeros((p, m, nb))))
+        results.append(None)
+    if not fits:
+        return results
+
+    na_max = max(fit[1] for fit in fits)
+    k = max(fit[2] + fit[3] for fit in fits)
+    for c in range(p):
+        phi, target, t_big = _regressor(y[:, c], u, na_max, k, 0)
+        r = np.linalg.qr(np.column_stack([phi, target]), mode="r")
+        for i, na, nb, nk, a_coeffs, b_coeffs in fits:
+            if results[i] is not None:  # rejected on an earlier channel
+                continue
+            cols = [*range(na), *(na_max + j * k + d for j in range(m) for d in range(nk, nk + nb))]
+            head, head_target, t0 = _regressor(y[:t_big, c], u[:t_big], na, nb, nk)
+            lhs = np.vstack([r[:, cols], head])
+            rhs = np.concatenate([r[:, -1], head_target])
+            rcond = np.finfo(float).eps * max(n_samples - t0, len(cols))
+            theta, _, rank, sv = np.linalg.lstsq(lhs, rhs, rcond=rcond)
+            if rank < len(cols):
+                cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+                resid = np.linalg.norm(lhs @ theta - rhs)
+                scale = max(np.linalg.norm(y[t0:, c]), 1.0)
+                if resid > _EXACT_FIT_RTOL * scale:
+                    results[i] = IllConditionedDataError(
+                        f"regressor for output channel {c} is rank deficient "
+                        f"(rank {rank} of {len(cols)}, condition {cond:.3e})"
+                    )
+                    continue
+            a_coeffs[c] = theta[:na]
+            b_coeffs[c] = theta[na:].reshape(m, nb)
+
+    for i, na, nb, nk, a_coeffs, b_coeffs in fits:
+        if results[i] is None:
+            results[i] = ArxModel(
+                na=na, nb=nb, nk=nk, a_coeffs=a_coeffs, b_coeffs=b_coeffs,
+                n_outputs=p, n_inputs=m, dt=float(data.dt),
+                source_trial=getattr(data, "trial_id", None),
+            )
+    return results
+
+
 def arx_fit(data, orders: tuple[int, int, int]) -> ArxModel:
     """Least-squares ARX fit of a TrajectorySet.
 
@@ -159,52 +238,13 @@ def arx_fit(data, orders: tuple[int, int, int]) -> ArxModel:
     an SVD-based least-squares solve (minimum-norm on rank deficiency).  A
     rank-deficient regressor whose minimum-norm solution does not reproduce
     the channel exactly raises :class:`IllConditionedDataError` with the
-    condition estimate.
+    condition estimate.  It is the fit of :func:`order_sweep` over a grid
+    of one, so the two give a candidate the same model to rounding.
     """
-    na, nb, nk = (int(v) for v in orders)
-    for (name, bounds), value in zip(ArxModel.RANGES.items(), (na, nb, nk)):
-        check_range(name, value, bounds)
-    u = np.atleast_2d(np.asarray(data.inputs, dtype=float))
-    y = np.atleast_2d(np.asarray(data.outputs, dtype=float))
-    n_samples = y.shape[0]
-    if u.shape[0] != n_samples:
-        raise ContractViolationError(
-            f"inputs and outputs must be row-aligned, got {u.shape[0]} and {n_samples}"
-        )
-    if n_samples <= na + nb + nk + 10:
-        raise ContractViolationError(
-            f"need more than {na + nb + nk + 10} samples for orders ({na},{nb},{nk}), got {n_samples}"
-        )
-
-    p = y.shape[1]
-    m = u.shape[1]
-    a_coeffs = np.zeros((p, na))
-    b_coeffs = np.zeros((p, m, nb))
-    for c in range(p):
-        phi, target, _ = _regressor(y[:, c], u, na, nb, nk)
-        theta, _, rank, sv = np.linalg.lstsq(phi, target, rcond=None)
-        if rank < phi.shape[1]:
-            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-            resid = np.linalg.norm(phi @ theta - target)
-            scale = max(np.linalg.norm(target), 1.0)
-            if resid > _EXACT_FIT_RTOL * scale:
-                raise IllConditionedDataError(
-                    f"regressor for output channel {c} is rank deficient "
-                    f"(rank {rank} of {phi.shape[1]}, condition {cond:.3e})"
-                )
-        a_coeffs[c] = theta[:na]
-        b_coeffs[c] = theta[na:].reshape(m, nb)
-    return ArxModel(
-        na=na,
-        nb=nb,
-        nk=nk,
-        a_coeffs=a_coeffs,
-        b_coeffs=b_coeffs,
-        n_outputs=p,
-        n_inputs=m,
-        dt=float(data.dt),
-        source_trial=getattr(data, "trial_id", None),
-    )
+    [fit] = _fit_grid(data, [orders])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _histories(model: ArxModel, y_init, u_init):
@@ -243,13 +283,14 @@ def _histories(model: ArxModel, y_init, u_init):
 
 
 def _forced(model: ArxModel, u_src: np.ndarray, steps: int) -> np.ndarray:
-    """Input term of ``steps`` consecutive steps, in one product.
+    """Input term of the ``steps`` steps of :func:`simulate_arx`, in one
+    product.
 
     The input term reads no output.  Lag l of step s is
     ``u_src[s + nb - 1 - l]``, so ``u_src`` starts nb + nk - 1 rows before
-    the first step.  numpy sends a one-row product to gemv, which rounds
-    differently from the gemm of more rows, so a caller that splits the
-    steps must never ask for one row.
+    the first step.  Each output's sum runs input by input, lag by lag; the
+    free run of :func:`order_sweep` forms the same sums with exact zeros
+    between the terms, so the two agree bit for bit.
     """
     nb, p, m = model.nb, model.n_outputs, model.n_inputs
     lagged = u_src[np.arange(steps)[:, None] + np.arange(nb - 1, -1, -1)]
@@ -408,10 +449,16 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     and scored on the rest.  Every (model, output channel) pair is a column
     of one array.  The columns are ordered by na, largest first, so each
     lag's taps apply to a prefix of them, and one time loop advances them
-    all, CHUNK steps at a time, streaming the squared errors.
+    all, CHUNK steps at a time, streaming the squared errors.  The input
+    term of a chunk is one product for every column: the chunk's inputs at
+    delays 0..K-1 (K the largest nb + nk) times a block that holds each
+    model's b at its delays nk..nk+nb-1 and zeros elsewhere.  numpy sends a
+    one-row product to gemv, which rounds differently from the gemm of more
+    rows, so a one-row tail joins the chunk before it.
 
     The arithmetic is simulate_arx's, (0.0 + a1 y1) + a2 y2 ..., then the
-    input term plus that, and the error sums run row by row, as numpy
+    input term (its sum in simulate_arx's order, the zeros adding nothing)
+    plus that, and the error sums run row by row, as numpy
     reduces an (n, p) array over axis 0.  With two or more outputs the
     reports therefore equal those of simulate_arx, fit_percent and mse bit
     for bit.  With one output numpy sums the error column pairwise and
@@ -424,8 +471,13 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     width = len(runs) * p
     channel = np.tile(np.arange(p), len(runs))
     start = np.repeat([model.max_lag for model in runs], p)  # first free step per column
-    pad = max(model.nb + model.nk - 1 for model in runs)
-    u_pad = np.vstack([np.zeros((pad, u.shape[1])), u])
+    m, k = u.shape[1], max(model.nb + model.nk for model in runs)
+    u_pad = np.vstack([np.zeros((k - 1, m)), u])
+    delayed = sliding_window_view(u_pad, k, axis=0)[:, :, ::-1]  # [t, j, d]: u_j[t - d]
+    gains = np.zeros((m * k, width))  # row j*k + d: input j's coefficient at delay d, or 0
+    for j, model in enumerate(runs):
+        b_rows = (np.arange(m)[:, None] * k + model.nk + np.arange(model.nb)).ravel()
+        gains[b_rows, span[j]] = model.b_coeffs.reshape(p, -1).T
 
     na_max = runs[0].na
     taps = np.zeros((na_max, width))  # row na_max - i: lag i's taps, 0 past a column's na
@@ -455,9 +507,7 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     with np.errstate(over="ignore", invalid="ignore"):
         for t0, t1 in zip(bounds, bounds[1:]):
             rows = t1 - t0
-            for j, model in enumerate(runs):
-                u_src = u_pad[pad + t0 - model.nb - model.nk + 1 :]
-                forced[:rows, span[j]] = _forced(model, u_src, rows)
+            np.matmul(delayed[t0:t1].reshape(rows, m * k), gains, out=forced[:rows])
             measured = sq[1 : rows + 1]  # in place, then the chunk's squared errors
             measured[...] = y[t0:t1, channel]
             for s in range(rows):
@@ -512,21 +562,22 @@ def order_sweep(
     a holdout from the training trial; ``telekf identify`` reports that
     case itself.
     """
+    grid = [(na, nb, nk) for na in na_values for nb in nb_values for nk in nk_values]
     records = []
     valid = []
-    for na in na_values:
-        for nb in nb_values:
-            for nk in nk_values:
-                rec = {"orders": (na, nb, nk), "model": None, "report": None, "error": None}
-                rec["filterable"] = filter_obstacle(na, nk) is None
-                try:
-                    model = arx_fit(train, (na, nb, nk))
-                    rec["model"] = model
-                    u, y = _holdout_arrays(model, holdout)
-                    valid.append(rec)
-                except (ContractViolationError, IllConditionedDataError) as exc:
-                    rec["error"] = str(exc)
-                records.append(rec)
+    for (na, nb, nk), fit in zip(grid, _fit_grid(train, grid)):
+        rec = {"orders": (na, nb, nk), "model": None, "report": None, "error": None}
+        rec["filterable"] = filter_obstacle(na, nk) is None
+        if isinstance(fit, Exception):
+            rec["error"] = str(fit)
+        else:
+            rec["model"] = fit
+            try:
+                u, y = _holdout_arrays(fit, holdout)
+                valid.append(rec)
+            except ContractViolationError as exc:
+                rec["error"] = str(exc)
+        records.append(rec)
     if valid:
         reports = _free_run_reports([rec["model"] for rec in valid], u, y)
         for rec, report in zip(valid, reports):

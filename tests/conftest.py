@@ -15,16 +15,16 @@ from telekf.sysid import arx_fit, arx_to_ss, residual_covariances
 REFERENCE_ORDERS = (2, 2, 1)
 
 
-def reference_generator():
+def reference_generator(n_inputs=2):
     return random_stable_arx(
-        *REFERENCE_ORDERS, n_outputs=3, n_inputs=2, seed=42, pole_radius=0.85
+        *REFERENCE_ORDERS, n_outputs=3, n_inputs=n_inputs, seed=42, pole_radius=0.85
     )
 
 
-def reference_dataset(n_samples=1500, seed=1):
+def reference_dataset(n_samples=1500, seed=1, n_inputs=2):
     return gen_synthetic(
         SyntheticSpec(
-            generator=reference_generator(),
+            generator=reference_generator(n_inputs),
             n_samples=n_samples,
             seed=seed,
             excitation="sines",

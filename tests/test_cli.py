@@ -175,8 +175,10 @@ def test_identify_empty_order_list_exits_2_before_reading_the_data(source, tmp_p
         (["--na=-1:1", "--nb", "0:1", "--nk", "1"], "--na must be in [0, inf), got -1"),
         (["--nb", "0:2"], "--nb must be in [1, inf), got 0"),
         ({"nk": [1, -2]}, "--nk must be in [0, inf), got -2"),
+        (["--na", "1,1", "--nb", "1", "--nk", "1"], "--na repeats 1"),
+        ({"nk": [0, 2, 0]}, "--nk repeats 0"),
     ],
-    ids=["na-flag", "nb-flag", "nk-config"],
+    ids=["na-flag", "nb-flag", "nk-config", "na-repeated-flag", "nk-repeated-config"],
 )
 def test_identify_order_out_of_range_exits_2_before_reading_the_data(orders, message, tmp_path, capsys,
                                                                       no_input_read):

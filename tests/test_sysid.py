@@ -179,6 +179,75 @@ def test_fit_local_optimality_of_coefficients():
             assert np.sum((target - pred) ** 2) >= base_sse - 1e-12
 
 
+def _lstsq_fit(phi, target):
+    """A candidate's own least-squares solve: its coefficients, its training
+    residual norm, and whether the per-candidate fit rejects it."""
+    theta, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
+    resid = np.linalg.norm(phi @ theta - target)
+    rejected = rank < phi.shape[1] and resid > 1e-8 * max(np.linalg.norm(target), 1.0)
+    return theta, resid, rejected
+
+
+def _theta(model, c):
+    return np.concatenate([model.a_coeffs[c], model.b_coeffs[c].reshape(-1)])
+
+
+@pytest.fixture(scope="module")
+def grid_fits(grid_train):
+    holdout = reference_dataset(n_samples=600, seed=36)
+    return {rec["orders"]: rec["model"] for rec in order_sweep(grid_train, holdout)}
+
+
+def test_grid_fit_matches_lstsq_on_each_candidate_regressor(grid_train, grid_fits):
+    y, u = grid_train.outputs, grid_train.inputs
+    assert len(grid_fits) == 48 and None not in grid_fits.values()
+    for (na, nb, nk), model in grid_fits.items():
+        for c in range(3):
+            phi, target, _ = telekf.sysid._regressor(y[:, c], u, na, nb, nk)
+            want, want_resid, _ = _lstsq_fit(phi, target)
+            got = _theta(model, c)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), model.label
+            assert np.linalg.norm(phi @ got - target) <= want_resid * (1 + 1e-12), model.label
+
+
+def test_fit_of_one_candidate_matches_its_grid_fit(grid_train, grid_fits):
+    for orders, model in grid_fits.items():
+        alone = arx_fit(grid_train, orders)
+        for c in range(3):
+            want = _theta(model, c)
+            assert np.linalg.norm(_theta(alone, c) - want) <= 1e-9 * np.linalg.norm(want), model.label
+
+
+def test_grid_fit_rejects_the_candidates_a_per_candidate_fit_rejects():
+    rng = np.random.default_rng(37)
+    n = 400
+    data = TrajectorySet(
+        dt=DT,
+        inputs=np.column_stack([np.ones(n), rng.standard_normal(n)]),  # u1's lags are collinear
+        # channel 0 fits exactly, so channel 1 is the first a rank-deficient candidate fails on
+        outputs=np.column_stack([np.zeros(n), rng.standard_normal((n, 2))]),
+        input_names=("u1", "u2"),
+        output_names=("y1", "y2", "y3"),
+    )
+    grid = [(na, nb, nk) for na in (0, 1, 2) for nb in (1, 2, 3) for nk in (0, 1, 2)]
+    fits = telekf.sysid._fit_grid(data, grid)
+    rejected = []
+    for orders, fit in zip(grid, fits):
+        want = []  # per channel: does the candidate's own lstsq reject it?
+        for c in range(3):
+            phi, target, _ = telekf.sysid._regressor(data.outputs[:, c], data.inputs, *orders)
+            want.append(_lstsq_fit(phi, target)[2])
+        assert not want[0] and want[1] == want[2]
+        if want[1]:
+            assert isinstance(fit, IllConditionedDataError), orders
+            assert str(fit).startswith("regressor for output channel 1 is rank deficient")
+            assert float(re.search(r"condition (\S+)\)", str(fit)).group(1)) > 1e6
+            rejected.append(orders)
+        else:
+            assert isinstance(fit, ArxModel), orders
+    assert rejected and len(rejected) < len(grid)
+
+
 # ---------------------------------------------------------------------------
 # simulate_arx
 
@@ -454,13 +523,24 @@ def grid_train():
     return reference_dataset(n_samples=1500, seed=31)
 
 
-@pytest.mark.parametrize("n_holdout", [514, 1026, 1537])
-def test_order_sweep_reports_equal_one_candidate_at_a_time(grid_train, n_holdout):
-    # 514 and 1026 leave a one-row tail after 512-step chunks from t = 1
-    holdout = reference_dataset(n_samples=n_holdout, seed=32)
-    records = order_sweep(grid_train, holdout)
+@pytest.mark.parametrize(
+    "n_holdout, n_inputs, nk_values",
+    [
+        # 514 and 1026 leave a one-row tail after 512-step chunks from t = 1
+        pytest.param(514, 2, (0, 1, 2), id="514"),
+        pytest.param(1026, 2, (0, 1, 2), id="1026"),
+        pytest.param(1537, 2, (0, 1, 2), id="1537"),
+        # the input product's block interleaves zeros per input and delay
+        pytest.param(600, 1, (0, 1, 2, 3), id="600-1-input-nk-to-3"),
+        pytest.param(600, 3, (0, 1, 2, 3), id="600-3-inputs-nk-to-3"),
+    ],
+)
+def test_order_sweep_reports_equal_one_candidate_at_a_time(n_holdout, n_inputs, nk_values):
+    train = reference_dataset(n_samples=1500, seed=31, n_inputs=n_inputs)
+    holdout = reference_dataset(n_samples=n_holdout, seed=32, n_inputs=n_inputs)
+    records = order_sweep(train, holdout, nk_values=nk_values)
     scored = _assert_reports_match_one_at_a_time(records, holdout)
-    assert len(scored) == 48
+    assert len(scored) == 16 * len(nk_values)
     assert any(not np.isfinite(rec["report"].aggregate) for rec in scored)
 
 

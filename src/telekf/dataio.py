@@ -8,10 +8,8 @@ columns 1-38 and patient-side arms in 39-76.
 
 from __future__ import annotations
 
-import codecs
-import collections
 import io
-import itertools
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,12 +39,8 @@ __all__ = [
 
 DEFAULT_DT = 1.0 / 30.0
 
-#: bytes of kinematics text read and decoded at a time
-READ_BLOCK_BYTES = 64 * 1024
 #: rows of text formatted and written at a time, here and by ``simrunner``
 WRITE_BLOCK_ROWS = 1024
-#: the breaks ``str.splitlines`` splits at, but for "\r"
-_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -133,68 +127,28 @@ class TrajectorySet:
         return self.input_names + self.output_names
 
 
-def _decoded_blocks(stream):
-    """The lines of a UTF-8 byte stream as ``str.splitlines`` splits its
-    text, one list per :data:`READ_BLOCK_BYTES` read."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    carry = ""  # the last line read, while it may go on in the next block
-    offset = 0  # bytes read before this block
-    while True:
-        block = stream.read(READ_BLOCK_BYTES)
-        pending = decoder.getstate()[0]
-        try:
-            text = carry + decoder.decode(block, final=not block)
-        except UnicodeDecodeError as exc:
-            raise KinematicsFormatError(
-                f"byte offset {offset - len(pending) + exc.start}: "
-                f"cannot decode {exc.object[exc.start:exc.end]!r} as UTF-8"
-            ) from None
-        offset += len(block)
-        lines = text.splitlines()
-        if not block:
-            yield lines
-            return
-        # a line ending in "\r" may be the first half of a "\r\n" break
-        if text.endswith("\r"):
-            carry = lines.pop() + "\r"
-        elif text and text[-1] not in _LINE_BREAKS:
-            carry = lines.pop()
-        else:
-            carry = ""
-        yield lines
-
-
-def _read_blocks(path):
-    with open(path, "rb") as stream:
-        yield from _decoded_blocks(stream)
-
-
-def _lines(source):
-    """Iterator over the source's lines, read from its start: a path is
-    opened afresh, bytes are decoded a block at a time, and a list is the
-    lines of a text-mode file object."""
-    if isinstance(source, list):
-        return iter(source)
-    blocks = _read_blocks(source) if isinstance(source, (str, Path)) else _decoded_blocks(io.BytesIO(source))
-    return itertools.chain.from_iterable(blocks)
-
-
-def _parse_tokens(lines, n_columns: int) -> np.ndarray:
-    """Per-token reader: values, or the error naming the offending row.
+def _parse_tokens(data: bytes, n_columns: int) -> np.ndarray:
+    """Per-token reader: values, or the error naming the offending byte or row.
 
     Reads tokens only Python's ``float`` accepts (``1_0``, non-ASCII digits)
     and is the only reader that can name the row and column of an error.
-    Every line is read before any error is raised, so an undecodable byte
-    is named first wherever it lies.
+    The text is decoded whole before any row is read, so an undecodable
+    byte is named first wherever it lies.
     """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KinematicsFormatError(
+            f"byte offset {exc.start}: cannot decode {data[exc.start:exc.end]!r} as UTF-8"
+        ) from None
     rows = []
     line_numbers = []
-    for lineno, line in enumerate(lines, start=1):
+    # lines end at "\n", "\r\n" or "\r", as they do for numpy's reader
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         tokens = line.split()
         if not tokens:
             continue
         if len(tokens) != n_columns:
-            collections.deque(lines, maxlen=0)  # an undecodable byte after this row comes first
             raise KinematicsFormatError(
                 f"row {lineno}: expected {n_columns} columns, got {len(tokens)}"
             )
@@ -237,45 +191,43 @@ def parse_kinematics(
     dt: float = DEFAULT_DT,
     trial_id: str = "",
 ) -> TrajectorySet:
-    """Parse a kinematics text file into a TrajectorySet.
+    r"""Parse a kinematics text file into a TrajectorySet.
 
-    ``source`` may be a path, raw bytes, or a file object; bytes are decoded
-    as UTF-8 a block of :data:`READ_BLOCK_BYTES` at a time and their lines
-    streamed to numpy's reader, so neither the text nor its lines are held
-    beside the parsed array.  Every row must carry exactly ``layout.n_columns``
-    whitespace-separated numeric tokens; violations raise
-    :class:`KinematicsFormatError` naming the row (and column for bad
-    tokens).  Rows containing NaN or infinity are rejected, with their line
-    numbers reported.
+    ``source`` may be a path, raw bytes, or a file object, read as UTF-8
+    text whose rows end at ``"\n"``, ``"\r\n"`` or ``"\r"``; any other
+    whitespace, ``"\x0b"`` and ``"\x85"`` included, separates tokens within a
+    row.  The open text is streamed to numpy's reader, so neither the text
+    nor its lines are held beside the parsed array.  Every row must carry
+    exactly ``layout.n_columns`` whitespace-separated numeric tokens;
+    violations raise :class:`KinematicsFormatError` naming the row (and
+    column for bad tokens).  Rows containing NaN or infinity are rejected,
+    with their line numbers reported.
     """
     if not isinstance(source, (str, Path, bytes)):
         # a file object is read once, so the per-token reader can read it again
-        data = source.read()
-        source = data.splitlines() if isinstance(data, str) else data
-    lines = _lines(source)
-    # the lines up to and including the first data row: numpy's reader
-    # warns on a source with none
-    head = []
-    for line in lines:
-        head.append(line)
-        if line and not line.isspace():
-            break
-    else:
-        raise ContractViolationError("kinematics source contains no data rows")
-    # numpy's reader splits rows and tokens as str.splitlines/str.split do and
-    # parses a subset of what float() accepts to the same bits; anything it
-    # rejects, an undecodable byte included, goes to the per-token reader for
-    # its value or its error
-    try:
-        values = np.loadtxt(itertools.chain(head, lines), dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        values = None
+        source = source.read()
+        if isinstance(source, str):
+            source = source.encode("utf-8", "surrogatepass")
+    # the file is opened here, not by numpy, which would decompress it by its
+    # extension or fetch it as a URL
+    raw = io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb")
+    # numpy's reader iterates the stream's lines, splits them into tokens as
+    # str.split does and parses a subset of what float() accepts to the same
+    # bits; anything it rejects or warns about (an undecodable byte, a source
+    # with no data rows) goes to the per-token reader for its value or its error
+    with io.TextIOWrapper(raw, encoding="utf-8") as stream, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(stream, dtype=float, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            values = None
     if (
         values is None
         or values.shape[1] != layout.n_columns
         or not np.isfinite(values).all()
     ):
-        values = _parse_tokens(_lines(source), layout.n_columns)
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+        values = _parse_tokens(data, layout.n_columns)
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     names = np.asarray(layout.names)

@@ -83,23 +83,30 @@ def test_parse_nonfinite_rows_rejected_with_line_numbers():
 
 
 def test_parse_empty_source():
-    with pytest.raises(ContractViolationError, match="no data rows"):
-        parse_kinematics(b"\n\n")
+    # numpy's reader warns on a source with no data rows: the warning is not passed on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ContractViolationError, match="no data rows"):
+            parse_kinematics(b"\n\n")
+    assert not caught
 
 
 def test_parse_accepts_file_objects_and_skips_blank_lines():
     row = " ".join(str(v) for v in range(76))
-    ts = parse_kinematics(io.BytesIO(f"\n{row}\n\n{row}\n".encode()))
-    assert ts.n_samples == 2
-    np.testing.assert_array_equal(ts.inputs[0], np.arange(38.0))
+    text = f"\n{row}\n\n{row}\n"
+    for stream in [io.BytesIO(text.encode()), io.StringIO(text)]:
+        ts = parse_kinematics(stream)
+        assert ts.n_samples == 2
+        np.testing.assert_array_equal(ts.inputs[0], np.arange(38.0))
 
 
 def reference_parse(text, n_columns):
-    """The per-token reader as it stood before the one-call read: the values
-    of every data row, or the error it raises."""
+    """The per-token reader as it stood before the one-call read, with rows
+    ending at "\n", "\r\n" or "\r": the values of every data row, or the
+    error it raises."""
     rows = []
     line_numbers = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -165,6 +172,7 @@ READ_CASES = {
     "crlf": "1 2 3 4\r\n5 6 7 8\r\n",
     "cr": "1 2 3 4\r5 6 7 8\r",
     "vertical tab": "1 2 3 4\x0b5 6 7 8",
+    "vertical tab inside a row": "1 2\x0b3 4\n",
     "form feed": "1 2 3 4\x0c5 6 7 8\x0c",
     "next line": "1 2 3 4\x855 6 7 8\x85",
     "line separator": "1 2 3 4\u20285 6 7 8\u2029",
@@ -195,14 +203,11 @@ def test_parse_matches_the_per_token_reader(name):
     assert_parses_like_reference(READ_CASES[name])
 
 
-#: read block sizes that split "\r\n" pairs, multi-byte characters and bad bytes, and the default
-BLOCK_BYTES = [1, 2, 3, 7, 13, dataio.READ_BLOCK_BYTES]
-
-
-def test_parse_matches_the_per_token_reader_on_random_text(monkeypatch):
+def test_parse_matches_the_per_token_reader_on_random_text():
     rng = np.random.default_rng(61)
-    separators = [" ", "  ", "\t", "\xa0", "\u2003", "\x1f"]
-    line_ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
+    # the breaks str.splitlines splits at, but for "\n" and "\r", are whitespace inside a row
+    separators = [" ", "  ", "\t", "\xa0", "\u2003", "\x1f", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+    line_ends = ["\n", "\r\n", "\r"]
     specials = ["-0.0", "0", "1e-320", "-1.7e308", "inf", "nan", "1_5", "\u0663", "x", "1e"]
     for _ in range(300):
         lines = []
@@ -220,49 +225,62 @@ def test_parse_matches_the_per_token_reader_on_random_text(monkeypatch):
                     tokens.append(str(rng.choice([repr(value), "%.17g" % value, "%.3e" % value])))
             lines.append(str(rng.choice(separators)).join(tokens))
         text = "".join(line + str(rng.choice(line_ends)) for line in lines)
-        for block_bytes in BLOCK_BYTES:
-            monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", block_bytes)
-            assert_parses_like_reference(text)
+        assert_parses_like_reference(text)
+
+
+def no_per_token_read(*args):
+    raise AssertionError("the per-token reader ran on plain input")
 
 
 def test_plain_input_takes_the_one_call_read(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the per-token reader ran on plain input")
-
-    monkeypatch.setattr(dataio, "_parse_tokens", fail)
-    line_ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\n \t\n"]
+    monkeypatch.setattr(dataio, "_parse_tokens", no_per_token_read)
+    line_ends = ["\n", "\r\n", "\r", "\n \t\n"]
     rows = [f"{k}\t{k + 0.5}\xa0-{k}e-3 {k}" for k in range(len(line_ends))]
+    # a vertical tab and a line separator are whitespace inside a row
+    rows[1] = rows[1].replace("\t", "\x0b").replace(" ", "\u2028")
     k = np.arange(len(line_ends), dtype=float)
-    for block_bytes in BLOCK_BYTES:
-        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", block_bytes)
-        ts = parse_kinematics("".join(r + e for r, e in zip(rows, line_ends)).encode(), SMALL)
+    for text in ["".join(r + e for r, e in zip(rows, line_ends)), "\r".join(rows) + "\r"]:
+        ts = parse_kinematics(text.encode(), SMALL)
         np.testing.assert_array_equal(ts.inputs, np.column_stack([k, k + 0.5]))
         np.testing.assert_array_equal(ts.outputs, np.column_stack([-k * 1e-3, k]))
 
 
-def test_parse_undecodable_bytes_name_the_offset(tmp_path, monkeypatch):
+def test_parse_undecodable_bytes_name_the_offset(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"1 2 3 4\n5 6 7 \xe9\n")
-    for block_bytes in BLOCK_BYTES:
-        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", block_bytes)
-        with pytest.raises(KinematicsFormatError, match=r"byte offset 1: cannot decode b'\\xff' as UTF-8"):
-            parse_kinematics(b"1\xff 2 3 4\n", SMALL)
-        with pytest.raises(KinematicsFormatError, match="byte offset 14"):
-            parse_kinematics(path, SMALL)
-        # after multi-byte characters, before a bad token or a ragged row, and
-        # cut short at the end: the offset and bytes whole-text decoding names
-        for data in [
-            "1 2 \u0663 \u20ac\n".encode() + b"5 6 \xe2\x82 8\n",
-            b"1 2 x 4\r\n5 6 7 8\r\n\xf0\x9f\x98",
-            b"1 2 3\n\xc3\xa9\xc3\n",
-            b"1 2 3 4\r\n\xed\xa0\x80\n",
-        ]:
-            with pytest.raises(UnicodeDecodeError) as exc:
-                data.decode("utf-8")
-            bad = data[exc.value.start : exc.value.end]
-            with pytest.raises(KinematicsFormatError) as got:
-                parse_kinematics(data, SMALL)
-            assert str(got.value) == f"byte offset {exc.value.start}: cannot decode {bad!r} as UTF-8"
+    with pytest.raises(KinematicsFormatError, match=r"byte offset 1: cannot decode b'\\xff' as UTF-8"):
+        parse_kinematics(b"1\xff 2 3 4\n", SMALL)
+    with pytest.raises(KinematicsFormatError, match="byte offset 14"):
+        parse_kinematics(path, SMALL)
+    # after multi-byte characters, before a bad token or a ragged row, and
+    # cut short at the end: the offset and bytes whole-text decoding names
+    for data in [
+        "1 2 \u0663 \u20ac\n".encode() + b"5 6 \xe2\x82 8\n",
+        b"1 2 x 4\r\n5 6 7 8\r\n\xf0\x9f\x98",
+        b"1 2 3\n\xc3\xa9\xc3\n",
+        b"1 2 3 4\r\n\xed\xa0\x80\n",
+    ]:
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        bad = data[exc.value.start : exc.value.end]
+        with pytest.raises(KinematicsFormatError) as got:
+            parse_kinematics(data, SMALL)
+        assert str(got.value) == f"byte offset {exc.value.start}: cannot decode {bad!r} as UTF-8"
+
+
+def test_a_path_is_read_as_a_plain_local_file(tmp_path, monkeypatch):
+    """numpy's loadtxt, given a path, decompresses it by its extension and
+    fetches it as a URL; the reader opens a path as a plain local file."""
+    monkeypatch.setattr(dataio, "_parse_tokens", no_per_token_read)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "localhost:1").mkdir(parents=True)
+    text = b"1 2 3 4\n5 6 7 8\n"
+    for name in ["x.gz", "http://localhost:1/k.txt"]:
+        with open(name, "wb") as out:
+            out.write(text)
+        for source in [name, tmp_path / name]:
+            ts = parse_kinematics(source, SMALL)
+            np.testing.assert_array_equal(np.hstack([ts.inputs, ts.outputs]), [[1, 2, 3, 4], [5, 6, 7, 8.0]])
 
 
 def test_path_and_bytes_parse_equal_under_the_c_locale(tmp_path):

@@ -193,7 +193,7 @@ def parse_kinematics(
 ) -> TrajectorySet:
     r"""Parse a kinematics text file into a TrajectorySet.
 
-    ``source`` may be a path, raw bytes, or a file object, read as UTF-8
+    ``source`` is the file's path (``str`` or ``os.PathLike``), read as UTF-8
     text whose rows end at ``"\n"``, ``"\r\n"`` or ``"\r"``; any other
     whitespace, ``"\x0b"`` and ``"\x85"`` included, separates tokens within a
     row.  The open text is streamed to numpy's reader, so neither the text
@@ -203,19 +203,14 @@ def parse_kinematics(
     column for bad tokens).  Rows containing NaN or infinity are rejected,
     with their line numbers reported.
     """
-    if not isinstance(source, (str, Path, bytes)):
-        # a file object is read once, so the per-token reader can read it again
-        source = source.read()
-        if isinstance(source, str):
-            source = source.encode("utf-8", "surrogatepass")
+    path = Path(source)
     # the file is opened here, not by numpy, which would decompress it by its
-    # extension or fetch it as a URL
-    raw = io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb")
-    # numpy's reader iterates the stream's lines, splits them into tokens as
-    # str.split does and parses a subset of what float() accepts to the same
-    # bits; anything it rejects or warns about (an undecodable byte, a source
-    # with no data rows) goes to the per-token reader for its value or its error
-    with io.TextIOWrapper(raw, encoding="utf-8") as stream, warnings.catch_warnings():
+    # extension or fetch it as a URL.  numpy's reader iterates the stream's
+    # lines, splits them into tokens as str.split does and parses a subset of
+    # what float() accepts to the same bits; anything it rejects or warns
+    # about (an undecodable byte, a file with no data rows) goes to the
+    # per-token reader for its value or its error
+    with open(path, encoding="utf-8") as stream, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             values = np.loadtxt(stream, dtype=float, comments=None, ndmin=2)
@@ -226,8 +221,7 @@ def parse_kinematics(
         or values.shape[1] != layout.n_columns
         or not np.isfinite(values).all()
     ):
-        data = source if isinstance(source, bytes) else Path(source).read_bytes()
-        values = _parse_tokens(data, layout.n_columns)
+        values = _parse_tokens(path.read_bytes(), layout.n_columns)
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     names = np.asarray(layout.names)

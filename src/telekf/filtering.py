@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Optional
 
 import numpy as np
 
@@ -130,8 +129,8 @@ class FilterTrace:
     steps without a measurement); ``has_obs`` marks the observed steps.
     ``cov_prior``/``cov_post`` hold each distinct covariance of the Riccati
     pass once, read-only and shared by runs with the same model, initial
-    covariance and mask; ``step[t]`` is step t's row in them, and the
-    ``p_prior``/``p_post`` properties index them into per-step stacks.
+    covariance and mask; ``step[t]`` is step t's row in them, so
+    ``cov_prior[step[t]]`` is step t's a-priori covariance.
     """
 
     x_prior: np.ndarray
@@ -141,19 +140,11 @@ class FilterTrace:
     cov_post: np.ndarray
     step: np.ndarray
 
-    @property
-    def p_prior(self) -> np.ndarray:
-        return self.cov_prior[self.step]
-
-    @property
-    def p_post(self) -> np.ndarray:
-        return self.cov_post[self.step]
-
     def innovations(self, model: SystemModel, z: np.ndarray):
         """Innovation vectors and covariances on observed steps.
 
         Returns (nu, s) where ``nu[t] = z[t] - h x_prior[t]`` and
-        ``s[t] = h p_prior[t] h' + diag(r_diag)``, both restricted to
+        ``s[t] = h cov_prior[step[t]] h' + diag(r_diag)``, both restricted to
         observed steps.
         """
         mask = self.has_obs
@@ -216,9 +207,9 @@ def run_filter_trace(
         raise ContractViolationError("observations must be finite on steps with a measurement")
 
     q = np.diag(model.q_diag)
-    p_pri, p_post, mk, step = _covariances(model.a, model.h, q, model.r_diag, init.p, mask)
+    cov_prior, cov_post, mk, step = _covariances(model.a, model.h, q, model.r_diag, init.p, mask)
     x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, step, mask, init.x_hat, u, z)
-    return FilterTrace(x_pri, x_post, mask, p_pri, p_post, step)
+    return FilterTrace(x_pri, x_post, mask, cov_prior, cov_post, step)
 
 
 #: ``(key, result)`` of the last covariance pass of :func:`run_filter_trace`
@@ -244,18 +235,11 @@ def _covariances(a, h, q, r_diag, p0, mask):
     return _memo[1]
 
 
-def initial_estimate(model: SystemModel, first_obs: Optional[np.ndarray] = None) -> StateEstimate:
-    """Diffuse starting estimate: pseudoinverse-mapped first sample, p = 10 I.
-
-    With no observation available the state starts at zero.
-    """
-    if first_obs is None:
-        x0 = np.zeros(model.n_states)
-    else:
-        first_obs = np.asarray(first_obs, dtype=float).reshape(-1)
-        if first_obs.shape[0] != model.n_outputs:
-            raise ContractViolationError(
-                f"first observation has length {first_obs.shape[0]}, expected {model.n_outputs}"
-            )
-        x0 = np.linalg.pinv(model.h) @ first_obs
-    return StateEstimate(x0, 10.0 * np.eye(model.n_states))
+def initial_estimate(model: SystemModel, first_obs: np.ndarray) -> StateEstimate:
+    """Diffuse starting estimate: pseudoinverse-mapped first sample, p = 10 I."""
+    first_obs = np.asarray(first_obs, dtype=float).reshape(-1)
+    if first_obs.shape[0] != model.n_outputs:
+        raise ContractViolationError(
+            f"first observation has length {first_obs.shape[0]}, expected {model.n_outputs}"
+        )
+    return StateEstimate(np.linalg.pinv(model.h) @ first_obs, 10.0 * np.eye(model.n_states))

@@ -373,7 +373,7 @@ def filter_obstacle(na: int, nk: int) -> str | None:
     return None
 
 
-def arx_to_ss(model: ArxModel, q=0.0, r=1.0) -> SystemModel:
+def arx_to_ss(model: ArxModel, q, r) -> SystemModel:
     """Observable companion realization of the ARX difference equation.
 
     One companion block per output channel (block-diagonal state matrix);
@@ -383,9 +383,9 @@ def arx_to_ss(model: ArxModel, q=0.0, r=1.0) -> SystemModel:
     nb + nk - 1 <= na.
 
     ``q`` is one process-noise variance for every state; ``r`` is one
-    measurement-noise variance, or one per output channel.  They default to
-    zero process noise and unit measurement noise.  For filtering real data
-    pass the residual-matched values from :func:`residual_covariances`.
+    measurement-noise variance, or one per output channel: the
+    residual-matched pair of :func:`residual_covariances`, which the model
+    file carries as its noise.
     """
     obstacle = filter_obstacle(model.na, model.nk)
     if obstacle is not None:
@@ -540,13 +540,7 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     return reports
 
 
-def order_sweep(
-    train,
-    holdout,
-    na_values=(1, 2, 3, 4),
-    nb_values=(1, 2, 3, 4),
-    nk_values=(0, 1, 2),
-) -> list[dict]:
+def order_sweep(train, holdout, na_values, nb_values, nk_values) -> list[dict]:
     """Fit every order combination and rank by holdout fit.
 
     Returns one record per (na, nb, nk): the fitted model, its holdout

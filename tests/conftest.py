@@ -94,6 +94,14 @@ def max_rel_diff(a, b):
     return float(np.abs(a - b).max()) / scale
 
 
+def innovation_health(nu, s):
+    """(per-step NIS ``nu' s^-1 nu``, largest absolute lag-1 autocorrelation
+    of a channel) of innovations ``nu`` (T, p) with covariances ``s`` (T, p, p)."""
+    nis = np.einsum("tp,tp->t", nu, np.linalg.solve(s, nu[..., None])[..., 0])
+    lag1 = max(abs(float(np.corrcoef(nu[1:, c], nu[:-1, c])[0, 1])) for c in range(nu.shape[1]))
+    return nis, lag1
+
+
 def hygiene_of_covs(p_stack):
     """(max asymmetry, min eigenvalue) over a stack of covariance matrices."""
     p_stack = np.asarray(p_stack)

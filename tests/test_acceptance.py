@@ -18,6 +18,7 @@ from conftest import (
     exact_lti,
     hygiene_of_covs,
     identified_system,
+    innovation_health,
     joint_gain_update,
     max_rel_diff,
     random_spd,
@@ -63,11 +64,12 @@ def _report(num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _record_hygiene(label, stack):
-    stack = np.asarray(stack)
-    asym, eig_min = hygiene_of_covs(stack)
-    steps = stack.shape[0] if stack.ndim == 3 else 1
-    HYGIENE.append((label, asym, eig_min, int(steps)))
+def _record_hygiene(label, trace):
+    """Hygiene of a trace's distinct prior and posterior covariances, which
+    are every step's; each stack counts one covariance per step."""
+    for stack in (trace.cov_prior, trace.cov_post):
+        asym, eig_min = hygiene_of_covs(stack)
+        HYGIENE.append((label, asym, eig_min, len(trace.step)))
 
 
 def _reference():
@@ -85,8 +87,7 @@ def _run_conditions(label, conditions, seeds):
 
     def run_and_record(scenario):
         result = run_scenario(scenario)
-        _record_hygiene(label, result.trace.p_prior)
-        _record_hygiene(label, result.trace.p_post)
+        _record_hygiene(label, result.trace)
         return result
 
     with mock.patch.object(simrunner, "run_scenario", run_and_record):
@@ -120,9 +121,8 @@ def _criterion3_instances(count):
         trace = run_filter_trace(model, est, np.zeros((1, 1)), (z[None], np.ones(1, dtype=bool)))
         x, cov = joint_gain_update(est.x_hat, est.p, model.h, np.diag(model.r_diag), z)
         worst_x = max(worst_x, max_rel_diff(trace.x_post[0], x))
-        worst_p = max(worst_p, max_rel_diff(trace.p_post[0], cov))
-        _record_hygiene("c3", trace.p_prior)
-        _record_hygiene("c3", trace.p_post)
+        worst_p = max(worst_p, max_rel_diff(trace.cov_post[trace.step[0]], cov))
+        _record_hygiene("c3", trace)
     return worst_x, worst_p
 
 
@@ -142,11 +142,11 @@ def _criterion4_pairs(count, steps=1000):
             model, StateEstimate([0.0], [[1.0]]), np.zeros((steps, 1)), (np.zeros((steps, 1)), np.ones(steps, dtype=bool))
         )
         root_post = (-q + np.sqrt(q * q + 4 * q * r)) / 2.0
-        worst_post = max(worst_post, abs(trace.p_post[-1, 0, 0] - root_post))
-        worst_prior = max(worst_prior, abs(trace.p_prior[-1, 0, 0] - (root_post + q)))
+        last = trace.step[-1]
+        worst_post = max(worst_post, abs(trace.cov_post[last, 0, 0] - root_post))
+        worst_prior = max(worst_prior, abs(trace.cov_prior[last, 0, 0] - (root_post + q)))
         settled += len(trace.cov_post) < steps
-        _record_hygiene("c4", trace.p_prior)
-        _record_hygiene("c4", trace.p_post)
+        _record_hygiene("c4", trace)
     return worst_post, worst_prior, settled
 
 
@@ -281,7 +281,7 @@ def test_criterion_07_realization_equivalence():
         model = random_stable_arx(na, nb, nk, n_outputs=p, n_inputs=m, seed=7000 + i)
         u = rng.standard_normal((200, m))
         y_arx = simulate_arx(model, u)
-        sm = arx_to_ss(model)
+        sm = arx_to_ss(model, q=0.0, r=1.0)
         x = np.zeros(sm.n_states)
         y_ss = np.empty((200, p))
         for t in range(200):
@@ -383,12 +383,9 @@ def test_criterion_11_innovation_consistency():
     )
     nu, s = trace.innovations(model, z[1:])
     nu, s = nu[burn:], s[burn:]
-    nis = np.einsum("tp,tp->t", nu, np.linalg.solve(s, nu[..., None])[..., 0])
+    nis, lag1 = innovation_health(nu, s)
     mean_nis = float(nis.mean())
     p = model.n_outputs
-    lag1 = max(
-        abs(float(np.corrcoef(nu[1:, c], nu[:-1, c])[0, 1])) for c in range(p)
-    )
     ok = 0.9 * p <= mean_nis <= 1.1 * p and lag1 <= 0.05
     _report(
         11,

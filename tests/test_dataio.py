@@ -1,5 +1,4 @@
 import hashlib
-import io
 import os
 import re
 import subprocess
@@ -34,6 +33,14 @@ from telekf.errors import (
 DT = 1.0 / 30.0
 
 
+def parse_text(tmp_path, data, *args):
+    """:func:`parse_kinematics` of a file holding ``data``: bytes as they
+    are, or text encoded as UTF-8 with its line ends kept."""
+    path = tmp_path / "kinematics.txt"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return parse_kinematics(path, *args)
+
+
 def test_layout_pins_every_column_name_and_block():
     layout = LAYOUT
     assert layout.n_columns == 76
@@ -50,9 +57,9 @@ def test_layout_pins_every_column_name_and_block():
     )
 
 
-def test_parse_two_zero_rows():
+def test_parse_two_zero_rows(tmp_path):
     row = " ".join(["0"] * 76)
-    ts = parse_kinematics(f"{row}\n{row}\n".encode())
+    ts = parse_text(tmp_path, f"{row}\n{row}\n")
     assert ts.n_samples == 2
     assert ts.inputs.shape == (2, 38)
     assert ts.outputs.shape == (2, 38)
@@ -60,44 +67,35 @@ def test_parse_two_zero_rows():
     assert ts.dt == pytest.approx(DT)
 
 
-def test_parse_wrong_column_count_names_row():
+def test_parse_wrong_column_count_names_row(tmp_path):
     good = " ".join(["0"] * 76)
     bad = " ".join(["0"] * 75)
     with pytest.raises(KinematicsFormatError, match="row 2: expected 76 columns, got 75"):
-        parse_kinematics(f"{good}\n{bad}\n".encode())
+        parse_text(tmp_path, f"{good}\n{bad}\n")
 
 
-def test_parse_bad_token_names_row_and_column():
+def test_parse_bad_token_names_row_and_column(tmp_path):
     tokens = ["0"] * 76
     tokens[4] = "abc"
     with pytest.raises(KinematicsFormatError, match="row 1, column 5"):
-        parse_kinematics((" ".join(tokens) + "\n").encode())
+        parse_text(tmp_path, " ".join(tokens) + "\n")
 
 
-def test_parse_nonfinite_rows_rejected_with_line_numbers():
+def test_parse_nonfinite_rows_rejected_with_line_numbers(tmp_path):
     good = " ".join(["1.0"] * 76)
     tokens = ["1.0"] * 76
     tokens[10] = "nan"
     with pytest.raises(KinematicsFormatError, match=r"lines \[2\]"):
-        parse_kinematics(f"{good}\n{' '.join(tokens)}\n{good}\n".encode())
+        parse_text(tmp_path, f"{good}\n{' '.join(tokens)}\n{good}\n")
 
 
-def test_parse_empty_source():
+def test_parse_empty_source(tmp_path):
     # numpy's reader warns on a source with no data rows: the warning is not passed on
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ContractViolationError, match="no data rows"):
-            parse_kinematics(b"\n\n")
+            parse_text(tmp_path, "\n\n")
     assert not caught
-
-
-def test_parse_accepts_file_objects_and_skips_blank_lines():
-    row = " ".join(str(v) for v in range(76))
-    text = f"\n{row}\n\n{row}\n"
-    for stream in [io.BytesIO(text.encode()), io.StringIO(text)]:
-        ts = parse_kinematics(stream)
-        assert ts.n_samples == 2
-        np.testing.assert_array_equal(ts.inputs[0], np.arange(38.0))
 
 
 def reference_parse(text, n_columns):
@@ -146,7 +144,7 @@ SMALL = ColumnLayout(
 )
 
 
-def assert_parses_like_reference(text, layout=SMALL):
+def assert_parses_like_reference(tmp_path, text, layout=SMALL):
     """Bit-identical values, or the identical exception and message, and no warning."""
     try:
         expected = reference_parse(text, layout.n_columns)
@@ -154,12 +152,12 @@ def assert_parses_like_reference(text, layout=SMALL):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(type(exc)) as got:
-                parse_kinematics(text.encode(), layout)
+                parse_text(tmp_path, text, layout)
         assert str(got.value) == str(exc)
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts = parse_kinematics(text.encode(), layout)
+        ts = parse_text(tmp_path, text, layout)
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     assert ts.inputs.tobytes() == expected[:, master].tobytes()
@@ -199,11 +197,11 @@ READ_CASES = {
 
 
 @pytest.mark.parametrize("name", list(READ_CASES))
-def test_parse_matches_the_per_token_reader(name):
-    assert_parses_like_reference(READ_CASES[name])
+def test_parse_matches_the_per_token_reader(tmp_path, name):
+    assert_parses_like_reference(tmp_path, READ_CASES[name])
 
 
-def test_parse_matches_the_per_token_reader_on_random_text():
+def test_parse_matches_the_per_token_reader_on_random_text(tmp_path):
     rng = np.random.default_rng(61)
     # the breaks str.splitlines splits at, but for "\n" and "\r", are whitespace inside a row
     separators = [" ", "  ", "\t", "\xa0", "\u2003", "\x1f", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
@@ -225,14 +223,14 @@ def test_parse_matches_the_per_token_reader_on_random_text():
                     tokens.append(str(rng.choice([repr(value), "%.17g" % value, "%.3e" % value])))
             lines.append(str(rng.choice(separators)).join(tokens))
         text = "".join(line + str(rng.choice(line_ends)) for line in lines)
-        assert_parses_like_reference(text)
+        assert_parses_like_reference(tmp_path, text)
 
 
 def no_per_token_read(*args):
     raise AssertionError("the per-token reader ran on plain input")
 
 
-def test_plain_input_takes_the_one_call_read(monkeypatch):
+def test_plain_input_takes_the_one_call_read(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "_parse_tokens", no_per_token_read)
     line_ends = ["\n", "\r\n", "\r", "\n \t\n"]
     rows = [f"{k}\t{k + 0.5}\xa0-{k}e-3 {k}" for k in range(len(line_ends))]
@@ -240,18 +238,16 @@ def test_plain_input_takes_the_one_call_read(monkeypatch):
     rows[1] = rows[1].replace("\t", "\x0b").replace(" ", "\u2028")
     k = np.arange(len(line_ends), dtype=float)
     for text in ["".join(r + e for r, e in zip(rows, line_ends)), "\r".join(rows) + "\r"]:
-        ts = parse_kinematics(text.encode(), SMALL)
+        ts = parse_text(tmp_path, text, SMALL)
         np.testing.assert_array_equal(ts.inputs, np.column_stack([k, k + 0.5]))
         np.testing.assert_array_equal(ts.outputs, np.column_stack([-k * 1e-3, k]))
 
 
 def test_parse_undecodable_bytes_name_the_offset(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_bytes(b"1 2 3 4\n5 6 7 \xe9\n")
     with pytest.raises(KinematicsFormatError, match=r"byte offset 1: cannot decode b'\\xff' as UTF-8"):
-        parse_kinematics(b"1\xff 2 3 4\n", SMALL)
+        parse_text(tmp_path, b"1\xff 2 3 4\n", SMALL)
     with pytest.raises(KinematicsFormatError, match="byte offset 14"):
-        parse_kinematics(path, SMALL)
+        parse_text(tmp_path, b"1 2 3 4\n5 6 7 \xe9\n", SMALL)
     # after multi-byte characters, before a bad token or a ragged row, and
     # cut short at the end: the offset and bytes whole-text decoding names
     for data in [
@@ -264,7 +260,7 @@ def test_parse_undecodable_bytes_name_the_offset(tmp_path):
             data.decode("utf-8")
         bad = data[exc.value.start : exc.value.end]
         with pytest.raises(KinematicsFormatError) as got:
-            parse_kinematics(data, SMALL)
+            parse_text(tmp_path, data, SMALL)
         assert str(got.value) == f"byte offset {exc.value.start}: cannot decode {bad!r} as UTF-8"
 
 
@@ -281,16 +277,19 @@ def test_a_path_is_read_as_a_plain_local_file(tmp_path, monkeypatch):
         for source in [name, tmp_path / name]:
             ts = parse_kinematics(source, SMALL)
             np.testing.assert_array_equal(np.hstack([ts.inputs, ts.outputs]), [[1, 2, 3, 4], [5, 6, 7, 8.0]])
+    # a source is a path: text in memory is not read
+    with pytest.raises(TypeError):
+        parse_kinematics(text, SMALL)
 
 
-def test_path_and_bytes_parse_equal_under_the_c_locale(tmp_path):
+def test_a_path_parses_as_utf8_under_the_c_locale(tmp_path):
     row = "\xa0".join(str(v) for v in range(76))
     path = tmp_path / "nbsp.txt"
     path.write_bytes(f"{row}\n{row}\n".encode("utf-8"))
     code = (
         "import locale, sys, numpy as np; from telekf.dataio import parse_kinematics; "
-        "p = parse_kinematics(sys.argv[1]); b = parse_kinematics(open(sys.argv[1], 'rb').read()); "
-        "assert p.inputs.tobytes() == b.inputs.tobytes() and p.outputs.tobytes() == b.outputs.tobytes(); "
+        "p = parse_kinematics(sys.argv[1]); "
+        "assert (np.hstack([p.inputs, p.outputs]) == np.arange(76.0)).all(); "
         "print(locale.getpreferredencoding(False), p.n_samples)"
     )
     env = dict(
@@ -336,9 +335,9 @@ def test_select_can_cross_sides():
     np.testing.assert_array_equal(crossed.inputs[:, 0], ts.outputs[:, 0])
 
 
-def test_paper_preset_labels_and_shape():
+def test_paper_preset_labels_and_shape(tmp_path):
     row = " ".join(str(v) for v in range(76))
-    ts = parse_kinematics(f"{row}\n{row}\n".encode())
+    ts = parse_text(tmp_path, f"{row}\n{row}\n")
     sel = paper_preset(ts, arm="right")
     assert sel.output_names == ("psm_x", "psm_y", "psm_z")
     assert sel.input_names == ("mtm_x", "mtm_y", "mtm_z", "mtm_vx", "mtm_vy", "mtm_vz")
@@ -480,10 +479,10 @@ def test_write_kinematics_matches_savetxt(tmp_path, layout, m, p):
 
 
 @pytest.mark.parametrize("layout", [LAYOUT, INTERLEAVED], ids=["packaged", "interleaved"])
-def test_parse_keeps_consecutive_blocks_as_views_and_copies_interleaved_ones(layout):
+def test_parse_keeps_consecutive_blocks_as_views_and_copies_interleaved_ones(tmp_path, layout):
     values = np.random.default_rng(6).standard_normal((5, layout.n_columns))
     text = "".join(" ".join(map(repr, row)) + "\n" for row in values.tolist())
-    ts = parse_kinematics(text.encode(), layout)
+    ts = parse_text(tmp_path, text, layout)
     master = layout.block_indices("master")
     slave = layout.block_indices("slave")
     assert ts.inputs.tobytes() == values[:, master].tobytes()

@@ -48,7 +48,7 @@ def test_predict_identity_dynamics():
     )
     trace = one_step(model, StateEstimate([1.0, 2.0], np.eye(2)), u=[0.0])
     np.testing.assert_array_equal(trace.x_prior[0], [1.0, 2.0])
-    np.testing.assert_array_equal(trace.p_prior[0], np.eye(2))
+    np.testing.assert_array_equal(trace.cov_prior[trace.step[0]], np.eye(2))
 
 
 def test_predict_constant_velocity_exact():
@@ -62,7 +62,7 @@ def test_predict_constant_velocity_exact():
     )
     trace = one_step(model, StateEstimate([0.0, 1.0], np.zeros((2, 2))), u=[0.0])
     np.testing.assert_allclose(trace.x_prior[0], [0.1, 1.0], rtol=0, atol=0)
-    np.testing.assert_array_equal(trace.p_prior[0], np.zeros((2, 2)))
+    np.testing.assert_array_equal(trace.cov_prior[trace.step[0]], np.zeros((2, 2)))
 
 
 def test_predict_scalar_hand_arithmetic():
@@ -70,7 +70,7 @@ def test_predict_scalar_hand_arithmetic():
     model = scalar_model(a=0.9, b=0.5, q=0.04)
     trace = one_step(model, StateEstimate([2.0], [[1.0]]), u=[1.0])
     np.testing.assert_allclose(trace.x_prior[0], [2.3], atol=1e-15)
-    np.testing.assert_allclose(trace.p_prior[0], [[0.85]], atol=1e-15)
+    np.testing.assert_allclose(trace.cov_prior[trace.step[0]], [[0.85]], atol=1e-15)
 
 
 def test_predict_dimension_errors_name_offender():
@@ -99,7 +99,7 @@ def test_update_joint_equal_weight_fusion():
     model = scalar_model(q=0.0, r=1.0)
     trace = one_step(model, StateEstimate([0.0], [[1.0]]), z=[2.0])
     np.testing.assert_allclose(trace.x_post[0], [1.0], atol=1e-15)
-    np.testing.assert_allclose(trace.p_post[0], [[0.5]], atol=1e-15)
+    np.testing.assert_allclose(trace.cov_post[trace.step[0]], [[0.5]], atol=1e-15)
 
 
 def singular_cases():
@@ -139,7 +139,7 @@ def test_scalar_riccati_steady_state():
     trace = run_filter_trace(
         model, StateEstimate([0.0], [[1.0]]), np.zeros((steps, 1)), (np.zeros((steps, 1)), np.ones(steps, dtype=bool))
     )
-    prior_p = trace.p_prior[-1, 0, 0]
+    prior_p = trace.cov_prior[trace.step[-1], 0, 0]
     expected_prior = (q + np.sqrt(q * q + 4 * q * r)) / 2
     assert abs(prior_p - expected_prior) < 1e-12
     assert abs(prior_p - 0.105124921973) < 1e-9
@@ -148,16 +148,16 @@ def test_scalar_riccati_steady_state():
 def test_sequential_single_row_equals_joint():
     model = scalar_model(q=0.02, r=0.5)
     trace = one_step(model, StateEstimate([1.5], [[2.0]]), z=[0.3])
-    x, p = joint_gain_update(trace.x_prior[0], trace.p_prior[0], model.h, np.diag(model.r_diag), np.array([0.3]))
+    x, p = joint_gain_update(trace.x_prior[0], trace.cov_prior[trace.step[0]], model.h, np.diag(model.r_diag), np.array([0.3]))
     np.testing.assert_allclose(trace.x_post[0], x, rtol=1e-12)
-    np.testing.assert_allclose(trace.p_post[0], p, rtol=1e-12)
+    np.testing.assert_allclose(trace.cov_post[trace.step[0]], p, rtol=1e-12)
 
 
 def test_sequential_two_rows_hand_case():
     model = static_model(np.eye(2), np.ones(2))
     trace = one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), z=[2.0, 4.0])
     np.testing.assert_allclose(trace.x_post[0], [1.0, 2.0], atol=1e-15)
-    np.testing.assert_allclose(trace.p_post[0], 0.5 * np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(trace.cov_post[trace.step[0]], 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_sequential_matches_joint_on_random_instances():
@@ -171,7 +171,7 @@ def test_sequential_matches_joint_on_random_instances():
         trace = one_step(model, est, z=z)
         x, cov = joint_gain_update(est.x_hat, est.p, model.h, np.diag(model.r_diag), z)
         assert max_rel_diff(trace.x_post[0], x) <= 1e-8
-        assert max_rel_diff(trace.p_post[0], cov) <= 1e-8
+        assert max_rel_diff(trace.cov_post[trace.step[0]], cov) <= 1e-8
 
 
 def test_sequential_zero_innovation_variance():
@@ -190,7 +190,7 @@ def test_update_never_increases_trace():
         model = static_model(rng.standard_normal((p, n)), rng.uniform(0.05, 1.0, p))
         est = StateEstimate(rng.standard_normal(n), random_spd(rng, n))
         trace = one_step(model, est, z=rng.standard_normal(p))
-        assert np.trace(trace.p_post[0]) <= np.trace(est.p) + 1e-12
+        assert np.trace(trace.cov_post[trace.step[0]]) <= np.trace(est.p) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_run_filter_single_step_without_observation_is_predict():
     assert trace.x_post.shape == (1, 1)
     # an unobserved step's posterior is its prediction, bit for bit
     np.testing.assert_array_equal(trace.x_post, trace.x_prior)
-    np.testing.assert_array_equal(trace.p_post, trace.p_prior)
+    np.testing.assert_array_equal(trace.cov_post[trace.step], trace.cov_prior[trace.step])
     np.testing.assert_allclose(trace.x_post[0], [2.3], atol=1e-15)
 
 
@@ -261,10 +261,10 @@ def test_run_filter_missing_observations_propagate_prediction():
     u = rng.standard_normal((steps, model.n_inputs))
     z = rng.standard_normal((steps, model.n_outputs))
     mask = np.arange(steps) % 3 == 0
-    trace = run_filter_trace(model, initial_estimate(model), u, (z, mask))
+    trace = run_filter_trace(model, initial_estimate(model, z[0]), u, (z, mask))
     skipped = ~trace.has_obs
     np.testing.assert_array_equal(trace.x_post[skipped], trace.x_prior[skipped])
-    np.testing.assert_array_equal(trace.p_post[skipped], trace.p_prior[skipped])
+    np.testing.assert_array_equal(trace.cov_post[trace.step[skipped]], trace.cov_prior[trace.step[skipped]])
     assert (trace.x_post[trace.has_obs] != trace.x_prior[trace.has_obs]).any()
 
 
@@ -275,9 +275,9 @@ def test_run_filter_covariance_hygiene_on_random_run():
     u = rng.standard_normal((steps, model.n_inputs))
     z = rng.standard_normal((steps, model.n_outputs))
     trace = run_filter_trace(
-        model, initial_estimate(model), u, (z, np.ones(steps, dtype=bool))
+        model, initial_estimate(model, z[0]), u, (z, np.ones(steps, dtype=bool))
     )
-    for stack in (trace.p_prior, trace.p_post):
+    for stack in (trace.cov_prior, trace.cov_post):
         asym, eig_min = hygiene_of_covs(stack)
         assert asym <= 1e-9
         assert eig_min >= -1e-9
@@ -285,13 +285,10 @@ def test_run_filter_covariance_hygiene_on_random_run():
 
 def test_initial_estimate_policies():
     model = exact_lti(seed=31)
-    est = initial_estimate(model)
-    np.testing.assert_array_equal(est.x_hat, np.zeros(model.n_states))
-    np.testing.assert_array_equal(est.p, 10.0 * np.eye(model.n_states))
-
     z0 = np.array([0.4, -1.2])
-    est2 = initial_estimate(model, first_obs=z0)
-    np.testing.assert_allclose(model.h @ est2.x_hat, z0, atol=1e-9)
+    est = initial_estimate(model, first_obs=z0)
+    np.testing.assert_allclose(model.h @ est.x_hat, z0, atol=1e-9)
+    np.testing.assert_array_equal(est.p, 10.0 * np.eye(model.n_states))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +323,7 @@ def test_unobserved_rows_are_never_read():
     junk = z.copy()
     junk[~mask] = np.nan
     junk[np.flatnonzero(~mask)[::2]] = np.inf
-    init = initial_estimate(model)
+    init = initial_estimate(model, z[0])
     clean = run_filter_trace(model, init, u, (z, mask))
     dirty = run_filter_trace(model, init, u, (junk, mask))
     np.testing.assert_array_equal(dirty.x_prior, clean.x_prior)
@@ -345,7 +342,7 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
     u = rng.standard_normal((steps, model.n_inputs))
     z = rng.standard_normal((steps, model.n_outputs))
     mask = np.ones(steps, dtype=bool)
-    init = initial_estimate(model)
+    init = initial_estimate(model, z[0])
 
     first = run_filter_trace(model, init, u, (z, mask))
     other_data = run_filter_trace(model, init, 2.0 * u, (-z, mask))
@@ -368,10 +365,10 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
         base = run_filter_trace(model, init, u, (z, mask))
         fresh = run_filter_trace(changed, start, u, (z, obs))
         assert fresh.cov_post is not base.cov_post and fresh.step is not base.step
-        assert not np.array_equal(fresh.p_post, base.p_post)
+        assert not np.array_equal(fresh.cov_post[fresh.step], base.cov_post[base.step])
         monkeypatch.setattr(filtering, "_memo", None)
         cold = run_filter_trace(changed, start, u, (z, obs))
-        for name in ("cov_prior", "cov_post", "step", "p_prior", "p_post", "x_post"):
+        for name in ("cov_prior", "cov_post", "step", "x_post"):
             np.testing.assert_array_equal(getattr(cold, name), getattr(fresh, name))
 
 

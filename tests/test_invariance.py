@@ -8,6 +8,10 @@ any input.
 - Permuting the output channels together with their companion blocks
   permutes the states, the scores and the per-channel figures to within
   rounding: the sequential update then visits the rows in another order.
+- A diagonal change of state coordinates T leaves the estimated outputs
+  h x_post as they are to within rounding: T a T^-1, T b, h T^-1 and q
+  scaled by T's squared entries, started from T x0 and T P0 T, describe
+  the same system.
 - A run's scores do not depend on the sweep around it: run alone, inside a
   larger sweep, or through :func:`run_scenario`, they are bit for bit the
   same.
@@ -77,8 +81,8 @@ def test_power_of_two_scaling_scales_the_trace_bit_for_bit(mask_kind):
     )
     np.testing.assert_array_equal(scaled.x_prior, 2.0 * base.x_prior)
     np.testing.assert_array_equal(scaled.x_post, 2.0 * base.x_post)
-    np.testing.assert_array_equal(scaled.p_prior, 4.0 * base.p_prior)
-    np.testing.assert_array_equal(scaled.p_post, 4.0 * base.p_post)
+    np.testing.assert_array_equal(scaled.cov_prior[scaled.step], 4.0 * base.cov_prior[base.step])
+    np.testing.assert_array_equal(scaled.cov_post[scaled.step], 4.0 * base.cov_post[base.step])
 
 
 @pytest.mark.parametrize("mask_kind", ["full", "lossy"])
@@ -94,7 +98,27 @@ def test_output_permutation_permutes_the_trace(mask_kind):
     )
     assert max_rel_diff(moved.x_prior, base.x_prior[:, states]) <= 1e-12
     assert max_rel_diff(moved.x_post, base.x_post[:, states]) <= 1e-12
-    assert max_rel_diff(moved.p_post, base.p_post[:, states][:, :, states]) <= 1e-12
+    assert max_rel_diff(moved.cov_post[moved.step], base.cov_post[base.step][:, states][:, :, states]) <= 1e-12
+
+
+@pytest.mark.parametrize("mask_kind", ["full", "lossy"])
+def test_diagonal_similarity_transform_keeps_the_estimated_outputs(mask_kind):
+    init, u, (z, mask) = filter_inputs(mask_kind)
+    base = run_filter_trace(SYSTEM, init, u, (z, mask))
+    d = np.random.default_rng(12).uniform(0.3, 3.0, SYSTEM.n_states)
+    # scales that are powers of two would change no rounding
+    assert (np.log2(d) != np.round(np.log2(d))).all()
+    moved_model = SystemModel(
+        a=d[:, None] * SYSTEM.a / d,
+        b=d[:, None] * SYSTEM.b,
+        h=SYSTEM.h / d,
+        q_diag=SYSTEM.q_diag * d**2,
+        r_diag=SYSTEM.r_diag,
+    )
+    moved = run_filter_trace(moved_model, StateEstimate(d * init.x_hat, d[:, None] * init.p * d), u, (z, mask))
+    # the runs differ most on the first fused steps, whose updates cancel
+    # most digits of the diffuse initial covariance
+    assert max_rel_diff(moved.x_post @ moved_model.h.T, base.x_post @ SYSTEM.h.T) <= 1e-12
 
 
 def test_output_permutation_permutes_the_sweep_scores():

@@ -144,7 +144,7 @@ def test_scenario_after_a_sweep_matches_a_cold_run(monkeypatch):
     cold = run_scenario(scenario(n_d=7, n_j=5, n_p=0.25, seed=3))
     assert cold.trace.cov_post is not warm.trace.cov_post
     np.testing.assert_array_equal(warm.z_est, cold.z_est)
-    for name in ("x_prior", "x_post", "has_obs", "cov_prior", "cov_post", "step", "p_prior", "p_post"):
+    for name in ("x_prior", "x_post", "has_obs", "cov_prior", "cov_post", "step"):
         np.testing.assert_array_equal(getattr(warm.trace, name), getattr(cold.trace, name))
 
 

@@ -30,6 +30,9 @@ from telekf.sysid import (
 
 DT = 1.0 / 30.0
 
+#: the (na, nb, nk) values of ``telekf identify``'s default grid, 1:4, 1:4 and 0:2
+GRID = ((1, 2, 3, 4), (1, 2, 3, 4), (0, 1, 2))
+
 
 def known_111():
     return ArxModel(
@@ -195,7 +198,7 @@ def _theta(model, c):
 @pytest.fixture(scope="module")
 def grid_fits(grid_train):
     holdout = reference_dataset(n_samples=600, seed=36)
-    return {rec["orders"]: rec["model"] for rec in order_sweep(grid_train, holdout)}
+    return {rec["orders"]: rec["model"] for rec in order_sweep(grid_train, holdout, *GRID)}
 
 
 def test_grid_fit_matches_lstsq_on_each_candidate_regressor(grid_train, grid_fits):
@@ -360,7 +363,7 @@ def test_simulate_diverging_model_turns_nonfinite_at_the_reference_step():
 
 
 def test_realization_first_order_canonical_matrices():
-    sm = arx_to_ss(known_111())
+    sm = arx_to_ss(known_111(), q=0.0, r=1.0)
     np.testing.assert_array_equal(sm.a, [[0.5]])
     np.testing.assert_array_equal(sm.b, [[1.0]])
     np.testing.assert_array_equal(sm.h, [[1.0]])
@@ -368,7 +371,7 @@ def test_realization_first_order_canonical_matrices():
 
 def test_realization_impulse_response_matches_difference_equation():
     model = known_111()
-    sm = arx_to_ss(model)
+    sm = arx_to_ss(model, q=0.0, r=1.0)
     u = np.zeros((50, 1))
     u[0] = 1.0
     y_arx = simulate_arx(model, u)
@@ -388,13 +391,13 @@ def test_realization_rejects_static_and_feedthrough_structures():
         n_outputs=1, n_inputs=1, dt=DT,
     )
     with pytest.raises(UnsupportedStructureError, match="na=0"):
-        arx_to_ss(static)
+        arx_to_ss(static, q=0.0, r=1.0)
     feedthrough = ArxModel(
         na=1, nb=1, nk=0, a_coeffs=[[0.5]], b_coeffs=[[[1.0]]],
         n_outputs=1, n_inputs=1, dt=DT,
     )
     with pytest.raises(UnsupportedStructureError, match="nk=0"):
-        arx_to_ss(feedthrough)
+        arx_to_ss(feedthrough, q=0.0, r=1.0)
 
 
 def test_realization_equivalence_on_random_stable_models():
@@ -408,7 +411,7 @@ def test_realization_equivalence_on_random_stable_models():
         model = random_stable_arx(na, nb, nk, n_outputs=p, n_inputs=m, seed=1000 + i)
         u = rng.standard_normal((200, m))
         y_arx = simulate_arx(model, u)
-        sm = arx_to_ss(model)
+        sm = arx_to_ss(model, q=0.0, r=1.0)
         x = np.zeros(sm.n_states)
         y_ss = np.empty((200, p))
         for t in range(200):
@@ -424,12 +427,9 @@ def test_realization_block_dimensions_and_noise_shapes():
     assert sm.h.shape == (3, 6)
     np.testing.assert_array_equal(sm.q_diag, np.full(6, 0.5))
     np.testing.assert_array_equal(sm.r_diag, [1.0, 2.0, 3.0])
-    default = arx_to_ss(model)
-    np.testing.assert_array_equal(default.q_diag, np.zeros(6))
-    np.testing.assert_array_equal(default.r_diag, np.ones(3))
-    np.testing.assert_array_equal(arx_to_ss(model, r=2.0).r_diag, np.full(3, 2.0))
+    np.testing.assert_array_equal(arx_to_ss(model, q=0.5, r=2.0).r_diag, np.full(3, 2.0))
     with pytest.raises(ContractViolationError, match=re.escape("q_diag must be in [0, inf), got -0.5")):
-        arx_to_ss(model, q=-0.5)
+        arx_to_ss(model, q=-0.5, r=1.0)
 
 
 def test_realization_rejects_r_of_another_length():
@@ -438,7 +438,7 @@ def test_realization_rejects_r_of_another_length():
         with pytest.raises(ContractViolationError, match=re.escape(
             f"r must be one variance or one per output channel (3), got shape {r.shape}"
         )):
-            arx_to_ss(model, r=r)
+            arx_to_ss(model, q=0.0, r=r)
 
 
 def test_stability_flag():
@@ -538,7 +538,7 @@ def grid_train():
 def test_order_sweep_reports_equal_one_candidate_at_a_time(n_holdout, n_inputs, nk_values):
     train = reference_dataset(n_samples=1500, seed=31, n_inputs=n_inputs)
     holdout = reference_dataset(n_samples=n_holdout, seed=32, n_inputs=n_inputs)
-    records = order_sweep(train, holdout, nk_values=nk_values)
+    records = order_sweep(train, holdout, *GRID[:2], nk_values)
     scored = _assert_reports_match_one_at_a_time(records, holdout)
     assert len(scored) == 16 * len(nk_values)
     assert any(not np.isfinite(rec["report"].aggregate) for rec in scored)
@@ -548,7 +548,7 @@ def test_order_sweep_reports_equal_one_candidate_at_a_time(n_holdout, n_inputs, 
 def test_order_sweep_reports_do_not_depend_on_the_chunk(grid_train, chunk, monkeypatch):
     holdout = reference_dataset(n_samples=600, seed=33)
     monkeypatch.setattr(telekf.sysid, "CHUNK", chunk)
-    records = order_sweep(grid_train, holdout)
+    records = order_sweep(grid_train, holdout, *GRID)
     scored = _assert_reports_match_one_at_a_time(records, holdout)
     assert len(scored) == 48
     assert any(not np.isfinite(rec["report"].aggregate) for rec in scored)
@@ -557,7 +557,7 @@ def test_order_sweep_reports_do_not_depend_on_the_chunk(grid_train, chunk, monke
 def test_order_sweep_scores_a_holdout_too_short_for_some_orders(grid_train):
     full = reference_dataset(n_samples=50, seed=34)
     holdout = dataclasses.replace(full, inputs=full.inputs[:6], outputs=full.outputs[:6])
-    records = order_sweep(grid_train, holdout)
+    records = order_sweep(grid_train, holdout, *GRID)
     short = [rec for rec in records if rec["report"] is None]
     assert sorted(rec["orders"] for rec in short) == [(na, 4, 2) for na in (1, 2, 3, 4)]
     assert {rec["error"] for rec in short} == {"holdout needs more than 6 samples, got 6"}
@@ -569,7 +569,7 @@ def test_order_sweep_diverging_candidate_emits_no_runtime_warning(grid_train):
     holdout = reference_dataset(n_samples=600, seed=35)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = order_sweep(grid_train, holdout)
+        records = order_sweep(grid_train, holdout, *GRID)
     diverged = [rec for rec in records if not np.isfinite(rec["report"].aggregate)]
     assert [rec["orders"] for rec in diverged] == [(1, 1, 2)]
 

@@ -115,19 +115,13 @@ class ArxModel:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Per-channel fit percentage and MSE for one candidate model."""
+    """Per-channel fit percentage and MSE for one candidate model: two (p,)
+    float arrays, as the holdout validator of :func:`order_sweep` scores
+    them (a fit is at most 100, or NaN on a constant channel)."""
 
     fit_percent: np.ndarray
     mse: np.ndarray
     model_label: str
-
-    def __post_init__(self):
-        fp = np.asarray(self.fit_percent, dtype=float).reshape(-1)
-        ms = np.asarray(self.mse, dtype=float).reshape(-1)
-        if np.any(fp[~np.isnan(fp)] > 100.0 + 1e-9):
-            raise ContractViolationError("fit percentage cannot exceed 100")
-        object.__setattr__(self, "fit_percent", fp)
-        object.__setattr__(self, "mse", ms)
 
     @property
     def aggregate(self) -> float:
@@ -168,8 +162,7 @@ def _fit_grid(data, grid) -> list:
     rank-deficient candidate whose solution does not reproduce the channel
     exactly gets :class:`IllConditionedDataError` with the condition number.
     """
-    u = np.atleast_2d(np.asarray(data.inputs, dtype=float))
-    y = np.atleast_2d(np.asarray(data.outputs, dtype=float))
+    u, y = data.inputs, data.outputs
     n_samples, p = y.shape
     m = u.shape[1]
     results, fits = [], []  # fits: (index into results, na, nb, nk, a, b)
@@ -178,10 +171,6 @@ def _fit_grid(data, grid) -> list:
         try:
             for (name, bounds), value in zip(ArxModel.RANGES.items(), (na, nb, nk)):
                 check_range(name, value, bounds)
-            if u.shape[0] != n_samples:
-                raise ContractViolationError(
-                    f"inputs and outputs must be row-aligned, got {u.shape[0]} and {n_samples}"
-                )
             if n_samples <= na + nb + nk + 10:
                 raise ContractViolationError(
                     f"need more than {na + nb + nk + 10} samples for orders ({na},{nb},{nk}), got {n_samples}"
@@ -226,7 +215,7 @@ def _fit_grid(data, grid) -> list:
             results[i] = ArxModel(
                 na=na, nb=nb, nk=nk, a_coeffs=a_coeffs, b_coeffs=b_coeffs,
                 n_outputs=p, n_inputs=m, dt=float(data.dt),
-                source_trial=getattr(data, "trial_id", None),
+                source_trial=data.trial_id,
             )
     return results
 
@@ -347,8 +336,7 @@ def predict_one_step(model: ArxModel, data) -> tuple[int, np.ndarray]:
     Returns (t0, yhat) where yhat[i] predicts sample t0 + i from measured
     lags; t0 = max(na, nb + nk - 1).
     """
-    u = np.atleast_2d(np.asarray(data.inputs, dtype=float))
-    y = np.atleast_2d(np.asarray(data.outputs, dtype=float))
+    u, y = data.inputs, data.outputs
     if y.shape[1] != model.n_outputs or u.shape[1] != model.n_inputs:
         raise ContractViolationError(
             f"data has {u.shape[1]} inputs / {y.shape[1]} outputs, model expects "
@@ -382,10 +370,11 @@ def arx_to_ss(model: ArxModel, q, r) -> SystemModel:
     block size is max(na, nb + nk - 1), which equals na whenever
     nb + nk - 1 <= na.
 
-    ``q`` is one process-noise variance for every state; ``r`` is one
-    measurement-noise variance, or one per output channel: the
+    ``q`` is one process-noise variance for every state and ``r`` the
+    (p,) measurement-noise variances, one per output channel: the
     residual-matched pair of :func:`residual_covariances`, which the model
-    file carries as its noise.
+    file carries as its noise.  :class:`SystemModel` checks ``r``'s length
+    and range.
     """
     obstacle = filter_obstacle(model.na, model.nk)
     if obstacle is not None:
@@ -402,12 +391,7 @@ def arx_to_ss(model: ArxModel, q, r) -> SystemModel:
         b[first + model.nk - 1 : first + model.nk - 1 + model.nb] = model.b_coeffs[c].T
     h = np.zeros((p, n))
     h[np.arange(p), np.arange(p) * nc] = 1.0
-    r = np.asarray(r, dtype=float)
-    if r.shape not in ((), (p,)):
-        raise ContractViolationError(
-            f"r must be one variance or one per output channel ({p}), got shape {r.shape}"
-        )
-    return SystemModel(a=a, b=b, h=h, q_diag=np.full(n, float(q)), r_diag=np.broadcast_to(r, (p,)))
+    return SystemModel(a=a, b=b, h=h, q_diag=np.full(n, float(q)), r_diag=r)
 
 
 def residual_covariances(model: ArxModel, data) -> tuple[float, np.ndarray]:
@@ -418,16 +402,14 @@ def residual_covariances(model: ArxModel, data) -> tuple[float, np.ndarray]:
     residual variances.
     """
     t0, preds = predict_one_step(model, data)
-    y = np.atleast_2d(np.asarray(data.outputs, dtype=float))[t0:]
-    resid = y - preds
+    resid = data.outputs[t0:] - preds
     return float(np.mean(resid**2)), np.mean(resid**2, axis=0)
 
 
 def _holdout_arrays(model: ArxModel, holdout) -> tuple[np.ndarray, np.ndarray]:
     """The holdout's (inputs, outputs), checked against the model's channels
     and long enough to seed its history and score two steps."""
-    u = np.atleast_2d(np.asarray(holdout.inputs, dtype=float))
-    y = np.atleast_2d(np.asarray(holdout.outputs, dtype=float))
+    u, y = holdout.inputs, holdout.outputs
     if y.shape[1] != model.n_outputs or u.shape[1] != model.n_inputs:
         raise ContractViolationError(
             f"holdout has {u.shape[1]} inputs / {y.shape[1]} outputs, model expects "
@@ -447,14 +429,16 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     Each model is seeded with the first max-lag samples of the holdout, as
     ``simulate_arx(model, u[lag:], y_init=y[:lag], u_init=u[:lag])`` is,
     and scored on the rest.  Every (model, output channel) pair is a column
-    of one array.  The columns are ordered by na, largest first, so each
-    lag's taps apply to a prefix of them, and one time loop advances them
-    all, CHUNK steps at a time, streaming the squared errors.  The input
-    term of a chunk is one product for every column: the chunk's inputs at
-    delays 0..K-1 (K the largest nb + nk) times a block that holds each
-    model's b at its delays nk..nk+nb-1 and zeros elsewhere.  numpy sends a
-    one-row product to gemv, which rounds differently from the gemm of more
-    rows, so a one-row tail joins the chunk before it.
+    of one array, and one time loop advances them all, CHUNK steps at a
+    time, streaming the squared errors.  Each step sums its output term in
+    one masked reduction over the lags, lag 1 first; the mask skips the
+    lags past a column's na, so a column with na = 0 sums to 0.0 and the
+    0 * inf of a zero tap on a diverged history never enters a sum.  The
+    input term of a chunk is one product for every column: the chunk's
+    inputs at delays 0..K-1 (K the largest nb + nk) times a block that
+    holds each model's b at its delays nk..nk+nb-1 and zeros elsewhere.
+    numpy sends a one-row product to gemv, which rounds differently from
+    the gemm of more rows, so a one-row tail joins the chunk before it.
 
     The arithmetic is simulate_arx's, (0.0 + a1 y1) + a2 y2 ..., then the
     input term (its sum in simulate_arx's order, the zeros adding nothing)
@@ -465,30 +449,26 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     makes the input term by gemv, so the two agree to rounding.
     """
     n, p = y.shape
-    rank = sorted(range(len(models)), key=lambda k: -models[k].na)
-    runs = [models[k] for k in rank]
-    span = [slice(j * p, j * p + p) for j in range(len(runs))]
-    width = len(runs) * p
-    channel = np.tile(np.arange(p), len(runs))
-    start = np.repeat([model.max_lag for model in runs], p)  # first free step per column
-    m, k = u.shape[1], max(model.nb + model.nk for model in runs)
+    span = [slice(j * p, j * p + p) for j in range(len(models))]
+    width = len(models) * p
+    channel = np.tile(np.arange(p), len(models))
+    start = np.repeat([model.max_lag for model in models], p)  # first free step per column
+    m, k = u.shape[1], max(model.nb + model.nk for model in models)
     u_pad = np.vstack([np.zeros((k - 1, m)), u])
     delayed = sliding_window_view(u_pad, k, axis=0)[:, :, ::-1]  # [t, j, d]: u_j[t - d]
     gains = np.zeros((m * k, width))  # row j*k + d: input j's coefficient at delay d, or 0
-    for j, model in enumerate(runs):
+    for j, model in enumerate(models):
         b_rows = (np.arange(m)[:, None] * k + model.nk + np.arange(model.nb)).ravel()
         gains[b_rows, span[j]] = model.b_coeffs.reshape(p, -1).T
 
-    na_max = runs[0].na
+    na_max = max(model.na for model in models)
     taps = np.zeros((na_max, width))  # row na_max - i: lag i's taps, 0 past a column's na
-    for j, model in enumerate(runs):
+    fused = np.zeros((na_max, width), dtype=bool)  # row i - 1: the columns with na >= i
+    for j, model in enumerate(models):
         taps[na_max - model.na :, span[j]] = model.a_coeffs[:, ::-1].T
+        fused[: model.na, span[j]] = True
     prods = np.empty((na_max, width))
-    acc = np.zeros(width)
-    adds = []  # (left, lag i's products, out), lag by lag over the columns with na >= i
-    for i in range(1, na_max + 1):
-        w = p * sum(model.na >= i for model in runs)
-        adds.append((acc[:w] if i > 1 else 0.0, prods[na_max - i, :w], acc[:w]))
+    acc = np.empty(width)
 
     # ys: the na_max steps before the chunk, then the chunk's outputs;
     # sq: the running sums of squared errors, then the chunk's squares
@@ -512,8 +492,7 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
             measured[...] = y[t0:t1, channel]
             for s in range(rows):
                 np.multiply(taps, ys[s : s + na_max], out=prods)
-                for left, prod, out in adds:
-                    np.add(left, prod, out=out)
+                np.add.reduce(prods[::-1], axis=0, where=fused, out=acc)
                 y_s = ys[na_max + s]
                 np.add(forced[s], acc, out=y_s)
                 if t0 + s < t_late:  # a model that starts later still reads measured history
@@ -525,18 +504,18 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
             sq[0] = sq[rows]
             ys[:na_max] = ys[rows : rows + na_max]
 
-        reports = [None] * len(models)
+        reports = []
         spreads = {}  # max lag -> the spread of the window it scores
-        for j, model in enumerate(runs):
+        for j, model in enumerate(models):
             lag = model.max_lag
             if lag not in spreads:
                 spreads[lag] = channel_spread(y[lag:])
             total = sq[0, span[j]]
-            reports[rank[j]] = FitReport(
+            reports.append(FitReport(
                 fit_percent=fit_from_error_norm(np.sqrt(total), spreads[lag]),
                 mse=total / (n - lag),
                 model_label=model.label,
-            )
+            ))
     return reports
 
 

@@ -281,7 +281,7 @@ def test_criterion_07_realization_equivalence():
         model = random_stable_arx(na, nb, nk, n_outputs=p, n_inputs=m, seed=7000 + i)
         u = rng.standard_normal((200, m))
         y_arx = simulate_arx(model, u)
-        sm = arx_to_ss(model, q=0.0, r=1.0)
+        sm = arx_to_ss(model, q=0.0, r=np.ones(p))
         x = np.zeros(sm.n_states)
         y_ss = np.empty((200, p))
         for t in range(200):

@@ -363,7 +363,7 @@ def test_simulate_diverging_model_turns_nonfinite_at_the_reference_step():
 
 
 def test_realization_first_order_canonical_matrices():
-    sm = arx_to_ss(known_111(), q=0.0, r=1.0)
+    sm = arx_to_ss(known_111(), q=0.0, r=[1.0])
     np.testing.assert_array_equal(sm.a, [[0.5]])
     np.testing.assert_array_equal(sm.b, [[1.0]])
     np.testing.assert_array_equal(sm.h, [[1.0]])
@@ -371,7 +371,7 @@ def test_realization_first_order_canonical_matrices():
 
 def test_realization_impulse_response_matches_difference_equation():
     model = known_111()
-    sm = arx_to_ss(model, q=0.0, r=1.0)
+    sm = arx_to_ss(model, q=0.0, r=[1.0])
     u = np.zeros((50, 1))
     u[0] = 1.0
     y_arx = simulate_arx(model, u)
@@ -391,13 +391,13 @@ def test_realization_rejects_static_and_feedthrough_structures():
         n_outputs=1, n_inputs=1, dt=DT,
     )
     with pytest.raises(UnsupportedStructureError, match="na=0"):
-        arx_to_ss(static, q=0.0, r=1.0)
+        arx_to_ss(static, q=0.0, r=[1.0])
     feedthrough = ArxModel(
         na=1, nb=1, nk=0, a_coeffs=[[0.5]], b_coeffs=[[[1.0]]],
         n_outputs=1, n_inputs=1, dt=DT,
     )
     with pytest.raises(UnsupportedStructureError, match="nk=0"):
-        arx_to_ss(feedthrough, q=0.0, r=1.0)
+        arx_to_ss(feedthrough, q=0.0, r=[1.0])
 
 
 def test_realization_equivalence_on_random_stable_models():
@@ -411,7 +411,7 @@ def test_realization_equivalence_on_random_stable_models():
         model = random_stable_arx(na, nb, nk, n_outputs=p, n_inputs=m, seed=1000 + i)
         u = rng.standard_normal((200, m))
         y_arx = simulate_arx(model, u)
-        sm = arx_to_ss(model, q=0.0, r=1.0)
+        sm = arx_to_ss(model, q=0.0, r=np.ones(p))
         x = np.zeros(sm.n_states)
         y_ss = np.empty((200, p))
         for t in range(200):
@@ -427,16 +427,15 @@ def test_realization_block_dimensions_and_noise_shapes():
     assert sm.h.shape == (3, 6)
     np.testing.assert_array_equal(sm.q_diag, np.full(6, 0.5))
     np.testing.assert_array_equal(sm.r_diag, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(arx_to_ss(model, q=0.5, r=2.0).r_diag, np.full(3, 2.0))
     with pytest.raises(ContractViolationError, match=re.escape("q_diag must be in [0, inf), got -0.5")):
-        arx_to_ss(model, q=-0.5, r=1.0)
+        arx_to_ss(model, q=-0.5, r=np.ones(3))
 
 
 def test_realization_rejects_r_of_another_length():
     model = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=12)
-    for r in (np.ones(4), np.eye(3)):
+    for r in (2.0, np.ones(4), np.eye(3)):
         with pytest.raises(ContractViolationError, match=re.escape(
-            f"r must be one variance or one per output channel (3), got shape {r.shape}"
+            f"r_diag must hold 3 variances, got shape {np.shape(r)}"
         )):
             arx_to_ss(model, q=0.0, r=r)
 
@@ -524,23 +523,28 @@ def grid_train():
 
 
 @pytest.mark.parametrize(
-    "n_holdout, n_inputs, nk_values",
+    "n_holdout, n_inputs, na_values, nk_values",
     [
         # 514 and 1026 leave a one-row tail after 512-step chunks from t = 1
-        pytest.param(514, 2, (0, 1, 2), id="514"),
-        pytest.param(1026, 2, (0, 1, 2), id="1026"),
-        pytest.param(1537, 2, (0, 1, 2), id="1537"),
+        pytest.param(514, 2, GRID[0], (0, 1, 2), id="514"),
+        pytest.param(1026, 2, GRID[0], (0, 1, 2), id="1026"),
+        pytest.param(1537, 2, GRID[0], (0, 1, 2), id="1537"),
         # the input product's block interleaves zeros per input and delay
-        pytest.param(600, 1, (0, 1, 2, 3), id="600-1-input-nk-to-3"),
-        pytest.param(600, 3, (0, 1, 2, 3), id="600-3-inputs-nk-to-3"),
+        pytest.param(600, 1, GRID[0], (0, 1, 2, 3), id="600-1-input-nk-to-3"),
+        pytest.param(600, 3, GRID[0], (0, 1, 2, 3), id="600-3-inputs-nk-to-3"),
+        # ragged lags: na = 0 columns sum no output term, and over 1026
+        # steps a diverging na = 1 column's history reaches inf, which its
+        # lags 2 and 3 must skip (0 * inf is NaN)
+        pytest.param(514, 2, (0, 1, 3), (0, 1, 2), id="514-na-0-1-3"),
+        pytest.param(1026, 2, (0, 1, 3), (0, 1, 2), id="1026-na-0-1-3"),
     ],
 )
-def test_order_sweep_reports_equal_one_candidate_at_a_time(n_holdout, n_inputs, nk_values):
+def test_order_sweep_reports_equal_one_candidate_at_a_time(n_holdout, n_inputs, na_values, nk_values):
     train = reference_dataset(n_samples=1500, seed=31, n_inputs=n_inputs)
     holdout = reference_dataset(n_samples=n_holdout, seed=32, n_inputs=n_inputs)
-    records = order_sweep(train, holdout, *GRID[:2], nk_values)
+    records = order_sweep(train, holdout, na_values, GRID[1], nk_values)
     scored = _assert_reports_match_one_at_a_time(records, holdout)
-    assert len(scored) == 16 * len(nk_values)
+    assert len(scored) == len(na_values) * len(GRID[1]) * len(nk_values)
     assert any(not np.isfinite(rec["report"].aggregate) for rec in scored)
 
 

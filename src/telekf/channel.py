@@ -120,7 +120,14 @@ def apply_channel(
     dt = check_dt(dt)
     steps = truth.shape[0]
     jitter_rng, loss_rng = cfg.spawn_streams()
-    offsets = _offsets(cfg, dt, jitter_rng.standard_normal(steps - 1))
+    # both terms overflow to inf when n_d/dt and n_j/dt do, and a negative
+    # jitter draw then gives inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = _offsets(cfg, dt, jitter_rng.standard_normal(steps - 1))
+    if np.isnan(offsets).any():
+        raise ContractViolationError(
+            f"n_d={cfg.n_d:g} ms, n_j={cfg.n_j:g} ms and dt={dt:g} s give a sample offset that is not a number"
+        )
     src_idx, lost = _route(offsets, loss_rng.random(steps - 1), cfg.n_p)
     # every step after the first sends one packet; count the delivered ones by delay
     delays, counts = np.unique((np.arange(1, steps) - src_idx[1:])[~lost[1:]], return_counts=True)

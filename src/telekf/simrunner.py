@@ -47,7 +47,8 @@ REPORT_VERSION = 2
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment: a model, a channel condition, and a trajectory."""
+    """One experiment: a model, a channel condition, and a trajectory of at
+    least two samples whose channels are the model's."""
 
     model: SystemModel
     network: NetworkConfig
@@ -64,6 +65,8 @@ class Scenario:
                 f"model has {self.model.n_inputs} inputs but data has "
                 f"{self.data.inputs.shape[1]} input channels"
             )
+        if self.data.n_samples < 2:
+            raise ContractViolationError("a scenario needs at least two samples")
 
 
 @dataclass
@@ -88,11 +91,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     patient-side sample, the filter predicts with the previous master
     command and refines with the delivered sample via sequential scalar
     updates.  Metrics compare the estimated output against the true stream,
-    not the delivered one.
+    not the delivered one.  The trajectory's length and channels are the
+    :class:`Scenario`'s to check.
     """
     data = scenario.data
-    if data.n_samples < 2:
-        raise ContractViolationError("a scenario needs at least two samples")
     start = time.perf_counter()
     delivered, _, _, stats = apply_channel(data.outputs, scenario.network, data.dt)
     init = initial_estimate(scenario.model, first_obs=data.outputs[0])

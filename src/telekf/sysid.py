@@ -236,41 +236,6 @@ def arx_fit(data, orders: tuple[int, int, int]) -> ArxModel:
     return fit
 
 
-def _histories(model: ArxModel, y_init, u_init):
-    na, nb, nk = model.na, model.nb, model.nk
-    p, m = model.n_outputs, model.n_inputs
-    if y_init is None:
-        y_init = np.zeros((na, p))
-    else:
-        y_init = np.atleast_2d(np.asarray(y_init, dtype=float))
-    if y_init.size == 0:
-        y_init = np.zeros((0, p))
-    if y_init.shape[0] < na:
-        raise ContractViolationError(
-            f"y_init must provide at least na={na} rows, got {y_init.shape[0]}"
-        )
-    if na and y_init.shape[1] != p:
-        raise ContractViolationError(
-            f"y_init must have {p} channels, got {y_init.shape[1]}"
-        )
-    hu = max(nb + nk - 1, 0)
-    if u_init is None:
-        u_hist = np.zeros((hu, m))
-    else:
-        u_init = np.atleast_2d(np.asarray(u_init, dtype=float))
-        if u_init.shape[0] < hu:
-            raise ContractViolationError(
-                f"u_init must provide at least {hu} rows, got {u_init.shape[0]}"
-            )
-        if hu and u_init.shape[1] != m:
-            raise ContractViolationError(
-                f"u_init must have {m} channels, got {u_init.shape[1]}"
-            )
-        u_hist = u_init[u_init.shape[0] - hu:].reshape(hu, m)
-    y_hist = y_init[y_init.shape[0] - na:].reshape(na, p)
-    return y_hist, u_hist
-
-
 def _forced(model: ArxModel, u_src: np.ndarray, steps: int) -> np.ndarray:
     """Input term of the ``steps`` steps of :func:`simulate_arx`, in one
     product.
@@ -287,25 +252,32 @@ def _forced(model: ArxModel, u_src: np.ndarray, steps: int) -> np.ndarray:
     return lagged.transpose(0, 2, 1).reshape(steps, m * nb) @ b_flat.T
 
 
-def simulate_arx(model: ArxModel, u, y_init=None, u_init=None, noise=None) -> np.ndarray:
-    """Free-run simulation: the recursion feeds on its own past outputs.
+def simulate_arx(model: ArxModel, u, noise=None) -> np.ndarray:
+    """Free-run simulation from rest: the recursion feeds on its own past
+    outputs, and every output and input before the first step is zero.
 
-    ``y_init`` rows are the pre-start output history in chronological order
-    (last row is y[-1]); it defaults to zeros, as does ``u_init``, the
-    pre-start input history.  ``noise``, when given, is an (N, p) array of equation-noise
-    terms added inside the recursion (so later outputs feed on the noisy
-    values).  Returns one output row per input row.
+    ``noise``, when given, is an (N, p) array of equation-noise terms added
+    inside the recursion (so later outputs feed on the noisy values).
+    Returns one output row per input row.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != model.n_inputs:
         raise ContractViolationError(
             f"u must have {model.n_inputs} channels, got {u.shape[1]}"
         )
-    na, p = model.na, model.n_outputs
-    y_hist, u_hist = _histories(model, y_init, u_init)
-    steps = u.shape[0]
     if noise is not None:
-        noise = np.asarray(noise, dtype=float).reshape(steps, p)
+        noise = np.asarray(noise, dtype=float).reshape(u.shape[0], model.n_outputs)
+    y_hist = np.zeros((model.na, model.n_outputs))
+    u_hist = np.zeros((model.nb + model.nk - 1, model.n_inputs))
+    return _simulate(model, u, y_hist, u_hist, noise)
+
+
+def _simulate(model: ArxModel, u, y_hist, u_hist, noise) -> np.ndarray:
+    """The free run of :func:`simulate_arx` from the histories ``y_hist``,
+    the na outputs before the first step, and ``u_hist``, the
+    nb + nk - 1 inputs before it, both in chronological order."""
+    na, p = model.na, model.n_outputs
+    steps = u.shape[0]
     forced = _forced(model, np.vstack([u_hist, u]), steps)
     if na == 0:
         return forced if noise is None else forced + noise
@@ -406,31 +378,14 @@ def residual_covariances(model: ArxModel, data) -> tuple[float, np.ndarray]:
     return float(np.mean(resid**2)), np.mean(resid**2, axis=0)
 
 
-def _holdout_arrays(model: ArxModel, holdout) -> tuple[np.ndarray, np.ndarray]:
-    """The holdout's (inputs, outputs), checked against the model's channels
-    and long enough to seed its history and score two steps."""
-    u, y = holdout.inputs, holdout.outputs
-    if y.shape[1] != model.n_outputs or u.shape[1] != model.n_inputs:
-        raise ContractViolationError(
-            f"holdout has {u.shape[1]} inputs / {y.shape[1]} outputs, model expects "
-            f"{model.n_inputs} / {model.n_outputs}"
-        )
-    lag = model.max_lag
-    if y.shape[0] <= lag + 1:
-        raise ContractViolationError(
-            f"holdout needs more than {lag + 1} samples, got {y.shape[0]}"
-        )
-    return u, y
-
-
 def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> list[FitReport]:
     """Holdout reports of several models from one free run over all of them.
 
     Each model is seeded with the first max-lag samples of the holdout, as
-    ``simulate_arx(model, u[lag:], y_init=y[:lag], u_init=u[:lag])`` is,
-    and scored on the rest.  Every (model, output channel) pair is a column
-    of one array, and one time loop advances them all, CHUNK steps at a
-    time, streaming the squared errors.  Each step sums its output term in
+    ``_simulate(model, u[lag:], y[lag - na:lag], u[lag - nb - nk + 1:lag],
+    None)`` is, and scored on the rest.  Every (model, output channel) pair
+    is a column of one array, and one time loop advances them all, CHUNK
+    steps at a time, streaming the squared errors.  Each step sums its output term in
     one masked reduction over the lags, lag 1 first; the mask skips the
     lags past a column's na, so a column with na = 0 sums to 0.0 and the
     0 * inf of a zero tap on a diverged history never enters a sum.  The
@@ -440,11 +395,11 @@ def _free_run_reports(models: list[ArxModel], u: np.ndarray, y: np.ndarray) -> l
     numpy sends a one-row product to gemv, which rounds differently from
     the gemm of more rows, so a one-row tail joins the chunk before it.
 
-    The arithmetic is simulate_arx's, (0.0 + a1 y1) + a2 y2 ..., then the
-    input term (its sum in simulate_arx's order, the zeros adding nothing)
+    The arithmetic is _simulate's, (0.0 + a1 y1) + a2 y2 ..., then the
+    input term (its sum in _simulate's order, the zeros adding nothing)
     plus that, and the error sums run row by row, as numpy
     reduces an (n, p) array over axis 0.  With two or more outputs the
-    reports therefore equal those of simulate_arx, fit_percent and mse bit
+    reports therefore equal those of _simulate, fit_percent and mse bit
     for bit.  With one output numpy sums the error column pairwise and
     makes the input term by gemv, so the two agree to rounding.
     """
@@ -531,11 +486,18 @@ def order_sweep(train, holdout, na_values, nb_values, nk_values) -> list[dict]:
 
     Every fitted candidate is validated in one free run over the holdout:
     the first max-lag samples seed its history and the rest is scored with
-    the fit percentage and per-channel MSE.  The sweep does not warn about
+    the fit percentage and per-channel MSE.  Every candidate has the
+    training data's channels, so the holdout's channel counts are checked
+    once; its length is checked per candidate.  The sweep does not warn about
     a holdout from the training trial; ``telekf identify`` reports that
     case itself.
     """
     grid = [(na, nb, nk) for na in na_values for nb in nb_values for nk in nk_values]
+    u, y = holdout.inputs, holdout.outputs
+    m, p = train.inputs.shape[1], train.outputs.shape[1]  # every candidate's channels
+    mismatch = None
+    if u.shape[1] != m or y.shape[1] != p:
+        mismatch = f"holdout has {u.shape[1]} inputs / {y.shape[1]} outputs, model expects {m} / {p}"
     records = []
     valid = []
     for (na, nb, nk), fit in zip(grid, _fit_grid(train, grid)):
@@ -545,11 +507,12 @@ def order_sweep(train, holdout, na_values, nb_values, nk_values) -> list[dict]:
             rec["error"] = str(fit)
         else:
             rec["model"] = fit
-            try:
-                u, y = _holdout_arrays(fit, holdout)
+            if mismatch is not None:
+                rec["error"] = mismatch
+            elif y.shape[0] <= fit.max_lag + 1:  # seed the history and score two steps
+                rec["error"] = f"holdout needs more than {fit.max_lag + 1} samples, got {y.shape[0]}"
+            else:
                 valid.append(rec)
-            except ContractViolationError as exc:
-                rec["error"] = str(exc)
         records.append(rec)
     if valid:
         reports = _free_run_reports([rec["model"] for rec in valid], u, y)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,19 @@ def test_apply_channel_validates_truth_and_dt():
     for dt in (0.0, -DT, float("nan")):
         with pytest.raises(ContractViolationError, match="dt must be positive"):
             apply_channel(np.zeros((5, 2)), cfg, dt)
+
+
+def test_apply_channel_rejects_a_sample_offset_that_is_not_a_number():
+    # at 0.1 ms both 1e308 ms terms overflow to inf, and a negative jitter
+    # draw gives inf - inf; no warning comes before the error
+    cfg = NetworkConfig(1e308, 1e308, 0.0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match=r"^n_d=1e\+308 ms, n_j=1e\+308 ms and dt=0\.0001 s give"):
+            apply_channel(np.zeros((50, 1)), cfg, 1e-4)
+        # one infinite term alone is a delay the clamp bounds: the first sample
+        cfg = NetworkConfig(1e308, 0.0, 0.0, seed=1)
+        np.testing.assert_array_equal(apply_channel(np.zeros((50, 1)), cfg, 1e-4)[1], np.zeros(50))
 
 
 def test_network_config_validation():

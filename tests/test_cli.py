@@ -394,6 +394,28 @@ def test_sweep_model_that_does_not_fit_the_data_exits_2_before_any_scenario(
     assert not out_dir.exists()
 
 
+def test_sweep_of_a_one_sample_trajectory_exits_2_before_any_scenario(
+    tmp_path, dataset, model_file, capsys, monkeypatch
+):
+    def no_scenario(*args, **kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(telekf.simrunner, "run_sweep", no_scenario)
+    _, holdout = dataset
+    one = tmp_path / "one.txt"
+    one.write_text(holdout.read_text().splitlines(keepends=True)[0])
+    (tmp_path / "one.txt.truth.json").write_bytes(Path(str(holdout) + ".truth.json").read_bytes())
+    capsys.readouterr()
+    out_dir = tmp_path / "sweep_out"
+    rc = main([
+        "sweep", "--model", str(model_file), "--data", str(one),
+        "--rows", "0,0,0;5,7,0.2", "--seeds", "2", "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: a scenario needs at least two samples\n"
+    assert not out_dir.exists()
+
+
 def test_model_file_order_out_of_range_exits_2_naming_the_file(tmp_path, dataset, model_file, capsys):
     doc = json.loads(model_file.read_text())
     model_file.write_text(json.dumps({**doc, "nb": 0}))

@@ -79,8 +79,8 @@ def test_scenario_needs_two_samples():
         input_names=DATA.input_names,
         output_names=DATA.output_names,
     )
-    with pytest.raises(ContractViolationError, match="two samples"):
-        run_scenario(Scenario(model=SYSTEM, network=NetworkConfig(0, 0, 0, 0), data=tiny))
+    with pytest.raises(ContractViolationError, match="^a scenario needs at least two samples$"):
+        Scenario(model=SYSTEM, network=NetworkConfig(0, 0, 0, 0), data=tiny)
 
 
 def test_mean_accuracy_non_increasing_in_loss():

@@ -18,6 +18,7 @@ from telekf.errors import (
 from telekf.metrics import fit_percent, mse
 from telekf.sysid import (
     ArxModel,
+    _simulate,
     arx_fit,
     arx_to_ss,
     load_model,
@@ -266,12 +267,16 @@ def test_simulate_pure_delay():
 
 
 def test_simulate_ar_decay_with_zero_input_gain():
+    # an input impulse sets y[1] = 8; the input is zero after it, and the
+    # output decays by a
     model = ArxModel(
-        na=1, nb=1, nk=1, a_coeffs=[[0.5]], b_coeffs=[[[0.0]]],
+        na=1, nb=1, nk=1, a_coeffs=[[0.5]], b_coeffs=[[[8.0]]],
         n_outputs=1, n_inputs=1, dt=DT,
     )
-    y = simulate_arx(model, np.ones((5, 1)), y_init=[[8.0]])
-    np.testing.assert_allclose(y.ravel(), [4.0, 2.0, 1.0, 0.5, 0.25])
+    u = np.zeros((7, 1))
+    u[0] = 1.0
+    y = simulate_arx(model, u)
+    np.testing.assert_allclose(y.ravel(), [0.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.25])
 
 
 def test_simulate_matches_one_step_predictor_when_na_zero():
@@ -287,13 +292,6 @@ def test_simulate_matches_one_step_predictor_when_na_zero():
     )
     t0, preds = predict_one_step(model, data)
     np.testing.assert_allclose(y[t0:], preds, atol=1e-12)
-
-
-def test_simulate_requires_enough_history():
-    with pytest.raises(ContractViolationError, match="y_init"):
-        simulate_arx(known_221(), np.ones((5, 1)), y_init=np.ones((1, 1)))
-    with pytest.raises(ContractViolationError, match="u_init must have 1 channels"):
-        simulate_arx(known_221(), np.ones((5, 1)), u_init=np.ones((3, 2)))
 
 
 def _simulate_per_step(model, u, y_init, u_init, noise):
@@ -328,16 +326,17 @@ def test_simulate_matches_per_step_difference_equation():
                 u = rng.standard_normal((150, m))
                 y_init = rng.standard_normal((na + 2, p))
                 u_init = rng.standard_normal((nb + nk + 2, m))
+                y_hist, u_hist = y_init[2:], u_init[3:]  # the na and nb + nk - 1 rows it reads
                 noise = 0.1 * rng.standard_normal((150, p))
                 for eq_noise in (None, noise):
-                    got = simulate_arx(model, u, y_init=y_init, u_init=u_init, noise=eq_noise)
+                    got = _simulate(model, u, y_hist, u_hist, eq_noise)
                     want = _simulate_per_step(
                         model, u, y_init, u_init, np.zeros((150, p)) if eq_noise is None else noise
                     )
                     assert got.shape == (150, p)
                     peak = np.abs(want).max(axis=0)
                     assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * peak), model.label
-                assert simulate_arx(model, u[:0], y_init=y_init, u_init=u_init).shape == (0, p)
+                assert _simulate(model, u[:0], y_hist, u_hist, None).shape == (0, p)
 
 
 def test_simulate_diverging_model_turns_nonfinite_at_the_reference_step():
@@ -501,15 +500,16 @@ def test_order_sweep_prefers_true_orders():
 
 
 def _assert_reports_match_one_at_a_time(records, holdout):
-    """Every report equals simulate_arx + fit_percent + mse of its candidate
-    alone, bit for bit (NaN and inf with their signs)."""
+    """Every report equals the free run + fit_percent + mse of its candidate
+    alone, seeded with the holdout before its max lag, bit for bit (NaN and
+    inf with their signs)."""
     u, y = holdout.inputs, holdout.outputs
     scored = [rec for rec in records if rec["report"] is not None]
     for rec in scored:
         model = rec["model"]
-        lag = model.max_lag
+        lag, hu = model.max_lag, model.nb + model.nk - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            y_sim = simulate_arx(model, u[lag:], y_init=y[:lag], u_init=u[:lag])
+            y_sim = _simulate(model, u[lag:], y[lag - model.na : lag], u[lag - hu : lag], None)
             want_fit, want_mse = fit_percent(y[lag:], y_sim), mse(y[lag:], y_sim)
         assert rec["report"].fit_percent.tobytes() == want_fit.tobytes(), model.label
         assert rec["report"].mse.tobytes() == want_mse.tobytes(), model.label

@@ -433,7 +433,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    dataio.LAYOUT.check_capacity(args.n_inputs, args.n_outputs, names=("--n-inputs", "--n-outputs"))
+    dataio.check_capacity(args.n_inputs, args.n_outputs, names=("--n-inputs", "--n-outputs"))
     generator = dataio.random_stable_arx(
         args.na, args.nb, args.nk, n_outputs=args.n_outputs, n_inputs=args.n_inputs,
         seed=args.gen_seed, dt=args.dt,

@@ -25,8 +25,9 @@ from .errors import (
 from .sysid import ArxModel, simulate_arx
 
 __all__ = [
-    "ColumnLayout",
     "LAYOUT",
+    "SIDE",
+    "check_capacity",
     "TrajectorySet",
     "SyntheticSpec",
     "parse_kinematics",
@@ -50,29 +51,6 @@ def _csv_field(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class ColumnLayout:
-    """Column descriptor: names and master/slave block per column."""
-
-    names: tuple[str, ...]
-    blocks: tuple[str, ...]
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.names)
-
-    def block_indices(self, block: str) -> np.ndarray:
-        return np.array([i for i, b in enumerate(self.blocks) if b == block], dtype=int)
-
-    def check_capacity(self, n_inputs: int, n_outputs: int, names=("input channels", "output channels")) -> None:
-        """Raise unless the master block holds ``n_inputs`` columns and the
-        slave block ``n_outputs``; the error calls the two counts ``names``."""
-        for name, value, block in zip(names, (n_inputs, n_outputs), ("master", "slave")):
-            size = self.block_indices(block).size
-            if value > size:
-                raise ContractViolationError(f"{name} must be at most {size} (the layout's {block} columns), got {value}")
-
-
 _POSITION = ("x", "y", "z")
 _VELOCITY = ("vx", "vy", "vz")
 #: the 19 columns of one arm: tool-tip position, rotation matrix, linear
@@ -81,12 +59,19 @@ _ARM_FIELDS = (*_POSITION, *(f"r{i}{j}" for i in "123" for j in "123"), *_VELOCI
 
 #: the 76 JIGSAWS columns ``<mtm|psm>_<left|right>_<field>``: the master
 #: arms (MTM), left then right, then the patient-side arms (PSM)
-LAYOUT = ColumnLayout(
-    names=tuple(
-        f"{side}_{arm}_{field}" for side in ("mtm", "psm") for arm in ("left", "right") for field in _ARM_FIELDS
-    ),
-    blocks=tuple(block for block in ("master", "slave") for _ in range(2 * len(_ARM_FIELDS))),
+LAYOUT = tuple(
+    f"{side}_{arm}_{field}" for side in ("mtm", "psm") for arm in ("left", "right") for field in _ARM_FIELDS
 )
+#: the columns of each side: ``LAYOUT[:SIDE]`` are the master arms, ``LAYOUT[SIDE:]`` the patient-side ones
+SIDE = 2 * len(_ARM_FIELDS)
+
+
+def check_capacity(n_inputs: int, n_outputs: int, names=("input channels", "output channels")) -> None:
+    """Raise unless the master side holds ``n_inputs`` columns and the
+    patient side ``n_outputs``; the error calls the two counts ``names``."""
+    for name, value, block in zip(names, (n_inputs, n_outputs), ("master", "slave")):
+        if value > SIDE:
+            raise ContractViolationError(f"{name} must be at most {SIDE} (the layout's {block} columns), got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,17 +169,8 @@ def _parse_tokens(data: bytes, n_columns: int) -> np.ndarray:
     return values
 
 
-def _columns(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[:, index]``: a view when the columns are consecutive, as in
-    :data:`LAYOUT`, and a copy otherwise."""
-    if index.size and (np.diff(index) == 1).all():
-        return values[:, index[0] : index[-1] + 1]
-    return values[:, index]
-
-
 def parse_kinematics(
     source,
-    layout: ColumnLayout = LAYOUT,
     dt: float = DEFAULT_DT,
     trial_id: str = "",
 ) -> TrajectorySet:
@@ -205,7 +181,7 @@ def parse_kinematics(
     whitespace, ``"\x0b"`` and ``"\x85"`` included, separates tokens within a
     row.  The open text is streamed to numpy's reader, so neither the text
     nor its lines are held beside the parsed array.  Every row must carry
-    exactly ``layout.n_columns`` whitespace-separated numeric tokens;
+    exactly 76 whitespace-separated numeric tokens;
     violations raise :class:`KinematicsFormatError` naming the row (and
     column for bad tokens).  Rows containing NaN or infinity are rejected,
     with their line numbers reported.
@@ -225,19 +201,17 @@ def parse_kinematics(
             values = None
     if (
         values is None
-        or values.shape[1] != layout.n_columns
+        or values.shape[1] != len(LAYOUT)
         or not np.isfinite(values).all()
     ):
-        values = _parse_tokens(path.read_bytes(), layout.n_columns)
-    master = layout.block_indices("master")
-    slave = layout.block_indices("slave")
-    names = np.asarray(layout.names)
+        values = _parse_tokens(path.read_bytes(), len(LAYOUT))
+    # both sides are views of the one parsed array
     return TrajectorySet(
         dt=dt,
-        inputs=_columns(values, master),
-        outputs=_columns(values, slave),
-        input_names=tuple(names[master]),
-        output_names=tuple(names[slave]),
+        inputs=values[:, :SIDE],
+        outputs=values[:, SIDE:],
+        input_names=LAYOUT[:SIDE],
+        output_names=LAYOUT[SIDE:],
         trial_id=trial_id,
     )
 
@@ -407,31 +381,23 @@ def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:
     )
 
 
-def write_kinematics(
-    ts: TrajectorySet, path, layout: ColumnLayout = LAYOUT
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Write a TrajectorySet as layout-shaped text (unused columns zero) and
-    return the names of the input and of the output columns it filled.
+def write_kinematics(ts: TrajectorySet, path) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Write a TrajectorySet as a :data:`LAYOUT` table (unused columns zero)
+    and return the names of the input and of the output columns it filled.
 
     Inputs land in the first master-side columns, outputs in the first
-    slave-side columns, so a parse + select round trip of those names
+    patient-side columns, so a parse + select round trip of those names
     reproduces the values exactly (floats are written with full precision).
     The rows are formatted and written :data:`WRITE_BLOCK_ROWS` at a time.
     """
     m, p = ts.inputs.shape[1], ts.outputs.shape[1]
-    layout.check_capacity(m, p)
-    master = layout.block_indices("master")[:m]
-    slave = layout.block_indices("slave")[:p]
-    used = np.concatenate([master, slave])
-    order = np.argsort(used)
+    check_capacity(m, p)
     # "%.17g" prints 0.0 as "0", so the unused columns are literal text
-    fields = ["0"] * layout.n_columns
-    for col in used:
-        fields[col] = "%.17g"
+    fields = ["%.17g"] * m + ["0"] * (SIDE - m) + ["%.17g"] * p + ["0"] * (SIDE - p)
     row = " ".join(fields) + "\n"
     with open(path, "w", encoding="utf-8") as out:
         for start in range(0, ts.n_samples, WRITE_BLOCK_ROWS):
             stop = start + WRITE_BLOCK_ROWS
-            values = np.hstack([ts.inputs[start:stop], ts.outputs[start:stop]])[:, order].tolist()
+            values = np.hstack([ts.inputs[start:stop], ts.outputs[start:stop]]).tolist()
             out.write("".join([row % tuple(v) for v in values]))
-    return tuple(layout.names[i] for i in master), tuple(layout.names[i] for i in slave)
+    return LAYOUT[:m], LAYOUT[SIDE : SIDE + p]

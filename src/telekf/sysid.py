@@ -98,6 +98,9 @@ class ArxModel:
         b = np.asarray(self.b_coeffs, dtype=float).reshape(
             self.n_outputs, self.n_inputs, self.nb
         )
+        for name, coeffs in (("a_coeffs", a), ("b_coeffs", b)):
+            if not np.isfinite(coeffs).all():
+                check_range(name, coeffs[~np.isfinite(coeffs)][0], (-np.inf, np.inf))
         object.__setattr__(self, "a_coeffs", a)
         object.__setattr__(self, "b_coeffs", b)
 

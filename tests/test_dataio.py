@@ -14,7 +14,7 @@ import telekf
 from telekf import dataio
 from telekf.dataio import (
     LAYOUT,
-    ColumnLayout,
+    SIDE,
     SyntheticSpec,
     TrajectorySet,
     gen_synthetic,
@@ -33,25 +33,40 @@ from telekf.errors import (
 DT = 1.0 / 30.0
 
 
-def parse_text(tmp_path, data, *args):
+def parse_text(tmp_path, data):
     """:func:`parse_kinematics` of a file holding ``data``: bytes as they
     are, or text encoded as UTF-8 with its line ends kept."""
     path = tmp_path / "kinematics.txt"
     path.write_bytes(data if isinstance(data, bytes) else data.encode())
-    return parse_kinematics(path, *args)
+    return parse_kinematics(path)
+
+
+def pad_rows(data):
+    r"""``data``, text or bytes, with 72 zero tokens appended to each row that
+    holds a token, so a row of four columns fills the 76 of :data:`LAYOUT`.
+    Rows end at "\n", "\r\n" or "\r", as the reader splits them."""
+    pad = " 0" * (len(LAYOUT) - 4)
+    pattern = r"[^\r\n]+"
+    if isinstance(data, bytes):
+        pad, pattern = pad.encode(), pattern.encode()
+    return re.sub(pattern, lambda row: row[0] + pad if row[0].split() else row[0], data)
+
+
+def padded(values):
+    """Four-column ``values`` in the first four of 76 columns, zeros after."""
+    return np.pad(np.asarray(values, dtype=float), ((0, 0), (0, len(LAYOUT) - 4)))
 
 
 def test_layout_pins_every_column_name_and_block():
-    layout = LAYOUT
-    assert layout.n_columns == 76
-    assert len(set(layout.names)) == 76
-    assert layout.block_indices("master").size == 38
-    assert layout.block_indices("slave").size == 38
-    assert layout.names[0] == "mtm_left_x"
-    assert layout.names[38] == "psm_left_x"
-    assert layout.names[-1] == "psm_right_grip"
-    # the hash of the 76 "<name>,<block>" lines of the JIGSAWS layout in column order
-    text = "".join(f"{name},{block}\n" for name, block in zip(layout.names, layout.blocks))
+    assert len(LAYOUT) == 76
+    assert len(set(LAYOUT)) == 76
+    assert SIDE == 38
+    assert LAYOUT[0] == "mtm_left_x"
+    assert LAYOUT[38] == "psm_left_x"
+    assert LAYOUT[-1] == "psm_right_grip"
+    # the hash of the 76 "<name>,<block>" lines of the JIGSAWS layout in
+    # column order: the first 38 columns are the master block, the rest slave
+    text = "".join(f"{name},{'master' if i < 38 else 'slave'}\n" for i, name in enumerate(LAYOUT))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bf8f44f703bf47ff0536b8cb552e7cab4a4d37433cc46bfe18b92ca8cc2c9f04"
     )
@@ -137,31 +152,24 @@ def reference_parse(text, n_columns):
     return values
 
 
-#: two master and two slave columns, so parsed values are hstack(inputs, outputs)
-SMALL = ColumnLayout(
-    names=("m1", "m2", "s1", "s2"),
-    blocks=("master", "master", "slave", "slave"),
-)
-
-
-def assert_parses_like_reference(tmp_path, text, layout=SMALL):
-    """Bit-identical values, or the identical exception and message, and no warning."""
+def assert_parses_like_reference(tmp_path, text):
+    """Rows of four columns, padded to 76: bit-identical values, or the
+    identical exception and message, and no warning."""
+    text = pad_rows(text)
     try:
-        expected = reference_parse(text, layout.n_columns)
+        expected = reference_parse(text, len(LAYOUT))
     except (KinematicsFormatError, ContractViolationError) as exc:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(type(exc)) as got:
-                parse_text(tmp_path, text, layout)
+                parse_text(tmp_path, text)
         assert str(got.value) == str(exc)
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts = parse_text(tmp_path, text, layout)
-    master = layout.block_indices("master")
-    slave = layout.block_indices("slave")
-    assert ts.inputs.tobytes() == expected[:, master].tobytes()
-    assert ts.outputs.tobytes() == expected[:, slave].tobytes()
+        ts = parse_text(tmp_path, text)
+    assert ts.inputs.tobytes() == expected[:, :38].tobytes()
+    assert ts.outputs.tobytes() == expected[:, 38:].tobytes()
 
 
 READ_CASES = {
@@ -238,29 +246,30 @@ def test_plain_input_takes_the_one_call_read(tmp_path, monkeypatch):
     rows[1] = rows[1].replace("\t", "\x0b").replace(" ", "\u2028")
     k = np.arange(len(line_ends), dtype=float)
     for text in ["".join(r + e for r, e in zip(rows, line_ends)), "\r".join(rows) + "\r"]:
-        ts = parse_text(tmp_path, text, SMALL)
-        np.testing.assert_array_equal(ts.inputs, np.column_stack([k, k + 0.5]))
-        np.testing.assert_array_equal(ts.outputs, np.column_stack([-k * 1e-3, k]))
+        ts = parse_text(tmp_path, pad_rows(text))
+        want = padded(np.column_stack([k, k + 0.5, -k * 1e-3, k]))
+        np.testing.assert_array_equal(np.hstack([ts.inputs, ts.outputs]), want)
 
 
 def test_parse_undecodable_bytes_name_the_offset(tmp_path):
     with pytest.raises(KinematicsFormatError, match=r"byte offset 1: cannot decode b'\\xff' as UTF-8"):
-        parse_text(tmp_path, b"1\xff 2 3 4\n", SMALL)
-    with pytest.raises(KinematicsFormatError, match="byte offset 14"):
-        parse_text(tmp_path, b"1 2 3 4\n5 6 7 \xe9\n", SMALL)
-    # after multi-byte characters, before a bad token or a ragged row, and
-    # cut short at the end: the offset and bytes whole-text decoding names
+        parse_text(tmp_path, pad_rows(b"1\xff 2 3 4\n"))
+    # after a row, after multi-byte characters, before a bad token or a
+    # ragged row, and cut short at the end: the offset and bytes
+    # whole-text decoding names
     for data in [
+        b"1 2 3 4\n5 6 7 \xe9\n",
         "1 2 \u0663 \u20ac\n".encode() + b"5 6 \xe2\x82 8\n",
         b"1 2 x 4\r\n5 6 7 8\r\n\xf0\x9f\x98",
         b"1 2 3\n\xc3\xa9\xc3\n",
         b"1 2 3 4\r\n\xed\xa0\x80\n",
     ]:
+        data = pad_rows(data)
         with pytest.raises(UnicodeDecodeError) as exc:
             data.decode("utf-8")
         bad = data[exc.value.start : exc.value.end]
         with pytest.raises(KinematicsFormatError) as got:
-            parse_text(tmp_path, data, SMALL)
+            parse_text(tmp_path, data)
         assert str(got.value) == f"byte offset {exc.value.start}: cannot decode {bad!r} as UTF-8"
 
 
@@ -270,16 +279,16 @@ def test_a_path_is_read_as_a_plain_local_file(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "_parse_tokens", no_per_token_read)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "http:" / "localhost:1").mkdir(parents=True)
-    text = b"1 2 3 4\n5 6 7 8\n"
+    text = pad_rows(b"1 2 3 4\n5 6 7 8\n")
     for name in ["x.gz", "http://localhost:1/k.txt"]:
         with open(name, "wb") as out:
             out.write(text)
         for source in [name, tmp_path / name]:
-            ts = parse_kinematics(source, SMALL)
-            np.testing.assert_array_equal(np.hstack([ts.inputs, ts.outputs]), [[1, 2, 3, 4], [5, 6, 7, 8.0]])
+            ts = parse_kinematics(source)
+            np.testing.assert_array_equal(np.hstack([ts.inputs, ts.outputs]), padded([[1, 2, 3, 4], [5, 6, 7, 8]]))
     # a source is a path: text in memory is not read
     with pytest.raises(TypeError):
-        parse_kinematics(text, SMALL)
+        parse_kinematics(text)
 
 
 def test_a_path_parses_as_utf8_under_the_c_locale(tmp_path):
@@ -430,13 +439,11 @@ def test_write_then_parse_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(sel.outputs, ts.outputs)
 
 
-def savetxt_reference(ts, path, layout):
+def savetxt_reference(ts, path):
     """The writer as it stood before the template: zero-filled full width, np.savetxt."""
-    master = layout.block_indices("master")
-    slave = layout.block_indices("slave")
-    full = np.zeros((ts.n_samples, layout.n_columns))
-    full[:, master[: ts.inputs.shape[1]]] = ts.inputs
-    full[:, slave[: ts.outputs.shape[1]]] = ts.outputs
+    full = np.zeros((ts.n_samples, 76))
+    full[:, : ts.inputs.shape[1]] = ts.inputs
+    full[:, 38 : 38 + ts.outputs.shape[1]] = ts.outputs
     np.savetxt(path, full, fmt="%.17g")
 
 
@@ -459,38 +466,26 @@ def _edge_trajectory(n_samples, m, p, seed):
     )
 
 
-#: used columns of the two blocks alternate
-INTERLEAVED = ColumnLayout(
-    names=tuple(f"c{i}" for i in range(9)),
-    blocks=("slave", "master", "slave", "master", "master", "slave", "slave", "master", "slave"),
-)
-
-
 @pytest.mark.parametrize(
-    "layout, m, p",
-    [(LAYOUT, 6, 3), (LAYOUT, 38, 38), (INTERLEAVED, 3, 4), (INTERLEAVED, 4, 5)],
-    ids=["paper-columns", "full-capacity", "interleaved", "interleaved-full"],
+    "m, p",
+    [(6, 3), (38, 38), (1, 1), (1, 38), (38, 1)],
+    ids=["paper-columns", "full-capacity", "one-each", "one-input", "one-output"],
 )
-def test_write_kinematics_matches_savetxt(tmp_path, layout, m, p):
+def test_write_kinematics_matches_savetxt(tmp_path, m, p):
     ts = _edge_trajectory(64, m, p, seed=m * 100 + p)
-    write_kinematics(ts, tmp_path / "new.txt", layout)
-    savetxt_reference(ts, tmp_path / "ref.txt", layout)
+    assert write_kinematics(ts, tmp_path / "new.txt") == (LAYOUT[:m], LAYOUT[38 : 38 + p])
+    savetxt_reference(ts, tmp_path / "ref.txt")
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
-@pytest.mark.parametrize("layout", [LAYOUT, INTERLEAVED], ids=["packaged", "interleaved"])
-def test_parse_keeps_consecutive_blocks_as_views_and_copies_interleaved_ones(tmp_path, layout):
-    values = np.random.default_rng(6).standard_normal((5, layout.n_columns))
+def test_parse_returns_both_sides_as_views_of_one_array(tmp_path):
+    values = np.random.default_rng(6).standard_normal((5, 76))
     text = "".join(" ".join(map(repr, row)) + "\n" for row in values.tolist())
-    ts = parse_text(tmp_path, text, layout)
-    master = layout.block_indices("master")
-    slave = layout.block_indices("slave")
-    assert ts.inputs.tobytes() == values[:, master].tobytes()
-    assert ts.outputs.tobytes() == values[:, slave].tobytes()
-    # views of the one parsed array span each other's rows; copies do not
-    consecutive = bool((np.diff(master) == 1).all() and (np.diff(slave) == 1).all())
-    assert consecutive == (layout is LAYOUT)
-    assert np.may_share_memory(ts.inputs, ts.outputs) == consecutive
+    ts = parse_text(tmp_path, text)
+    assert ts.inputs.tobytes() == values[:, :38].tobytes()
+    assert ts.outputs.tobytes() == values[:, 38:].tobytes()
+    # views of the one parsed array span each other's rows
+    assert np.may_share_memory(ts.inputs, ts.outputs)
 
 
 def test_parse_peak_is_one_parsed_array(tmp_path):

@@ -11,7 +11,6 @@ import pytest
 import telekf
 from conftest import identified_system, reference_dataset
 from telekf.channel import NetworkConfig
-from telekf.dataio import LAYOUT
 from telekf.filtering import initial_estimate
 from telekf.simrunner import Scenario, run_scenario, run_sweep
 from telekf.sysid import order_sweep
@@ -86,5 +85,4 @@ def test_types_that_hold_arrays_compare_and_hash_by_identity():
         assert obj in [twin, obj] and twin not in [obj]
     # the types of plain values keep value equality
     assert NetworkConfig(1, 2, 0.1, 3) == NetworkConfig(1, 2, 0.1, 3)
-    assert copy.deepcopy(LAYOUT) == LAYOUT
     assert copy.deepcopy(result.channel_stats) == result.channel_stats

@@ -147,6 +147,15 @@ def test_model_needs_a_channel_of_each_kind(name):
         random_stable_arx(2, 2, 1, seed=1, **channels)
 
 
+@pytest.mark.parametrize("name", ["a_coeffs", "b_coeffs"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_rejects_coefficients_that_are_not_finite(name, value):
+    coeffs = {"a_coeffs": np.array([[0.5, 0.1]]), "b_coeffs": np.array([[[1.0, 2.0]]])}
+    coeffs[name].flat[-1] = value
+    with pytest.raises(ContractViolationError, match=re.escape(f"{name} must be finite, got {value}")):
+        ArxModel(na=2, nb=2, nk=1, n_outputs=1, n_inputs=1, dt=DT, **coeffs)
+
+
 def test_fit_rank_deficient_noisy_data_raises_with_condition():
     rng = np.random.default_rng(8)
     n = 400

@@ -35,11 +35,11 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     finite raises :class:`SingularInnovationError` naming its step and row.
 
     A step's results depend only on the covariance entering it and on
-    whether it is observed.  So once step t enters with the covariance and
-    flag of an earlier step s, steps t, t+1, ... repeat steps s, s+1, ...
-    with period t - s for as long as the mask repeats with that period, and
-    that whole run takes its rows from steps s .. t-1.  With every step
-    observed, a few dozen rows serve the whole pass.
+    whether it is observed, so a step that enters with the covariance and
+    flag of an earlier step takes that step's row.  With every step
+    observed, each later step repeats too: the first repeat fills the rest
+    of ``step`` with the cycle since that earlier step, and a few dozen
+    rows serve the whole pass.
     """
     steps = has_z.shape[0]
     p, n = h.shape
@@ -47,18 +47,19 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
     step = np.empty(steps, dtype=np.intp)
     p_pri, p_post, gains = [], [], []  # one entry per step computed below
 
+    full = has_z.all()
     seen = {}  # (bytes of the entering covariance, observed) -> first step
     cov = p0
-    t = 0
-    while t < steps:
+    for t in range(steps):
         observed = bool(has_z[t])
         key = (cov.tobytes(), observed)
         done = seen.get(key)
         if done is not None:
-            end = _periodic_run_end(has_z, t, t - done)
-            _fill_periodic(step, done, t, end)
-            t = end
-            cov = p_post[step[t - 1]]
+            if full:
+                _fill_periodic(step, done, t, steps)
+                break
+            step[t] = step[done]
+            cov = p_post[step[t]]
             continue
         cov = a @ cov @ a_t + q
         cov = 0.5 * (cov + cov.T)
@@ -80,28 +81,9 @@ def covariance_loop(a, h, q, r_diag, p0, has_z):
         p_post.append(cov)
         gains.append(step_gains)
         seen[key] = t
-        t += 1
     del seen  # with a lossy mask most steps are distinct: fold before stacking
     mk = _fold_rows(h, np.array(gains))
     return np.array(p_pri), np.array(p_post), mk, step
-
-
-def _periodic_run_end(has_z, start, period):
-    """The first step at or after ``start`` whose flag differs from the one
-    ``period`` steps before it, or ``len(has_z)``.
-
-    The flags are compared in windows that double in length, so a long run
-    costs a few comparisons, not one per step.
-    """
-    steps = has_z.shape[0]
-    width = 1
-    while start < steps:
-        stop = min(start + width, steps)
-        differs = has_z[start:stop] != has_z[start - period : stop - period]
-        if differs.any():
-            return start + int(differs.argmax())
-        start, width = stop, 2 * width
-    return steps
 
 
 def _fill_periodic(arr, first, start, end):

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_DT = 1.0 / 30.0
+POLE_RADIUS = 0.9
 
 #: rows of text formatted and written at a time, here and by ``simrunner``
 WRITE_BLOCK_ROWS = 1024
@@ -253,7 +254,7 @@ def select_channels(ts: TrajectorySet, input_names, output_names) -> TrajectoryS
     )
 
 
-def paper_preset(ts: TrajectorySet, arm: str = "right") -> TrajectorySet:
+def paper_preset(ts: TrajectorySet, arm: str) -> TrajectorySet:
     """The paper's channels of one arm: master tool-tip position and velocity
     in, patient tool-tip position out, named without the arm (``mtm_x``, ``psm_x``)."""
     if arm not in ("left", "right"):
@@ -275,9 +276,8 @@ def random_stable_arx(
     n_inputs: int,
     seed: int,
     dt: float = DEFAULT_DT,
-    pole_radius: float = 0.9,
 ) -> ArxModel:
-    """Random ARX model with all poles inside ``pole_radius``.
+    """Random ARX model with all poles inside :data:`POLE_RADIUS`.
 
     Poles are drawn as complex-conjugate pairs (plus one real pole when na
     is odd); input coefficients are standard normal.
@@ -288,12 +288,12 @@ def random_stable_arx(
         poles = []
         remaining = na
         while remaining >= 2:
-            radius = rng.uniform(0.2, pole_radius)
+            radius = rng.uniform(0.2, POLE_RADIUS)
             angle = rng.uniform(0.1, np.pi - 0.1)
             poles.extend([radius * np.exp(1j * angle), radius * np.exp(-1j * angle)])
             remaining -= 2
         if remaining:
-            poles.append(rng.uniform(-pole_radius, pole_radius))
+            poles.append(rng.uniform(-POLE_RADIUS, POLE_RADIUS))
         poly = np.real(np.poly(np.asarray(poles))) if poles else np.array([1.0])
         a_coeffs[c] = -poly[1:]
     b_coeffs = rng.standard_normal((n_outputs, n_inputs, nb))

@@ -16,9 +16,7 @@ REFERENCE_ORDERS = (2, 2, 1)
 
 
 def reference_generator(n_inputs=2):
-    return random_stable_arx(
-        *REFERENCE_ORDERS, n_outputs=3, n_inputs=n_inputs, seed=42, pole_radius=0.85
-    )
+    return random_stable_arx(*REFERENCE_ORDERS, n_outputs=3, n_inputs=n_inputs, seed=42)
 
 
 def reference_dataset(n_samples=1500, seed=1, n_inputs=2):

@@ -86,7 +86,7 @@ def test_predict_dimension_errors_name_offender():
 # joint-gain reference
 
 
-def test_update_joint_perfect_sensor_limit():
+def test_one_step_trace_perfect_sensor_limit():
     rng = np.random.default_rng(0)
     model = static_model(np.eye(3), np.full(3, 1e-12))
     est = StateEstimate(rng.standard_normal(3), np.eye(3))
@@ -95,7 +95,7 @@ def test_update_joint_perfect_sensor_limit():
     np.testing.assert_allclose(trace.x_post[0], z, atol=1e-6)
 
 
-def test_update_joint_equal_weight_fusion():
+def test_one_step_trace_equal_weight_fusion():
     model = scalar_model(q=0.0, r=1.0)
     trace = one_step(model, StateEstimate([0.0], [[1.0]]), z=[2.0])
     np.testing.assert_allclose(trace.x_post[0], [1.0], atol=1e-15)
@@ -115,7 +115,7 @@ def singular_cases():
     ]
 
 
-def test_update_joint_singular_innovation():
+def test_trace_singular_innovation_names_first_observed_step():
     # the covariance of each case survives unobserved steps, so the first
     # observed step is the one named
     for est, model in singular_cases():
@@ -125,7 +125,7 @@ def test_update_joint_singular_innovation():
             run_filter_trace(model, est, np.zeros((4, 1)), (np.ones((4, 1)), np.array([False, False, True, True])))
 
 
-def test_update_joint_measurement_length_error():
+def test_one_step_trace_measurement_length_error():
     model = scalar_model()
     with pytest.raises(ContractViolationError, match="equal length, got 1, 2 and 1"):
         one_step(model, StateEstimate([0.0], [[1.0]]), z=[1.0, 2.0])
@@ -197,7 +197,7 @@ def test_update_never_increases_trace():
 # run_filter_trace
 
 
-def test_run_filter_single_step_without_observation_is_predict():
+def test_one_step_trace_without_observation_is_predict():
     model = scalar_model(a=0.9, b=0.5, q=0.04)
     trace = one_step(model, StateEstimate([2.0], [[1.0]]), u=[1.0])
     assert trace.x_post.shape == (1, 1)

@@ -62,21 +62,27 @@ def _state_per_step(a, b, h, gains, x0, u, z, has_z):
     return np.array(x_pri), np.array(x_post)
 
 
-@pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
-def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
-    model = exact_lti(seed=7) if which == "exact_lti" else identified_system(reference_dataset())
-    args = (model.a, model.h, np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states))
-    steps = 600
+def _model(which):
+    return exact_lti(seed=7) if which == "exact_lti" else identified_system(reference_dataset())
+
+
+def _masks(steps=600):
     rng = np.random.default_rng(8)
-    # the last mask converges, drops a burst of 10 steps, then resumes
+    # the burst mask converges, drops a burst of 10 steps, then resumes
     burst = np.ones(steps, dtype=bool)
     burst[300:310] = False
     # the alternating and period-3 masks repeat with a period above one step
     alternating = np.arange(steps) % 2 == 0
     period_3 = np.arange(steps) % 3 != 2
-    masks = (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst,
-             alternating, period_3)
-    for mask in masks:
+    return (np.ones(steps, dtype=bool), rng.random(steps) > 0.2, np.ones(3000, dtype=bool), burst,
+            alternating, period_3)
+
+
+@pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
+def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
+    model = _model(which)
+    args = (model.a, model.h, np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states))
+    for mask in _masks():
         p_pri, p_post, mk, step = _kernels.covariance_loop(*args, mask)
         # every row is some step's; a full mask settles into a short cycle
         np.testing.assert_array_equal(np.unique(step), np.arange(len(p_post)))
@@ -86,6 +92,35 @@ def test_covariance_loop_matches_per_step_recursion_bit_for_bit(which):
         np.testing.assert_array_equal(p_post[step], want_post)
         # an unobserved step's zero gains fold to [I | 0]
         np.testing.assert_array_equal(mk[step], _kernels._fold_rows(model.h, want_gains))
+        # one row per distinct (entering covariance, observed) pair
+        entering = [args[4], *want_post[:-1]]
+        assert len(p_post) == len({(cov.tobytes(), flag) for cov, flag in zip(entering, mask)})
+
+
+@pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
+def test_doubled_h_and_quadrupled_r_leave_covariances_and_states_bit_for_bit(which):
+    # h -> 2h, r -> 4r quadruples every h p h' + r and halves every gain,
+    # both exact in binary floating point, so the pass keeps its covariances
+    # and M blocks, and a doubled z meets the halved K blocks in the same states
+    model = _model(which)
+    q, r_diag, p0 = np.diag(model.q_diag), model.r_diag, 10.0 * np.eye(model.n_states)
+    rng = np.random.default_rng(9)
+    n = model.n_states
+    for mask in _masks():
+        steps = mask.shape[0]
+        u = rng.standard_normal((steps, model.n_inputs))
+        z = rng.standard_normal((steps, model.n_outputs))
+        x0 = rng.standard_normal(n)
+        p_pri, p_post, mk, step = _kernels.covariance_loop(model.a, model.h, q, r_diag, p0, mask)
+        s_pri, s_post, s_mk, s_step = _kernels.covariance_loop(model.a, 2.0 * model.h, q, 4.0 * r_diag, p0, mask)
+        np.testing.assert_array_equal(s_pri[s_step], p_pri[step])
+        np.testing.assert_array_equal(s_post[s_step], p_post[step])
+        np.testing.assert_array_equal(s_mk[s_step, :, :n], mk[step, :, :n])
+        np.testing.assert_array_equal(s_mk[s_step, :, n:], 0.5 * mk[step, :, n:])
+        want_states = _kernels.state_loop(model.a, model.b, mk, step, mask, x0, u, z)
+        got_states = _kernels.state_loop(model.a, model.b, s_mk, s_step, mask, x0, u, 2.0 * z)
+        for got, want in zip(got_states, want_states):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_full_mask_covariance_loop_holds_little_beyond_its_covariance_stacks():
@@ -148,7 +183,7 @@ def test_state_loop_matches_plain_dot_products_bit_for_bit():
 
 @pytest.mark.parametrize("which", ["exact_lti", "identified_system"])
 def test_state_loop_matches_per_step_row_updates(which):
-    model = exact_lti(seed=7) if which == "exact_lti" else identified_system(reference_dataset())
+    model = _model(which)
     rng = np.random.default_rng(11)
     steps = 800
     u = rng.standard_normal((steps, model.n_inputs))

@@ -328,10 +328,7 @@ def test_simulate_matches_per_step_difference_equation():
         for nb in range(1, 5):
             for nk in range(3):
                 p, m = (int(v) for v in rng.integers(1, 4, size=2))
-                model = random_stable_arx(
-                    na, nb, nk, n_outputs=p, n_inputs=m, seed=int(rng.integers(1 << 30)),
-                    pole_radius=0.95,
-                )
+                model = random_stable_arx(na, nb, nk, n_outputs=p, n_inputs=m, seed=int(rng.integers(1 << 30)))
                 u = rng.standard_normal((150, m))
                 y_init = rng.standard_normal((na + 2, p))
                 u_init = rng.standard_normal((nb + nk + 2, m))

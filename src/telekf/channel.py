@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, check_dt, check_range
+from .errors import ContractViolationError, check_dt, check_shape, to_float, to_int
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -49,9 +49,9 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("n_d", float), ("n_j", float), ("n_p", float), ("seed", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-            check_range(name, getattr(self, name), self.RANGES[name])
+        for name, bounds in self.RANGES.items():
+            convert = to_int if name == "seed" else to_float
+            object.__setattr__(self, name, convert(name, getattr(self, name), bounds))
 
     def spawn_streams(self) -> tuple[np.random.Generator, np.random.Generator]:
         """Independent (jitter, loss) generators derived from the seed."""
@@ -105,7 +105,7 @@ def _route(offsets: np.ndarray, uniforms: np.ndarray, n_p: float) -> tuple[np.nd
 def apply_channel(
     truth, cfg: NetworkConfig, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ChannelStats]:
-    """Run the whole truth stream through the channel in one batch.
+    """Run the whole (N, channels) truth stream through the channel in one batch.
 
     Returns ``(delivered, src_idx, lost, stats)`` where row 0 of
     ``delivered`` is the untouched first sample, ``src_idx`` the 0-based
@@ -113,8 +113,7 @@ def apply_channel(
     held), and ``lost`` the loss mask.
     """
     truth = np.asarray(truth, dtype=float)
-    if truth.ndim == 1:
-        truth = truth.reshape(-1, 1)
+    check_shape("truth", truth, (None, None))
     if truth.shape[0] == 0:
         raise ContractViolationError("truth stream is empty")
     dt = check_dt(dt)

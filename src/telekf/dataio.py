@@ -21,6 +21,8 @@ from .errors import (
     UnknownChannelNameError,
     check_dt,
     check_range,
+    check_shape,
+    to_int,
 )
 from .sysid import ArxModel, simulate_arx
 
@@ -77,7 +79,8 @@ def check_capacity(n_inputs: int, n_outputs: int, names=("input channels", "outp
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """Row-aligned input (master-side) and output (patient-side) channels."""
+    """Input (master-side) and output (patient-side) channels: ``inputs`` is
+    (N, m) and ``outputs`` (N, p), with one name per column."""
 
     dt: float
     inputs: np.ndarray
@@ -87,25 +90,15 @@ class TrajectorySet:
     trial_id: str = ""
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
-        if inputs.shape[0] != outputs.shape[0]:
-            raise ContractViolationError(
-                f"inputs and outputs must be row-aligned, got {inputs.shape[0]} and {outputs.shape[0]}"
-            )
+        inputs = np.asarray(self.inputs, dtype=float)
+        check_shape("inputs", inputs, (None, len(self.input_names)))
+        outputs = np.asarray(self.outputs, dtype=float)
+        check_shape("outputs", outputs, (inputs.shape[0], len(self.output_names)))
         if inputs.shape[0] < 1:
             raise ContractViolationError("a trajectory needs at least one sample")
         if not np.isfinite(inputs).all() or not np.isfinite(outputs).all():
             raise ContractViolationError("trajectory values must be finite")
         object.__setattr__(self, "dt", check_dt(self.dt))
-        if len(self.input_names) != inputs.shape[1]:
-            raise ContractViolationError(
-                f"{len(self.input_names)} input names for {inputs.shape[1]} input channels"
-            )
-        if len(self.output_names) != outputs.shape[1]:
-            raise ContractViolationError(
-                f"{len(self.output_names)} output names for {outputs.shape[1]} output channels"
-            )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "input_names", tuple(self.input_names))
@@ -338,7 +331,10 @@ class SyntheticSpec:
                 f"excitation must be 'white' or 'sines', got {self.excitation!r}"
             )
         for name, bounds in self.RANGES.items():
-            check_range(name, getattr(self, name), bounds)
+            if name in ("n_samples", "seed"):
+                object.__setattr__(self, name, to_int(name, getattr(self, name), bounds))
+            else:
+                check_range(name, getattr(self, name), bounds)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> TrajectorySet:

@@ -1,7 +1,9 @@
 """Exception types shared across the package, the JSON value checks of the
-input readers that raise them, and the range and sample-period checks."""
+input readers that raise them, and the range, integer, shape and
+sample-period checks."""
 
 from math import inf
+from operator import index
 
 
 class ContractViolationError(ValueError):
@@ -67,6 +69,26 @@ def check_range(name: str, value, bounds: tuple) -> None:
     least, most = bounds
     if not (least <= value <= most and abs(value) < inf):
         raise ContractViolationError(f"{name} must {_must(bounds)}, got {value}")
+
+
+def to_int(name: str, value, bounds: tuple) -> int:
+    """``value`` as an int if it is an integer (a numpy integer too) within ``bounds``,
+    checked by :func:`check_range`; anything else raises ``<name> must be an integer, got <value>``."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}") from None
+    check_range(name, value, bounds)
+    return value
+
+
+def check_shape(name: str, arr, shape: tuple) -> None:
+    """Raise ``<name> must have shape (N, 2), got (5, 3)`` unless ``arr.shape``
+    matches ``shape``, in which a ``None`` (printed ``N``) matches any length."""
+    if len(arr.shape) != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        dims = ["N" if want is None else str(want) for want in shape]
+        expected = f"({', '.join(dims)}{',' if len(dims) == 1 else ''})"
+        raise ContractViolationError(f"{name} must have shape {expected}, got {arr.shape}")
 
 
 def to_float(name: str, value, bounds: tuple) -> float:

@@ -15,7 +15,7 @@ from math import inf
 import numpy as np
 
 from . import _kernels
-from .errors import ContractViolationError, check_range
+from .errors import ContractViolationError, check_range, check_shape
 
 __all__ = [
     "SystemModel",
@@ -26,17 +26,9 @@ __all__ = [
 ]
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2:
-        raise ContractViolationError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    return arr
-
-
 def _as_variances(value, name: str, length: int) -> np.ndarray:
     arr = np.array(value, dtype=float)
-    if arr.shape != (length,):
-        raise ContractViolationError(f"{name} must hold {length} variances, got shape {arr.shape}")
+    check_shape(name, arr, (length,))
     for v in arr:
         check_range(name, v, (0, inf))
     return arr
@@ -64,20 +56,11 @@ class SystemModel:
     r_diag: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_matrix(self.a, "a"))
-        object.__setattr__(self, "b", _as_matrix(self.b, "b"))
-        object.__setattr__(self, "h", _as_matrix(self.h, "h"))
-        n = self.a.shape[0]
-        if self.a.shape != (n, n):
-            raise ContractViolationError(f"a must be square, got {self.a.shape}")
-        if self.b.shape[0] != n:
-            raise ContractViolationError(
-                f"b must have {n} rows to match a, got {self.b.shape[0]}"
-            )
-        if self.h.shape[1] != n:
-            raise ContractViolationError(
-                f"h must have {n} columns to match a, got {self.h.shape[1]}"
-            )
+        a, b, h = (np.asarray(arr, dtype=float) for arr in (self.a, self.b, self.h))
+        n = a.shape[0] if a.ndim else None
+        for name, arr, shape in (("a", a, (n, n)), ("b", b, (n, None)), ("h", h, (None, n))):
+            check_shape(name, arr, shape)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "q_diag", _as_variances(self.q_diag, "q_diag", n))
         object.__setattr__(self, "r_diag", _as_variances(self.r_diag, "r_diag", self.h.shape[0]))
 
@@ -96,19 +79,16 @@ class SystemModel:
 
 @dataclass(frozen=True, eq=False)
 class StateEstimate:
-    """State vector and covariance at one time index."""
+    """State vector ``x_hat``, (n,), and covariance ``p``, (n, n), at one time index."""
 
     x_hat: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x_hat, dtype=float).reshape(-1)
-        cov = _as_matrix(self.p, "p")
-        n = x.shape[0]
-        if cov.shape != (n, n):
-            raise ContractViolationError(
-                f"covariance must be {n}x{n} to match the state, got {cov.shape}"
-            )
+        x = np.asarray(self.x_hat, dtype=float)
+        cov = np.asarray(self.p, dtype=float)
+        check_shape("x_hat", x, (None,))
+        check_shape("p", cov, x.shape * 2)
         if not np.isfinite(x).all():
             raise ContractViolationError("state vector must be finite")
         if not np.isfinite(cov).all():
@@ -141,12 +121,14 @@ class FilterTrace:
     step: np.ndarray
 
     def innovations(self, model: SystemModel, z: np.ndarray):
-        """Innovation vectors and covariances on observed steps.
+        """Innovation vectors and covariances on observed steps of the (N, p)
+        measurements ``z`` the trace was run on.
 
         Returns (nu, s) where ``nu[t] = z[t] - h x_prior[t]`` and
         ``s[t] = h cov_prior[step[t]] h' + diag(r_diag)``, both restricted to
         observed steps.
         """
+        check_shape("z", z, (len(self.has_obs), model.n_outputs))
         mask = self.has_obs
         h = model.h
         nu = z[mask] - self.x_prior[mask] @ h.T
@@ -163,7 +145,7 @@ def run_filter_trace(
     """Run the filter over N steps and record every estimate.
 
     ``inputs`` is (N, m) and ``observations`` is a ``(z, mask)`` pair: ``z``
-    holds N measurement rows and the boolean ``mask`` marks the steps whose
+    is (N, p) and the boolean (N,) ``mask`` marks the steps whose
     measurement arrived.  Step t predicts from the running estimate with
     ``inputs[t]`` and, where ``mask[t]`` is set, refines with the
     sequential-scalar update on ``z[t]``; rows of ``z`` on other steps are
@@ -179,11 +161,8 @@ def run_filter_trace(
         raise ContractViolationError(
             f"estimate has {init.n_states} states but the model expects {model.n_states}"
         )
-    u = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)))
-    if u.ndim != 2 or u.shape[1] != model.n_inputs:
-        raise ContractViolationError(
-            f"inputs must be (N, {model.n_inputs}), got {u.shape}"
-        )
+    u = np.asarray(inputs, dtype=float)
+    check_shape("inputs", u, (None, model.n_inputs))
     steps = u.shape[0]
     if steps < 1:
         raise ContractViolationError("at least one step is required")
@@ -191,15 +170,12 @@ def run_filter_trace(
     if not (isinstance(observations, tuple) and len(observations) == 2):
         raise ContractViolationError("observations must be a (z, mask) pair")
     z, mask = observations
-    mask = np.asarray(mask).reshape(-1)
+    mask = np.asarray(mask)
     if mask.dtype != bool:
         raise ContractViolationError(f"the observation mask must be boolean, got dtype {mask.dtype}")
-    z = np.ascontiguousarray(np.asarray(z, dtype=float).reshape(-1, model.n_outputs))
-    if z.shape[0] != steps or mask.shape[0] != steps:
-        raise ContractViolationError(
-            "inputs, observations and mask must have equal length, "
-            f"got {steps}, {z.shape[0]} and {mask.shape[0]}"
-        )
+    z = np.asarray(z, dtype=float)
+    check_shape("z", z, (steps, model.n_outputs))
+    check_shape("mask", mask, (steps,))
 
     if not np.isfinite(u).all():
         raise ContractViolationError("inputs must be finite")
@@ -236,10 +212,8 @@ def _covariances(a, h, q, r_diag, p0, mask):
 
 
 def initial_estimate(model: SystemModel, first_obs: np.ndarray) -> StateEstimate:
-    """Diffuse starting estimate: pseudoinverse-mapped first sample, p = 10 I."""
-    first_obs = np.asarray(first_obs, dtype=float).reshape(-1)
-    if first_obs.shape[0] != model.n_outputs:
-        raise ContractViolationError(
-            f"first observation has length {first_obs.shape[0]}, expected {model.n_outputs}"
-        )
+    """Diffuse starting estimate: the (p,) first sample mapped through the
+    pseudoinverse of h, with covariance 10 I."""
+    first_obs = np.asarray(first_obs, dtype=float)
+    check_shape("first_obs", first_obs, (model.n_outputs,))
     return StateEstimate(np.linalg.pinv(model.h) @ first_obs, 10.0 * np.eye(model.n_states))

@@ -4,22 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_shape
 
 __all__ = ["fit_percent", "fit_aggregate", "mse"]
 
 
 def _aligned(truth, estimate, min_len: int):
-    truth = np.asarray(truth, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    if truth.ndim == 1:
-        truth = truth.reshape(-1, 1)
-    if estimate.ndim == 1:
-        estimate = estimate.reshape(-1, 1)
-    if truth.shape != estimate.shape:
-        raise ContractViolationError(
-            f"truth and estimate shapes differ: {truth.shape} vs {estimate.shape}"
-        )
+    """``truth`` and ``estimate`` as (N, channels) float arrays of one shape,
+    a 1-D series read as one channel."""
+    truth, estimate = (np.asarray(x, dtype=float) for x in (truth, estimate))
+    truth, estimate = (x[:, None] if x.ndim == 1 else x for x in (truth, estimate))
+    check_shape("truth", truth, (None, None))
+    check_shape("estimate", estimate, truth.shape)
     if truth.shape[0] < min_len:
         raise ContractViolationError(
             f"need at least {min_len} samples, got {truth.shape[0]}"

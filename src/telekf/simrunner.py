@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import RNG_ALGORITHM, ChannelStats, NetworkConfig, apply_channel
 from .dataio import WRITE_BLOCK_ROWS, TrajectorySet, _csv_field
-from .errors import ContractViolationError
+from .errors import ContractViolationError, to_int
 from .filtering import FilterTrace, SystemModel, initial_estimate, run_filter_trace
 from .metrics import fit_aggregate, fit_percent, mse
 
@@ -155,7 +155,7 @@ def run_sweep(
     conditions = [tuple(float(v) for v in cond) for cond in conditions]
     if not conditions:
         raise ContractViolationError("conditions list is empty")
-    seeds = [int(s) for s in seeds]
+    seeds = [to_int("seed", s, NetworkConfig.RANGES["seed"]) for s in seeds]
     if not seeds:
         raise ContractViolationError("seeds list is empty")
     rows = list(itertools.product(conditions, seeds))

@@ -27,10 +27,12 @@ from .errors import (
     UnsupportedStructureError,
     check_dt,
     check_range,
+    check_shape,
     is_int,
     is_list_of,
     is_number,
     to_float,
+    to_int,
 )
 from .metrics import channel_spread, fit_aggregate, fit_from_error_norm
 
@@ -89,20 +91,16 @@ class ArxModel:
     source_trial: str | None = None
 
     def __post_init__(self):
-        for name in ("na", "nb", "nk", "n_outputs", "n_inputs"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "dt", check_dt(self.dt))
         for name, bounds in self.RANGES.items():
-            check_range(name, getattr(self, name), bounds)
-        a = np.asarray(self.a_coeffs, dtype=float).reshape(self.n_outputs, self.na)
-        b = np.asarray(self.b_coeffs, dtype=float).reshape(
-            self.n_outputs, self.n_inputs, self.nb
-        )
-        for name, coeffs in (("a_coeffs", a), ("b_coeffs", b)):
+            object.__setattr__(self, name, to_int(name, getattr(self, name), bounds))
+        object.__setattr__(self, "dt", check_dt(self.dt))
+        p = self.n_outputs
+        for name, shape in (("a_coeffs", (p, self.na)), ("b_coeffs", (p, self.n_inputs, self.nb))):
+            coeffs = np.asarray(getattr(self, name), dtype=float)
+            check_shape(name, coeffs, shape)
             if not np.isfinite(coeffs).all():
                 check_range(name, coeffs[~np.isfinite(coeffs)][0], (-np.inf, np.inf))
-        object.__setattr__(self, "a_coeffs", a)
-        object.__setattr__(self, "b_coeffs", b)
+            object.__setattr__(self, name, coeffs)
 
     @property
     def max_lag(self) -> int:
@@ -174,10 +172,8 @@ def _fit_grid(data, grid) -> list:
     m = u.shape[1]
     results, fits = [], []  # fits: (index into results, na, nb, nk, a, b)
     for orders in grid:
-        na, nb, nk = (int(v) for v in orders)
         try:
-            for (name, bounds), value in zip(ArxModel.RANGES.items(), (na, nb, nk)):
-                check_range(name, value, bounds)
+            na, nb, nk = (to_int(name, v, bounds) for (name, bounds), v in zip(ArxModel.RANGES.items(), orders))
             if n_samples <= na + nb + nk + 10:
                 raise ContractViolationError(
                     f"need more than {na + nb + nk + 10} samples for orders ({na},{nb},{nk}), got {n_samples}"
@@ -260,20 +256,19 @@ def _forced(model: ArxModel, u_src: np.ndarray, steps: int) -> np.ndarray:
 
 
 def simulate_arx(model: ArxModel, u, noise=None) -> np.ndarray:
-    """Free-run simulation from rest: the recursion feeds on its own past
-    outputs, and every output and input before the first step is zero.
+    """Free-run simulation from rest of the (N, m) inputs ``u``: the
+    recursion feeds on its own past outputs, and every output and input
+    before the first step is zero.
 
     ``noise``, when given, is an (N, p) array of equation-noise terms added
     inside the recursion (so later outputs feed on the noisy values).
     Returns one output row per input row.
     """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[1] != model.n_inputs:
-        raise ContractViolationError(
-            f"u must have {model.n_inputs} channels, got {u.shape[1]}"
-        )
+    u = np.asarray(u, dtype=float)
+    check_shape("u", u, (None, model.n_inputs))
     if noise is not None:
-        noise = np.asarray(noise, dtype=float).reshape(u.shape[0], model.n_outputs)
+        noise = np.asarray(noise, dtype=float)
+        check_shape("noise", noise, (u.shape[0], model.n_outputs))
     y_hist = np.zeros((model.na, model.n_outputs))
     u_hist = np.zeros((model.nb + model.nk - 1, model.n_inputs))
     return _simulate(model, u, y_hist, u_hist, noise)

@@ -153,6 +153,9 @@ def test_apply_channel_validates_truth_and_dt():
     cfg = NetworkConfig(0, 0, 0, seed=1)
     with pytest.raises(ContractViolationError, match="empty"):
         apply_channel(np.zeros((0, 2)), cfg, DT)
+    # a stream is (N, channels): a 1-D one is not read as one channel
+    with pytest.raises(ContractViolationError, match=r"truth must have shape \(N, N\), got \(5,\)"):
+        apply_channel(np.zeros(5), cfg, DT)
     for dt in (0.0, -DT, float("nan")):
         with pytest.raises(ContractViolationError, match="dt must be positive"):
             apply_channel(np.zeros((5, 2)), cfg, dt)
@@ -193,8 +196,10 @@ def test_network_config_validation():
         ({"n_j": np.inf}, "n_j must be in [0, inf), got inf"),
         ({"n_p": 1.5}, "n_p must be in [0, 1], got 1.5"),
         ({"seed": -1}, "seed must be in [0, inf), got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": 2.0}, "seed must be an integer, got 2.0"),
     ],
-    ids=["n_d", "n_j", "n_p", "seed"],
+    ids=["n_d", "n_j", "n_p", "seed", "seed-fraction", "seed-float"],
 )
 def test_network_config_names_the_field_and_its_range(fields, message):
     with pytest.raises(ContractViolationError) as info:

@@ -411,8 +411,12 @@ def test_synthetic_spec_rejects_noise_that_is_not_finite_and_non_negative(noise,
         ("seed", -1, "seed must be in [0, inf), got -1"),
         ("input_scale", np.nan, "input_scale must be finite, got nan"),
         ("input_scale", -np.inf, "input_scale must be finite, got -inf"),
+        ("n_samples", 2.5, "n_samples must be an integer, got 2.5"),
+        ("n_samples", 50.0, "n_samples must be an integer, got 50.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
     ],
-    ids=["n_samples", "seed", "input_scale-nan", "input_scale-neg-inf"],
+    ids=["n_samples", "seed", "input_scale-nan", "input_scale-neg-inf", "n_samples-fraction", "n_samples-float",
+         "seed-fraction"],
 )
 def test_synthetic_spec_names_the_field_and_its_range(field, value, message):
     gen = random_stable_arx(1, 1, 1, n_outputs=1, n_inputs=1, seed=34)
@@ -529,7 +533,7 @@ def test_write_kinematics_rejects_too_many_channels(tmp_path):
 
 
 def test_trajectory_validation():
-    with pytest.raises(ContractViolationError, match="row-aligned"):
+    with pytest.raises(ContractViolationError, match=r"outputs must have shape \(3, 3\), got \(2, 3\)"):
         _small_ts(n_in=3, n_out=2)
     with pytest.raises(ContractViolationError, match="finite"):
         from telekf.dataio import TrajectorySet

@@ -75,7 +75,7 @@ def test_predict_scalar_hand_arithmetic():
 
 def test_predict_dimension_errors_name_offender():
     model = scalar_model()
-    with pytest.raises(ContractViolationError, match=r"inputs must be \(N, 1\), got \(1, 2\)"):
+    with pytest.raises(ContractViolationError, match=r"inputs must have shape \(N, 1\), got \(1, 2\)"):
         one_step(model, StateEstimate([0.0], [[1.0]]), u=[0.0, 1.0])
     with pytest.raises(ContractViolationError, match="2 states"):
         one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), u=[0.0])
@@ -127,7 +127,7 @@ def test_trace_singular_innovation_names_first_observed_step():
 
 def test_one_step_trace_measurement_length_error():
     model = scalar_model()
-    with pytest.raises(ContractViolationError, match="equal length, got 1, 2 and 1"):
+    with pytest.raises(ContractViolationError, match=r"z must have shape \(1, 1\), got \(1, 2\)"):
         one_step(model, StateEstimate([0.0], [[1.0]]), z=[1.0, 2.0])
 
 
@@ -231,11 +231,17 @@ def test_run_filter_tracks_perfect_sensor():
 def test_run_filter_length_mismatch():
     model = scalar_model()
     init = StateEstimate([0.0], [[1.0]])
-    with pytest.raises(ContractViolationError, match="equal length"):
+    with pytest.raises(ContractViolationError, match=r"z must have shape \(2, 1\), got \(1, 1\)"):
         run_filter_trace(model, init, [[0.0], [0.0]], ([[0.0]], [False]))
     # a short mask, with z of the right length, is named as the short one
-    with pytest.raises(ContractViolationError, match="equal length, got 2, 2 and 1"):
+    with pytest.raises(ContractViolationError, match=r"mask must have shape \(2,\), got \(1,\)"):
         run_filter_trace(model, init, [[0.0], [0.0]], ([[0.0], [0.0]], [False]))
+    # with three outputs, z transposed is refused, not read as five scrambled rows
+    model = exact_lti(seed=5, p=3)
+    z = np.arange(15.0).reshape(5, 3)
+    u, mask = np.zeros((5, model.n_inputs)), np.ones(5, dtype=bool)
+    with pytest.raises(ContractViolationError, match=r"z must have shape \(5, 3\), got \(3, 5\)"):
+        run_filter_trace(model, initial_estimate(model, z[0]), u, (z.T, mask))
 
 
 def test_observations_must_be_a_pair_with_a_boolean_mask():
@@ -377,7 +383,7 @@ def test_covariances_shared_read_only_and_keyed_on_exact_inputs(monkeypatch):
 
 
 def test_system_model_validation():
-    with pytest.raises(ContractViolationError, match="square"):
+    with pytest.raises(ContractViolationError, match=r"a must have shape \(2, 2\), got \(2, 3\)"):
         SystemModel(a=np.zeros((2, 3)), b=np.zeros((2, 1)), h=np.eye(2), q_diag=np.ones(2), r_diag=np.ones(2))
     # the noise is one variance per state and per output channel, each finite and >= 0
     good = dict(a=np.eye(2), b=np.zeros((2, 1)), h=np.eye(3, 2), q_diag=[0.5, 0.0], r_diag=[1.0, 2.0, 0.0])
@@ -385,9 +391,9 @@ def test_system_model_validation():
     np.testing.assert_array_equal(model.q_diag, [0.5, 0.0])
     np.testing.assert_array_equal(model.r_diag, [1.0, 2.0, 0.0])
     for field, bad, message in (
-        ("q_diag", [0.5], r"q_diag must hold 2 variances, got shape \(1,\)"),
-        ("q_diag", np.eye(2), r"q_diag must hold 2 variances, got shape \(2, 2\)"),
-        ("r_diag", 1.0, r"r_diag must hold 3 variances, got shape \(\)"),
+        ("q_diag", [0.5], r"q_diag must have shape \(2,\), got \(1,\)"),
+        ("q_diag", np.eye(2), r"q_diag must have shape \(2,\), got \(2, 2\)"),
+        ("r_diag", 1.0, r"r_diag must have shape \(3,\), got \(\)"),
         ("q_diag", [0.5, -1e-12], r"q_diag must be in \[0, inf\), got -1e-12"),
         ("r_diag", [1.0, -1.0, 0.0], r"r_diag must be in \[0, inf\), got -1.0"),
         ("q_diag", [np.nan, 0.0], r"q_diag must be in \[0, inf\), got nan"),

@@ -79,8 +79,10 @@ def test_mse_matches_naive_loop():
 
 
 def test_length_and_shape_errors():
-    with pytest.raises(ContractViolationError, match="shapes differ"):
+    with pytest.raises(ContractViolationError, match=r"estimate must have shape \(3, 1\), got \(4, 1\)"):
         mse(np.zeros((3, 1)), np.zeros((4, 1)))
+    with pytest.raises(ContractViolationError, match=r"truth must have shape \(N, N\), got \(\)"):
+        mse(0.0, 0.0)
     with pytest.raises(ContractViolationError, match="at least 2"):
         fit_percent(np.zeros((1, 1)), np.zeros((1, 1)))
 

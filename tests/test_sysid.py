@@ -135,7 +135,8 @@ def test_fit_rejects_negative_orders():
     data = synth(known_111(), 200, seed=7)
     for orders, message in (((1, 1, -1), "nk must be in [0, inf), got -1"),
                             ((-1, 1, 1), "na must be in [0, inf), got -1"),
-                            ((1, 0, 1), "nb must be in [1, inf), got 0")):
+                            ((1, 0, 1), "nb must be in [1, inf), got 0"),
+                            ((1.9, 1, 1), "na must be an integer, got 1.9")):
         with pytest.raises(ContractViolationError, match=re.escape(message)):
             arx_fit(data, orders)
 
@@ -145,6 +146,15 @@ def test_model_needs_a_channel_of_each_kind(name):
     channels = {"n_outputs": 1, "n_inputs": 1, name: 0}
     with pytest.raises(ContractViolationError, match=re.escape(f"{name} must be in [1, inf), got 0")):
         random_stable_arx(2, 2, 1, seed=1, **channels)
+    with pytest.raises(ContractViolationError, match=re.escape(f"{name} must be an integer, got 1.5")):
+        dataclasses.replace(known_111(), **{name: 1.5})
+    # with two channels of this kind, the coefficients with that axis moved last are refused
+    model = random_stable_arx(3, 3, 1, seed=1, **{**channels, name: 2})
+    field, axes = {"n_outputs": ("a_coeffs", (1, 0)), "n_inputs": ("b_coeffs", (0, 2, 1))}[name]
+    moved = getattr(model, field).transpose(axes)
+    message = f"{field} must have shape {getattr(model, field).shape}, got {moved.shape}"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        dataclasses.replace(model, **{field: moved})
 
 
 @pytest.mark.parametrize("name", ["a_coeffs", "b_coeffs"])
@@ -303,6 +313,16 @@ def test_simulate_matches_one_step_predictor_when_na_zero():
     np.testing.assert_allclose(y[t0:], preds, atol=1e-12)
 
 
+def test_simulate_refuses_misshaped_inputs():
+    model = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=4)
+    u, noise = np.zeros((5, 2)), np.zeros((5, 3))
+    with pytest.raises(ContractViolationError, match=re.escape("u must have shape (N, 2), got (5,)")):
+        simulate_arx(model, u[:, 0])
+    # the noise transposed is refused, not read as five scrambled rows
+    with pytest.raises(ContractViolationError, match=re.escape("noise must have shape (5, 3), got (3, 5)")):
+        simulate_arx(model, u, noise=noise.T)
+
+
 def _simulate_per_step(model, u, y_init, u_init, noise):
     """The difference equation, one step, one channel and one term at a time."""
     na, nb, nk = model.na, model.nb, model.nk
@@ -440,7 +460,7 @@ def test_realization_rejects_r_of_another_length():
     model = random_stable_arx(2, 2, 1, n_outputs=3, n_inputs=2, seed=12)
     for r in (2.0, np.ones(4), np.eye(3)):
         with pytest.raises(ContractViolationError, match=re.escape(
-            f"r_diag must hold 3 variances, got shape {np.shape(r)}"
+            f"r_diag must have shape (3,), got {np.shape(r)}"
         )):
             arx_to_ss(model, q=0.0, r=r)
 

@@ -156,11 +156,16 @@ def run_filter_trace(
     The covariance pass depends only on the model, ``init.p`` and the mask;
     the last one is kept, so calls that share those (the scenarios of a
     sweep) compute it once and share its arrays read-only.
+
+    Under a full mask the pass settles at a step T0 into a cycle of period
+    P.  When 1 <= P <= 24 and the steps from T0 on hold at least two blocks
+    of B = (24 // P) P steps, the whole blocks run as a lifted periodic
+    recursion (:func:`telekf._kernels.lifted_state_loop`, its matrices kept
+    with the pass), whose states agree with the state loop's to rounding;
+    the steps before T0 and after the last whole block, and every other
+    run, go through the state loop, one step at a time.
     """
-    if init.n_states != model.n_states:
-        raise ContractViolationError(
-            f"estimate has {init.n_states} states but the model expects {model.n_states}"
-        )
+    check_shape("x_hat", init.x_hat, (model.n_states,))
     u = np.asarray(inputs, dtype=float)
     check_shape("inputs", u, (None, model.n_inputs))
     steps = u.shape[0]
@@ -183,23 +188,27 @@ def run_filter_trace(
         raise ContractViolationError("observations must be finite on steps with a measurement")
 
     q = np.diag(model.q_diag)
-    cov_prior, cov_post, mk, step = _covariances(model.a, model.h, q, model.r_diag, init.p, mask)
-    x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, step, mask, init.x_hat, u, z)
+    (cov_prior, cov_post, mk, step), lift = _covariances(model.a, model.h, q, model.r_diag, init.p, mask)
+    if lift is None:
+        x_pri, x_post = _kernels.state_loop(model.a, model.b, mk, step, mask, init.x_hat, u, z)
+    else:
+        x_pri, x_post = _kernels.lifted_state_loop(model.a, model.b, mk, step, mask, lift, init.x_hat, u, z)
     return FilterTrace(x_pri, x_post, mask, cov_prior, cov_post, step)
 
 
-#: ``(key, result)`` of the last covariance pass of :func:`run_filter_trace`
+#: ``(key, result, lift)`` of the last covariance pass of :func:`run_filter_trace`
 _memo = None
 
 
 def _covariances(a, h, q, r_diag, p0, mask):
-    """:func:`_kernels.covariance_loop`, kept for the last distinct input.
+    """:func:`_kernels.covariance_loop` and, under a full mask, its
+    :func:`_kernels.lift_tail`, kept for the last distinct input.
 
-    The covariances and folds depend on nothing else, so the scenarios of a
-    sweep, which share the model, the initial covariance and the full mask,
-    share one pass.  The key is the exact bytes of every input; the
-    distinct covariances, folds and step index, which every trace shares, are
-    made read-only.  Only a pass that completes is kept.
+    The covariances, folds and lifted cycle depend on nothing else, so the
+    scenarios of a sweep, which share the model, the initial covariance and
+    the full mask, share one pass.  The key is the exact bytes of every
+    input; the distinct covariances, folds and step index, which every
+    trace shares, are made read-only.  Only a pass that completes is kept.
     """
     global _memo
     key = tuple((arr.shape, arr.tobytes()) for arr in (a, h, q, r_diag, p0, mask))
@@ -207,8 +216,9 @@ def _covariances(a, h, q, r_diag, p0, mask):
         result = _kernels.covariance_loop(a, h, q, r_diag, p0, mask)
         for arr in result:
             arr.flags.writeable = False
-        _memo = (key, result)
-    return _memo[1]
+        lift = _kernels.lift_tail(a, *result[2:]) if mask.all() else None
+        _memo = (key, result, lift)
+    return _memo[1:]
 
 
 def initial_estimate(model: SystemModel, first_obs: np.ndarray) -> StateEstimate:

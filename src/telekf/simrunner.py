@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import RNG_ALGORITHM, ChannelStats, NetworkConfig, apply_channel
 from .dataio import WRITE_BLOCK_ROWS, TrajectorySet, _csv_field
-from .errors import ContractViolationError, to_int
+from .errors import ContractViolationError, check_shape, to_int
 from .filtering import FilterTrace, SystemModel, initial_estimate, run_filter_trace
 from .metrics import fit_aggregate, fit_percent, mse
 
@@ -55,16 +55,8 @@ class Scenario:
     data: TrajectorySet
 
     def __post_init__(self):
-        if self.model.n_outputs != self.data.outputs.shape[1]:
-            raise ContractViolationError(
-                f"model has {self.model.n_outputs} outputs but data has "
-                f"{self.data.outputs.shape[1]} output channels"
-            )
-        if self.model.n_inputs != self.data.inputs.shape[1]:
-            raise ContractViolationError(
-                f"model has {self.model.n_inputs} inputs but data has "
-                f"{self.data.inputs.shape[1]} input channels"
-            )
+        check_shape("inputs", self.data.inputs, (None, self.model.n_inputs))
+        check_shape("outputs", self.data.outputs, (None, self.model.n_outputs))
         if self.data.n_samples < 2:
             raise ContractViolationError("a scenario needs at least two samples")
 

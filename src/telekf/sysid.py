@@ -311,11 +311,8 @@ def predict_one_step(model: ArxModel, data) -> tuple[int, np.ndarray]:
     lags; t0 = max(na, nb + nk - 1).
     """
     u, y = data.inputs, data.outputs
-    if y.shape[1] != model.n_outputs or u.shape[1] != model.n_inputs:
-        raise ContractViolationError(
-            f"data has {u.shape[1]} inputs / {y.shape[1]} outputs, model expects "
-            f"{model.n_inputs} / {model.n_outputs}"
-        )
+    check_shape("inputs", u, (None, model.n_inputs))
+    check_shape("outputs", y, (None, model.n_outputs))
     t0 = max(model.na, model.nb + model.nk - 1, 0)
     preds = np.empty((y.shape[0] - t0, model.n_outputs))
     for c in range(model.n_outputs):
@@ -499,9 +496,12 @@ def order_sweep(train, holdout, na_values, nb_values, nk_values) -> list[dict]:
     grid = [(na, nb, nk) for na in na_values for nb in nb_values for nk in nk_values]
     u, y = holdout.inputs, holdout.outputs
     m, p = train.inputs.shape[1], train.outputs.shape[1]  # every candidate's channels
-    mismatch = None
-    if u.shape[1] != m or y.shape[1] != p:
-        mismatch = f"holdout has {u.shape[1]} inputs / {y.shape[1]} outputs, model expects {m} / {p}"
+    try:
+        check_shape("holdout inputs", u, (None, m))
+        check_shape("holdout outputs", y, (None, p))
+        mismatch = None
+    except ContractViolationError as err:
+        mismatch = str(err)
     records = []
     valid = []
     for (na, nb, nk), fit in zip(grid, _fit_grid(train, grid)):

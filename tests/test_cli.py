@@ -390,7 +390,7 @@ def test_sweep_model_that_does_not_fit_the_data_exits_2_before_any_scenario(
         "--rows", "0,0,0;5,7,0.2", "--seeds", "2", "--out-dir", str(out_dir),
     ])
     assert rc == 2
-    assert capsys.readouterr().err == "error: model has 1 outputs but data has 2 output channels\n"
+    assert capsys.readouterr().err == "error: outputs must have shape (N, 1), got (600, 2)\n"
     assert not out_dir.exists()
 
 

@@ -77,7 +77,7 @@ def test_predict_dimension_errors_name_offender():
     model = scalar_model()
     with pytest.raises(ContractViolationError, match=r"inputs must have shape \(N, 1\), got \(1, 2\)"):
         one_step(model, StateEstimate([0.0], [[1.0]]), u=[0.0, 1.0])
-    with pytest.raises(ContractViolationError, match="2 states"):
+    with pytest.raises(ContractViolationError, match=r"x_hat must have shape \(1,\), got \(2,\)"):
         one_step(model, StateEstimate([0.0, 0.0], np.eye(2)), u=[0.0])
 
 

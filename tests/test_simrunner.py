@@ -65,7 +65,10 @@ def test_scenario_metric_consistency_on_perfect_estimate():
 
 def test_scenario_dimension_mismatch_rejected():
     bad = exact_lti(seed=1, n=4, m=2, p=2)
-    with pytest.raises(ContractViolationError, match="output"):
+    with pytest.raises(ContractViolationError, match=r"^outputs must have shape \(N, 2\), got \(800, 3\)$"):
+        Scenario(model=bad, network=NetworkConfig(0, 0, 0, 0), data=DATA)
+    bad = exact_lti(seed=1, n=4, m=1, p=3)
+    with pytest.raises(ContractViolationError, match=r"^inputs must have shape \(N, 1\), got \(800, 2\)$"):
         Scenario(model=bad, network=NetworkConfig(0, 0, 0, 0), data=DATA)
 
 

@@ -311,6 +311,12 @@ def test_simulate_matches_one_step_predictor_when_na_zero():
     )
     t0, preds = predict_one_step(model, data)
     np.testing.assert_allclose(y[t0:], preds, atol=1e-12)
+    # data of other channel counts than the model's is refused
+    wide = TrajectorySet(
+        dt=DT, inputs=np.hstack([u, u]), outputs=y, input_names=("u1", "u2"), output_names=("y1",)
+    )
+    with pytest.raises(ContractViolationError, match=re.escape("inputs must have shape (N, 1), got (50, 2)")):
+        predict_one_step(model, wide)
 
 
 def test_simulate_refuses_misshaped_inputs():
@@ -520,7 +526,7 @@ def test_order_sweep_records_a_holdout_channel_mismatch():
     holdout = synth(random_stable_arx(1, 1, 1, n_outputs=2, n_inputs=1, seed=16), 300, seed=17)
     [rec] = order_sweep(train, holdout, na_values=(1,), nb_values=(1,), nk_values=(1,))
     assert rec["model"] is not None and rec["report"] is None
-    assert rec["error"] == "holdout has 1 inputs / 2 outputs, model expects 1 / 1"
+    assert rec["error"] == "holdout outputs must have shape (N, 1), got (300, 2)"
 
 
 def test_order_sweep_prefers_true_orders():
